@@ -119,6 +119,9 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         except OSError as e:
             print(f"ozcheck: cannot read {path}: {e.strerror}", file=err)
             return EXIT_USAGE
+        except UnicodeDecodeError:
+            print(f"ozcheck: cannot read {path}: not valid UTF-8", file=err)
+            return EXIT_USAGE
 
         diagnostics, steps = check_source(
             source, lenient=cfg.lenient_lexing, want_trace=cfg.trace

@@ -291,12 +291,6 @@ class ItemSetCollection:
     states: list[frozenset[Item]]
     transitions: dict[tuple[int, int], int]
 
-    def state_index(self, items: frozenset[Item]) -> int | None:
-        for i, s in enumerate(self.states):
-            if s == items:
-                return i
-        return None
-
 
 def canonical_collection(g: Grammar) -> ItemSetCollection:
     """Build the canonical collection breadth-first.

@@ -1,11 +1,14 @@
 """Table-driven shift-reduce parser with step tracing and error localization.
 
-The driver follows the classical stack automaton: on a shift it pushes the
-terminal and the successor state and advances the input pointer; on a
-reduce by ``A -> Y1..Yn`` it pops n symbol/state pairs, pushes ``A``, then
-consults the GOTO entry of the exposed state and pushes the target.  A
-reduce is recorded as two trace steps (the reduction itself and the goto)
-so traces show the same row structure as a textbook run.
+One driver runs the classical stack automaton over the int-encoded cells of
+``ParseTable.fast_tables()``: on a shift it pushes the successor state and
+advances the input pointer; on a reduce by ``A -> Y1..Yn`` it pops n
+states, then consults the GOTO entry of the exposed state for ``A`` and
+pushes the target.  A reduce is recorded as two trace steps (the reduction
+itself and the goto) so traces show the same row structure as a textbook
+run.  The trace is built only when asked for, and its cost is linear in the
+bytes it renders.  The (class, block) localization of a syntax error is
+replayed from the shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -13,6 +16,7 @@ share one immutable table concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import diagnostics as diag
 from .grammar import Grammar, ParseTable, Symbol
@@ -34,11 +38,14 @@ class TreeNode:
 
     def frontier(self) -> tuple[Token, ...]:
         """Terminal tokens of the subtree, left to right."""
-        if self.token is not None:
-            return (self.token,)
         out: list[Token] = []
-        for child in self.children:
-            out.extend(child.frontier())
+        pending = [self]  # explicit stack: nesting depth is input-controlled
+        while pending:
+            node = pending.pop()
+            if node.token is not None:
+                out.append(node.token)
+            else:
+                pending.extend(reversed(node.children))
         return tuple(out)
 
 
@@ -56,10 +63,10 @@ class TraceStep:
 
 def render_trace(steps: list[TraceStep]) -> str:
     """Three tab-separated columns (pile, entrée, action), one row per step."""
-    lines = ["pile\tentrée\taction"]
+    pieces = ["pile\tentrée\taction\n"]
     for s in steps:
-        lines.append(f"{s.stack}\t{s.remaining}\t{s.text}")
-    return "\n".join(lines) + "\n"
+        pieces += (s.stack, "\t", s.remaining, "\t", s.text, "\n")
+    return "".join(pieces)
 
 
 class ParseError(Exception):
@@ -170,104 +177,95 @@ class BlockTracker:
         return self.class_name, self.block
 
 
-class _Driver:
-    """Shared machinery for parse() and parse_with_trace()."""
+def _syntax_error(tokens: TokenStream, pos: int, state: int,
+                  table: ParseTable, trace: list[TraceStep] | None,
+                  stack: str, remaining: str) -> ParseError:
+    token = tokens[pos]
+    expected = tuple(s.name for s in table.expected_terminals(state))
+    # The location depends only on the shifted tokens, so it is replayed
+    # here instead of being tracked on every shift.
+    tracker = BlockTracker()
+    for shifted in tokens[:pos]:
+        tracker.feed(shifted)
+    if trace is not None:
+        trace.append(TraceStep(stack, remaining, "error",
+                               f'ERROR: unexpected "{token.lexeme or "$"}"'))
+    return ParseError(token, *tracker.location(), expected, trace)
 
-    def __init__(self, tokens: TokenStream, table: ParseTable, g: Grammar,
-                 want_trace: bool):
-        self.tokens = tokens
-        self.table = table
-        self.g = g
-        self.want_trace = want_trace
-        self.trace: list[TraceStep] = []
-        self.states = [0]
-        self.symbols: list[Symbol] = []
-        self.trees: list[TreeNode] = []
-        self.tracker = BlockTracker()
-        self.pos = 0
-        self.terminals = [terminal_of(t, g) for t in tokens]
 
-    # --- trace rendering -------------------------------------------------
-    def _stack_repr(self, extra_symbol: Symbol | None = None) -> str:
-        parts = ["$", f"[{self.states[0]}]"]
-        for i, sym in enumerate(self.symbols):
-            parts.append(sym.name)
-            if i + 1 < len(self.states):
-                parts.append(f"[{self.states[i + 1]}]")
-        if extra_symbol is not None:
-            parts.append(extra_symbol.name)
-        return " ".join(parts)
-
-    def _input_repr(self) -> str:
-        lexemes = [t.lexeme for t in self.tokens[self.pos:] if t.lexeme]
-        lexemes.append("$")
-        return " ".join(lexemes)
-
-    def _step(self, kind: str, text: str, production: int = -1,
-              state: int = -1, extra_symbol: Symbol | None = None) -> None:
-        if self.want_trace:
-            self.trace.append(
-                TraceStep(
-                    stack=self._stack_repr(extra_symbol),
-                    remaining=self._input_repr(),
-                    kind=kind,
-                    text=text,
-                    production=production,
-                    state=state,
-                )
-            )
-
-    # --- driving ---------------------------------------------------------
-    def fail(self) -> ParseError:
-        token = self.tokens[self.pos]
-        expected = tuple(
-            s.name for s in self.table.expected_terminals(self.states[-1])
-        )
-        cls, block = self.tracker.location()
-        self._step("error", f'ERROR: unexpected "{token.lexeme or "$"}"')
-        return ParseError(token, cls, block, expected,
-                          self.trace if self.want_trace else None)
-
-    def run(self) -> TreeNode:
-        while True:
-            state = self.states[-1]
-            terminal = self.terminals[self.pos]
-            action = self.table.action_for(state, terminal.id)
-            if action is None:
-                raise self.fail()
-            if action.kind == "shift":
-                token = self.tokens[self.pos]
-                self._step("shift", f"d{action.target}", state=action.target)
-                self.symbols.append(terminal)
-                self.states.append(action.target)
-                self.trees.append(TreeNode(terminal, token=token))
-                self.tracker.feed(token)
-                self.pos += 1
-            elif action.kind == "reduce":
-                p = self.g.productions[action.target]
-                self._step("reduce", f"r{p.index}: {p}", production=p.index)
-                n = len(p.body)
-                children = tuple(self.trees[len(self.trees) - n:]) if n else ()
-                if n:
-                    del self.symbols[-n:]
-                    del self.states[-n:]
-                    del self.trees[-n:]
-                exposed = self.states[-1]
-                target = self.table.goto_for(exposed, p.head.id)
-                if target < 0:  # unreachable on a well-formed table
-                    raise self.fail()
-                self._step(
-                    "goto",
+def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
+           trace: list[TraceStep] | None) -> TreeNode:
+    """Run the automaton on the int-encoded table; append the trace rows to
+    ``trace`` unless it is None."""
+    terminals = [terminal_of(t, g) for t in tokens]
+    action_rows, goto_rows, body_len, head_col = table.fast_tables()
+    cols = [table.term_index[t.id] for t in terminals]
+    productions = g.productions
+    states = [0]
+    trees: list[TreeNode] = []
+    if trace is not None:
+        # One stack prefix per stack entry, in step with ``states``, and the
+        # remaining input joined once and sliced at each token's offset:
+        # each row costs the length of what it prints.
+        prefix = ["$ [0]"]
+        reduce_texts: dict[int, str] = {}
+        line = " ".join([t.lexeme for t in tokens if t.lexeme] + ["$"])
+        offsets = list(accumulate(
+            (len(t.lexeme) + 1 if t.lexeme else 0 for t in tokens), initial=0))
+    stack = remaining = ""
+    pos = 0
+    while True:
+        cell = action_rows[states[-1]][cols[pos]]
+        op = cell & 3
+        if trace is not None:
+            stack, remaining = prefix[-1], line[offsets[pos]:]
+        if op == 1:  # shift
+            target = cell >> 2
+            terminal = terminals[pos]
+            if trace is not None:
+                trace.append(TraceStep(stack, remaining, "shift",
+                                       f"d{target}", state=target))
+                prefix.append(f"{stack} {terminal.name} [{target}]")
+            states.append(target)
+            trees.append(TreeNode(terminal, token=tokens[pos]))
+            pos += 1
+        elif op == 2:  # reduce
+            p = productions[cell >> 2]
+            n = body_len[p.index]
+            if trace is not None:
+                text = reduce_texts.get(p.index)
+                if text is None:
+                    text = reduce_texts[p.index] = f"r{p.index}: {p}"
+                trace.append(TraceStep(stack, remaining, "reduce", text,
+                                       production=p.index))
+            children = tuple(trees[-n:]) if n else ()
+            if n:
+                del states[-n:]
+                del trees[-n:]
+                if trace is not None:
+                    del prefix[-n:]
+                    stack = prefix[-1]
+            exposed = states[-1]
+            target = goto_rows[exposed][head_col[p.index]]
+            if target < 0:  # unreachable on a well-formed table
+                raise _syntax_error(tokens, pos, exposed, table, trace,
+                                    stack, remaining)
+            if trace is not None:
+                stack = f"{stack} {p.head.name}"
+                trace.append(TraceStep(
+                    stack, remaining, "goto",
                     f"in {exposed} with {p.head.name}: go to {target}",
-                    state=target,
-                    extra_symbol=p.head,
-                )
-                self.symbols.append(p.head)
-                self.states.append(target)
-                self.trees.append(TreeNode(p.head, p.index, children))
-            else:  # accept
-                self._step("accept", "ACCEPT")
-                return self.trees[-1]
+                    state=target))
+                prefix.append(f"{stack} [{target}]")
+            states.append(target)
+            trees.append(TreeNode(p.head, p.index, children))
+        elif op == 3:  # accept
+            if trace is not None:
+                trace.append(TraceStep(stack, remaining, "accept", "ACCEPT"))
+            return trees[-1]
+        else:
+            raise _syntax_error(tokens, pos, states[-1], table, trace,
+                                stack, remaining)
 
 
 def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
@@ -277,7 +275,7 @@ def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
     class/block, and the terminals that would have been accepted.  Raises
     :class:`UnknownTokenError` if a token maps to no terminal of ``g``.
     """
-    return _Driver(tokens, table, g, want_trace=False).run()
+    return _drive(tokens, table, g, None)
 
 
 def parse_with_trace(
@@ -288,9 +286,8 @@ def parse_with_trace(
     On a syntax error the raised :class:`ParseError` carries the trace,
     ending at the error step.
     """
-    driver = _Driver(tokens, table, g, want_trace=True)
-    tree = driver.run()
-    return tree, driver.trace
+    trace: list[TraceStep] = []
+    return _drive(tokens, table, g, trace), trace
 
 
 def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:

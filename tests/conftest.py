@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from ozcheck.lexer import terminal_of
+
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
+
+from oracles import trace_oracle  # noqa: E402
 
 CORPUS = TESTS_DIR / "corpus"
 
@@ -58,3 +62,13 @@ def corpus_text(name: str) -> str:
 @pytest.fixture(scope="session")
 def queue_source() -> str:
     return corpus_text("queue.tex")
+
+
+def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
+    """The trace oracle's (stack, remaining) rows for a parse of ``tokens``."""
+    return trace_oracle(
+        steps,
+        [(p.head.name, [s.name for s in p.body]) for p in g.productions],
+        [terminal_of(t, g).name for t in tokens],
+        [t.lexeme for t in tokens],
+    )

@@ -179,3 +179,39 @@ def all_strings(alphabet: list[str], max_len: int):
                 yield s
                 nxt.append(s)
         level = nxt
+
+
+def trace_oracle(
+    steps,
+    productions: list[tuple[str, list[str]]],
+    terminals: list[str],
+    lexemes: list[str],
+) -> list[tuple[str, str]]:
+    """(stack, remaining) of every trace step, rebuilt naively from the steps.
+
+    ``productions`` is indexed like the trace's production numbers (the
+    augmentation included), ``terminals`` and ``lexemes`` give each token's
+    terminal name and text.  A shift pushes (terminal, state), a reduce pops
+    its body, a goto pushes (head, state); the remaining input is every
+    lexeme not yet shifted plus ``$``.  Each row is rendered from scratch.
+    """
+    stack: list[tuple[str, int]] = [(END, 0)]
+    pending_head: str | None = None
+    pos = 0
+    rows = []
+    for step in steps:
+        text = " ".join(f"{sym} [{state}]" for sym, state in stack)
+        if step.kind == "goto":
+            text += " " + pending_head
+        remaining = [lexeme for lexeme in lexemes[pos:] if lexeme] + [END]
+        rows.append((text, " ".join(remaining)))
+        if step.kind == "shift":
+            stack.append((terminals[pos], step.state))
+            pos += 1
+        elif step.kind == "reduce":
+            pending_head, body = productions[step.production]
+            if body:
+                del stack[-len(body) :]
+        elif step.kind == "goto":
+            stack.append((pending_head, step.state))
+    return rows

@@ -55,6 +55,15 @@ def test_nonexistent_path_exits_2(corpus):
     assert "cannot read" in err
 
 
+def test_undecodable_file_is_usage_error(tmp_path):
+    path = tmp_path / "latin.tex"
+    path.write_bytes(b"\xff\xfe\\begin{class} { A } \\end{class}\n")
+    code, out, err = invoke(RunConfig(inputs=[str(path)]))
+    assert code == 2
+    assert out == ""
+    assert err == f"ozcheck: cannot read {path}: not valid UTF-8\n"
+
+
 def test_no_inputs_without_dump_is_usage_error():
     code, out, err = invoke(RunConfig())
     assert code == 2 and "usage" in err

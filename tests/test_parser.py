@@ -1,10 +1,12 @@
 """Shift-reduce driver: traces, trees, and error localization."""
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
 
+from ozcheck import check_text
 from ozcheck.grammar import Grammar, build_table
 from ozcheck.lexer import tokenize
 from ozcheck.ozgrammar import object_z_grammar, oz_parse_table
@@ -16,11 +18,36 @@ from ozcheck.parser import (
     render_trace,
 )
 
-from conftest import corpus_text
+from conftest import corpus_text, naive_trace_rows
+
+# SHA-256 of the rendered trace of each corpus file, recorded from the
+# per-row rendering that ``trace_oracle`` keeps as the reference; the
+# paper's trace rows must not change.
+TRACE_DIGESTS = {
+    "circular_decl.tex": "7cb3962f0f2724afd87e24378f85c92cb361ef60afde0e49b52036851395ae0c",
+    "delta_not_state_var.tex": "696961833442740ce8ffca0f50dfda55c82e4f7dfb9457855b9e5a66aee9a7d9",
+    "duplicate_decl.tex": "74d5271609d28eb40ce9b72e20ac70b66031b0e344efcf8e222781917fc41daa",
+    "empty_class.tex": "3a8508f8387c4691d4b5cc094a4fd17f7dc5445f3c8dedd3ec3ec8ffac504bd1",
+    "queue.tex": "67b69544d6e2553b5db0f1a8ca23557d1cddc8ee6c63fe158a5e6802c6291fa5",
+    "queue_semantic_errors.tex": "20a18e4da7112c111b0ae19ee0a06f6328e9e1b933fa55998ab57d65142515a6",
+    "queue_syntax_error.tex": "7e2b46e43391a9d0e2db3fd9cce4c419fbed32ec015b09477a5e11e72514a993",
+    "type_name_reuse.tex": "835954f6632123f524ecbda6dcf95934bac80969347a91544777ca52f345fb29",
+    "undefined_type.tex": "f435643883be203f9a90cbc73c48024cf6a5322826d78cdccbe53c08ca7b7009",
+}
 
 
 def oz():
     return oz_parse_table(), object_z_grammar()
+
+
+def corpus_trace(name: str):
+    """Tokens and trace of a corpus file; the error trace if it fails."""
+    table, g = oz()
+    tokens = tokenize(corpus_text(name))
+    try:
+        return tokens, parse_with_trace(tokens, table, g)[1]
+    except ParseError as e:
+        return tokens, e.trace
 
 
 def test_single_production_trace():
@@ -175,12 +202,45 @@ def test_error_block_labels_track_environments():
          r" \end{op} \end{class}", "operation(Op)", "A"),
         (r"\begin{class} { A } \begin{axdef} = \end{axdef} \end{class}",
          "local-definitions", "A"),
+        (r"\begin{class} { A } \begin{state} x = \end{state} \end{class}",
+         "state-schema", "A"),
+        (r"\begin{class} { A } \begin{op} { Op } = \end{op} \end{class}",
+         "operation(Op)", "A"),
     ]
     for source, block, cls in cases:
         with pytest.raises(ParseError) as exc:
             parse(tokenize(source), table, g)
         assert exc.value.enclosing_block == block, source
         assert exc.value.enclosing_class == cls, source
+
+
+def test_corpus_trace_digests_are_pinned(corpus):
+    assert sorted(p.name for p in corpus.glob("*.tex")) == sorted(TRACE_DIGESTS)
+    for name, digest in TRACE_DIGESTS.items():
+        _, steps = corpus_trace(name)
+        rendered = render_trace(steps).encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == digest, name
+
+
+def test_trace_columns_match_naive_oracle_on_corpus(corpus):
+    _, g = oz()
+    last_kinds = set()
+    for path in sorted(corpus.glob("*.tex")):
+        tokens, steps = corpus_trace(path.name)
+        got = [(s.stack, s.remaining) for s in steps]
+        assert got == naive_trace_rows(steps, tokens, g), path.name
+        last_kinds.add(steps[-1].kind)
+    assert last_kinds == {"accept", "error"}
+
+
+def test_deeply_nested_parentheses_do_not_recurse():
+    depth = 10_000
+    source = (
+        r"\begin{class} { A } \begin{state} count : \nat \end{state}"
+        r" \begin{init} count = " + "( " * depth + "0 " + ") " * depth
+        + r"\end{init} \end{class}"
+    )
+    assert check_text(source) == []
 
 
 def test_accepts_agrees_with_parse_on_toy_grammar():

@@ -13,6 +13,7 @@ from ozcheck.grammar import (
 from ozcheck.lexer import tokenize
 from ozcheck.parser import parse_with_trace
 
+from conftest import naive_trace_rows
 from oracles import first_oracle, language_upto
 from randgrammars import (
     check_first_follow_agreement,
@@ -73,7 +74,7 @@ def test_first_follow_equations_hold_on_random_grammars():
 def test_replay_of_accepted_strings_counts_shifts_and_reduces():
     """Accepted strings shift once per token and reduce once per
     derivation step (checked by replaying the reduces as a rightmost
-    derivation in reverse)."""
+    derivation in reverse), and their trace columns match the oracle."""
     for case in generate_cases(seed=987003, count=12):
         g, table = case.grammar, case.table
         words = sorted(language_upto(case.productions, "S", 6))[:8]
@@ -88,6 +89,9 @@ def test_replay_of_accepted_strings_counts_shifts_and_reduces():
             assert len(shifts) == len(w)
             assert len(gotos) == len(reduces)
             assert steps[-1].kind == "accept"
+            assert [(s.stack, s.remaining) for s in steps] == (
+                naive_trace_rows(steps, tokens, g)
+            )
 
             # reduce sequence reversed is a rightmost derivation of w
             form = [g.start]

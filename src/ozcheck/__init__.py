@@ -7,6 +7,7 @@ semantic constraints with three-level (class, block, symbol) diagnostics.
 """
 from __future__ import annotations
 
+from . import cli
 from .diagnostics import Diagnostic, render_human, render_machine
 from .lexer import LexError, UnknownTokenError, tokenize
 from .ozgrammar import build_ast, object_z_grammar, oz_parse_table
@@ -22,14 +23,7 @@ def check_text(source: str, lenient: bool = False) -> list[Diagnostic]:
     Lexical and syntax failures yield a single diagnostic; otherwise the
     parsed specification is analyzed semantically.
     """
-    grammar = object_z_grammar()
-    table = oz_parse_table()
-    try:
-        tokens = tokenize(source, lenient=lenient)
-        tree = parse(tokens, table, grammar)
-    except (LexError, UnknownTokenError, ParseError) as e:
-        return [e.to_diagnostic()]
-    return analyze(build_ast(tree))
+    return cli.check_source(source, lenient)[0]
 
 
 def check_file(path: str, lenient: bool = False) -> list[Diagnostic]:

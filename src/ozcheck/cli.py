@@ -2,8 +2,10 @@
 
 Diagnostics and dumps go to standard output; usage and I/O failures go to
 the error stream with exit status 2.  Exit status is 0 only when every
-input file produced zero diagnostics, 1 otherwise.  The parse table is
-built once at startup and shared across all input files.
+input file produced zero diagnostics, 1 otherwise.  An internal failure is
+reported on the error stream with exit status 3, so it is never mistaken
+for a finding.  The parse table is built once at startup and shared across
+all input files.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .semantics import analyze
 EXIT_CLEAN = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -45,9 +48,10 @@ def check_source(
 ) -> tuple[list[Diagnostic], list]:
     """Run the full pipeline over one source text.
 
-    Returns the diagnostics plus the parse trace (empty unless requested).
-    The first lexical or syntax failure stops the pipeline for that source;
-    semantic checks run only on parsed specifications.
+    Returns the diagnostics, sorted by position, plus the parse trace
+    (empty unless requested).  The first lexical or syntax failure stops the
+    pipeline for that source with one diagnostic; semantic checks run only
+    on parsed specifications.
     """
     grammar = object_z_grammar()
     table = oz_parse_table()
@@ -131,7 +135,6 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             out.write(render_trace(steps))
         if diagnostics:
             any_diagnostics = True
-        diagnostics = sorted(diagnostics, key=Diagnostic.sort_key)
         if cfg.format == "machine":
             out.write(render_machine(diagnostics, locale=cfg.locale))
         else:
@@ -142,6 +145,15 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except Exception as e:  # last resort: a crash must not read as a finding
+        print(f"ozcheck: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_arg_parser()
     try:
         ns = parser.parse_args(argv)

@@ -7,7 +7,10 @@ whitespace runs and classifies each unit.  A lenient mode additionally
 splits ``{ } [ ] ( ) , :`` glued to neighbouring units, for sources that do
 not follow the convention strictly.
 
-Tokenizing is pure; independent sources may be processed concurrently.
+A unit's classification depends only on its text, so ``tokenize`` classifies
+each distinct unit once per call and reuses the result for its repetitions.
+Tokens are immutable named tuples.  Tokenizing is pure; independent sources
+may be processed concurrently.
 """
 from __future__ import annotations
 
@@ -46,8 +49,7 @@ class Position(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     lexeme: str
     kind: TokenKind
     position: Position
@@ -142,6 +144,8 @@ _SINGLE = {
 _LENIENT_RE = re.compile(
     r"\\(?:begin|end)\{[^{}]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+"
 )
+# a unit without any of these characters is a single lenient piece
+_GLUE_RE = re.compile(r"[{}\[\](),:]")
 
 
 def _classify(unit: str, line: int, column: int) -> tuple[TokenKind, str | None, str]:
@@ -219,27 +223,26 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     last unit.
     """
     tokens: list[Token] = []
-
-    def emit(unit: str, line: int, column: int) -> None:
-        kind, name, decoration = _classify(unit, line, column)
-        tokens.append(
-            Token(
-                lexeme=unit,
-                kind=kind,
-                position=Position(len(tokens), line, column),
-                name=name,
-                decoration=decoration,
-            )
-        )
-
+    append = tokens.append
+    # unit -> (kind, name, decoration); a unit that fails raises at its
+    # first occurrence and is never stored
+    classes: dict[str, tuple[TokenKind, str | None, str]] = {}
     for line_no, line in _content_lines(source):
         for m in _UNIT_RE.finditer(line):
             unit = m.group()
-            if lenient:
-                for piece in _LENIENT_RE.finditer(unit):
-                    emit(piece.group(), line_no, m.start() + piece.start() + 1)
+            column = m.start() + 1
+            if lenient and _GLUE_RE.search(unit):
+                pieces = [(p.group(), column + p.start())
+                          for p in _LENIENT_RE.finditer(unit)]
             else:
-                emit(unit, line_no, m.start() + 1)
+                pieces = ((unit, column),)
+            for piece, col in pieces:
+                found = classes.get(piece)
+                if found is None:
+                    found = classes[piece] = _classify(piece, line_no, col)
+                append(Token(piece, found[0],
+                             Position(len(tokens), line_no, col),
+                             found[1], found[2]))
 
     if tokens:
         last = tokens[-1]

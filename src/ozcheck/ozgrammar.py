@@ -175,15 +175,17 @@ TypeExpr = BuiltinType | NamedType | ProductType
 
 
 def named_leaves(t: TypeExpr):
-    """Yield every NamedType leaf of a type expression."""
-    if isinstance(t, NamedType):
-        yield t
-    elif isinstance(t, BuiltinType):
-        if t.argument is not None:
-            yield from named_leaves(t.argument)
-    else:
-        for part in t.parts:
-            yield from named_leaves(part)
+    """Yield every NamedType leaf of a type expression, left to right."""
+    pending = [t]  # explicit stack: nesting depth is input-controlled
+    while pending:
+        t = pending.pop()
+        if isinstance(t, NamedType):
+            yield t
+        elif isinstance(t, BuiltinType):
+            if t.argument is not None:
+                pending.append(t.argument)
+        else:
+            pending.extend(reversed(t.parts))
 
 
 @dataclass(frozen=True)
@@ -295,8 +297,7 @@ def _lower_paragraph(node: TreeNode) -> GivenTypeDecl | ClassDef:
         generic = _lower_name_list(heading.children[2])
 
     sections = _Sections()
-    for child in node.children[4:-1]:
-        _collect_sections(child, sections)
+    _collect_sections(node.children[4:-1], sections)
     return ClassDef(
         name=name_token.lexeme,
         name_pos=name_token.position,
@@ -320,27 +321,30 @@ class _Sections:
         self.operations: list[OperationSchema] = []
 
 
-def _collect_sections(node: TreeNode, out: _Sections) -> None:
-    if node.is_leaf:
-        return
-    name = node.symbol.name
-    if name == "VisibilityDecl":
-        out.visibility = _lower_name_list(node.children[2])
-    elif name == "Inheritance":
-        out.inherits = _lower_name_list(node.children[0])
-    elif name == "AxdefEnv":
-        out.local_defs = _lower_declaration_list(node.children[1])
-    elif name == "StateEnv":
-        decls, preds = _lower_schema_body(node.children[1])
-        out.state = SchemaBlock("state", decls, preds)
-    elif name == "InitEnv":
-        decls, preds = _lower_init_body(node.children[1])
-        out.init = SchemaBlock("init", decls, preds)
-    elif name == "OperationEnv":
-        out.operations.append(_lower_operation(node))
-    else:  # wrapper nonterminals: Visibility, StateSchema, Sections*, ...
-        for child in node.children:
-            _collect_sections(child, out)
+def _collect_sections(nodes: tuple[TreeNode, ...], out: _Sections) -> None:
+    # explicit stack: OperationSeq nests once per operation
+    pending = list(reversed(nodes))
+    while pending:
+        node = pending.pop()
+        if node.is_leaf:
+            continue
+        name = node.symbol.name
+        if name == "VisibilityDecl":
+            out.visibility = _lower_name_list(node.children[2])
+        elif name == "Inheritance":
+            out.inherits = _lower_name_list(node.children[0])
+        elif name == "AxdefEnv":
+            out.local_defs = _lower_declaration_list(node.children[1])
+        elif name == "StateEnv":
+            decls, preds = _lower_schema_body(node.children[1])
+            out.state = SchemaBlock("state", decls, preds)
+        elif name == "InitEnv":
+            decls, preds = _lower_init_body(node.children[1])
+            out.init = SchemaBlock("init", decls, preds)
+        elif name == "OperationEnv":
+            out.operations.append(_lower_operation(node))
+        else:  # wrapper nonterminals: Visibility, StateSchema, Sections*, ...
+            pending.extend(reversed(node.children))
 
 
 def _lower_name_list(node: TreeNode) -> tuple[NameRef, ...]:
@@ -443,27 +447,24 @@ _BUILTIN_BY_COMMAND = {k.value: k for k in BuiltinKind}
 
 
 def _lower_type_expr(node: TreeNode) -> TypeExpr:
-    if len(node.children) == 1:
-        return _lower_type_atom(node.children[0])
-    # flatten the \cross spine into one product
-    parts: list[TypeExpr] = [_lower_type_atom(node.children[0])]
-    rest = _lower_type_expr(node.children[2])
-    if isinstance(rest, ProductType):
-        parts.extend(rest.parts)
-    else:
-        parts.append(rest)
-    return ProductType(tuple(parts))
+    # the \cross spine flattens into one product
+    parts = [_lower_type_atom(n) for n in _spine(node, "TypeExpr")]
+    return parts[0] if len(parts) == 1 else ProductType(tuple(parts))
 
 
 def _lower_type_atom(node: TreeNode) -> TypeExpr:
-    first = node.children[0]
-    token = first.token
+    outer: list[BuiltinKind] = []  # \pset, \fset, \seq prefixes, outermost first
+    while len(node.children) > 1:
+        outer.append(_BUILTIN_BY_COMMAND[node.children[0].token.lexeme])
+        node = node.children[1]
+    token = node.children[0].token
     if token.kind is TokenKind.WORD:
-        return NamedType(token.lexeme, token.position)
-    kind = _BUILTIN_BY_COMMAND[token.lexeme]
-    if len(node.children) > 1:
-        return BuiltinType(kind, _lower_type_atom(node.children[1]))
-    return BuiltinType(kind)
+        t: TypeExpr = NamedType(token.lexeme, token.position)
+    else:
+        t = BuiltinType(_BUILTIN_BY_COMMAND[token.lexeme])
+    for kind in reversed(outer):
+        t = BuiltinType(kind, t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ advances the input pointer; on a reduce by ``A -> Y1..Yn`` it pops n
 states, then consults the GOTO entry of the exposed state for ``A`` and
 pushes the target.  A reduce is recorded as two trace steps (the reduction
 itself and the goto) so traces show the same row structure as a textbook
-run.  The trace is built only when asked for, and its cost is linear in the
-bytes it renders.  The (class, block) localization of a syntax error is
-replayed from the shifted tokens when the error occurs.
+run.  A token's terminal depends only on its lexeme, so each distinct
+lexeme is mapped once per parse.  Tree nodes are immutable named tuples.
+The trace is built only when asked for, and its cost is linear in the bytes
+it renders.  The (class, block) localization of a syntax error is replayed
+from the shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -17,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import diagnostics as diag
 from .grammar import Grammar, ParseTable, Symbol
 from .lexer import Token, TokenKind, TokenStream, terminal_of
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Parse tree node; terminal leaves carry their originating token."""
 
     symbol: Symbol
@@ -197,9 +199,17 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            trace: list[TraceStep] | None) -> TreeNode:
     """Run the automaton on the int-encoded table; append the trace rows to
     ``trace`` unless it is None."""
-    terminals = [terminal_of(t, g) for t in tokens]
     action_rows, goto_rows, body_len, head_col = table.fast_tables()
-    cols = [table.term_index[t.id] for t in terminals]
+    term_index = table.term_index
+    terminals = table.term_columns
+    toks = tokens.tokens
+    col_of: dict[str, int] = {}  # lexeme -> column of its terminal
+    cols = []
+    for token in toks:
+        col = col_of.get(token.lexeme)
+        if col is None:
+            col = col_of[token.lexeme] = term_index[terminal_of(token, g).id]
+        cols.append(col)
     productions = g.productions
     states = [0]
     trees: list[TreeNode] = []
@@ -221,13 +231,13 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             stack, remaining = prefix[-1], line[offsets[pos]:]
         if op == 1:  # shift
             target = cell >> 2
-            terminal = terminals[pos]
+            terminal = terminals[cols[pos]]
             if trace is not None:
                 trace.append(TraceStep(stack, remaining, "shift",
                                        f"d{target}", state=target))
                 prefix.append(f"{stack} {terminal.name} [{target}]")
             states.append(target)
-            trees.append(TreeNode(terminal, token=tokens[pos]))
+            trees.append(TreeNode(terminal, -1, (), toks[pos]))
             pos += 1
         elif op == 2:  # reduce
             p = productions[cell >> 2]

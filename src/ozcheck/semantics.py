@@ -181,68 +181,82 @@ def _local_entries(decls: tuple[Declaration, ...]) -> tuple[ScopeEntry, ...]:
     return tuple(ScopeEntry(d.name, d, LOCAL) for d in decls)
 
 
+class _Resolution:
+    """A class whose parents are being merged in, one at a time."""
+
+    def __init__(self, c: ClassDef) -> None:
+        self.cls = c
+        self.next_parent = 0  # index into c.inherits
+        self.state = _local_entries(c.state.declarations if c.state else ())
+        self.constants = _local_entries(c.local_defs)
+        self.init = c.init
+        self.ops: dict[str, OperationSchema] = {}
+
+    def inherit(self, parent: ResolvedClass) -> None:
+        self.state = _merge(parent.state_entries, self.state)
+        self.constants = _merge(parent.constant_entries, self.constants)
+        if self.init is None:
+            self.init = parent.init_block
+        for op in parent.operations:
+            self.ops.setdefault(op.name, op)
+
+    def resolved(self) -> ResolvedClass:
+        for op in self.cls.operations:
+            self.ops[op.name] = op
+        return ResolvedClass(
+            cls=self.cls,
+            state_entries=self.state,
+            constant_entries=self.constants,
+            init_block=self.init,
+            operations=tuple(self.ops.values()),
+        )
+
+
 def resolve_inheritance(
     c: ClassDef,
     env: dict[str, ClassDef],
     _cache: dict[str, ResolvedClass] | None = None,
-    _visiting: tuple[str, ...] = (),
 ) -> ResolvedClass:
     """Flatten the ancestors of ``c`` transitively.
 
-    Raises :class:`UnknownParentError` when an inherited class is not in
-    ``env`` and :class:`InheritanceCycleError` when a class is reachable
-    from itself.
+    Parents are resolved depth-first in declaration order, with an explicit
+    stack because chain length is input-controlled.  Raises
+    :class:`UnknownParentError` when an inherited class is not in ``env``
+    and :class:`InheritanceCycleError` when a class is reachable from
+    itself; the cycle runs from ``c`` along the path being resolved.
     """
     if _cache is None:
         _cache = {}
     if c.name in _cache:
         return _cache[c.name]
 
-    state = _local_entries(c.state.declarations if c.state else ())
-    constants = _local_entries(c.local_defs)
-    init = c.init
-    ops: dict[str, OperationSchema] = {}
-
-    for ref in c.inherits:
-        if ref.name in _visiting or ref.name == c.name:
-            cycle = _visiting + (c.name, ref.name)
-            raise InheritanceCycleError(c.name, cycle, ref)
-        parent_cls = env.get(ref.name)
-        if parent_cls is None:
-            raise UnknownParentError(c.name, ref)
-        parent = resolve_inheritance(
-            parent_cls, env, _cache, _visiting + (c.name,)
-        )
-        state = _merge(parent.state_entries, state)
-        constants = _merge(parent.constant_entries, constants)
-        if init is None:
-            init = parent.init_block
-        for op in parent.operations:
-            ops.setdefault(op.name, op)
-
-    for op in c.operations:
-        ops[op.name] = op
-
-    resolved = ResolvedClass(
-        cls=c,
-        state_entries=state,
-        constant_entries=constants,
-        init_block=init,
-        operations=tuple(ops.values()),
-    )
-    _cache[c.name] = resolved
-    return resolved
-
-
-def _local_only(c: ClassDef) -> ResolvedClass:
-    """Fallback resolution used after an inheritance error."""
-    return ResolvedClass(
-        cls=c,
-        state_entries=_local_entries(c.state.declarations if c.state else ()),
-        constant_entries=_local_entries(c.local_defs),
-        init_block=c.init,
-        operations=tuple(c.operations),
-    )
+    path = [_Resolution(c)]
+    on_path = {c.name}
+    while True:
+        top = path[-1]
+        child = top.cls
+        if top.next_parent < len(child.inherits):
+            ref = child.inherits[top.next_parent]
+            top.next_parent += 1
+            if ref.name in on_path:
+                cycle = tuple(r.cls.name for r in path) + (ref.name,)
+                raise InheritanceCycleError(child.name, cycle, ref)
+            parent_cls = env.get(ref.name)
+            if parent_cls is None:
+                raise UnknownParentError(child.name, ref)
+            parent = _cache.get(parent_cls.name)
+            if parent is None:
+                path.append(_Resolution(parent_cls))
+                on_path.add(parent_cls.name)
+            else:
+                top.inherit(parent)
+            continue
+        resolved = _cache[child.name] = top.resolved()
+        path.pop()
+        on_path.discard(child.name)
+        if not path:
+            return resolved
+        path[-1].inherit(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +429,7 @@ def analyze(spec: Specification) -> list[Diagnostic]:
                     block=diag.BLOCK_INHERITANCE,
                 )
             )
-            rc = _local_only(c)
+            rc = _Resolution(c).resolved()  # local members only
         except InheritanceCycleError as e:
             out.append(
                 Diagnostic(
@@ -428,7 +442,7 @@ def analyze(spec: Specification) -> list[Diagnostic]:
                     detail=" -> ".join(e.cycle),
                 )
             )
-            rc = _local_only(c)
+            rc = _Resolution(c).resolved()  # local members only
 
         for scope in class_scopes(rc):
             out.extend(check_circular(scope))

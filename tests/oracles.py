@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here works on plain (head, body) name pairs and never calls into
-the package's fixpoint or table code, so oracle and implementation can only
-agree by both being right.
+Everything here works on plain data (head/body name pairs, source text) and
+never calls into the package's lexer, fixpoint or table code, so oracle and
+implementation can only agree by both being right.
 """
 from __future__ import annotations
 
+import unicodedata
 from collections import deque
 
 END = "$"
@@ -215,3 +216,129 @@ def trace_oracle(
         elif step.kind == "goto":
             stack.append((pending_head, step.state))
     return rows
+
+
+# --- lexer -------------------------------------------------------------------
+
+_GLUE = "{}[](),:"
+_PREAMBLE = ("\\documentclass", "\\usepackage", "\\begin{document}")
+
+
+def _naive_lines(source: str) -> list[tuple[int, str]]:
+    """The (line number, text) pairs the lexer reads, rebuilt in full."""
+    lines = source.split("\n")
+    starts = [
+        i for i, line in enumerate(lines)
+        if line.lstrip().startswith(("\\begin{class}", "["))
+    ]
+    first = starts[0] if starts else len(lines)
+    wrapped = any(line.lstrip().startswith(_PREAMBLE) for line in lines[:first])
+    begin = first if wrapped and starts else 0
+    out = []
+    for i in range(begin, len(lines)):
+        stripped = lines[i].lstrip()
+        if stripped.startswith("%"):
+            continue
+        if wrapped and stripped.startswith("\\end{document}"):
+            break
+        out.append((i + 1, lines[i]))
+    return out
+
+
+def _naive_units(line: str) -> list[tuple[int, str]]:
+    """(0-based offset, text) of every maximal run of non-space characters."""
+    out, start = [], None
+    for i, ch in enumerate(line + " "):
+        if ch.isspace():
+            if start is not None:
+                out.append((start, line[start:i]))
+                start = None
+        elif start is None:
+            start = i
+    return out
+
+
+def _naive_pieces(unit: str) -> list[tuple[int, str]]:
+    """Lenient split: environment delimiters whole, punctuation alone, and
+    the runs in between."""
+    out, i = [], 0
+    while i < len(unit):
+        end = None
+        for prefix in ("\\begin{", "\\end{"):
+            if unit.startswith(prefix, i):
+                close = unit.find("}", i + len(prefix))
+                if close >= 0 and "{" not in unit[i + len(prefix):close]:
+                    end = close + 1
+        if end is None:
+            end = i + 1
+            if unit[i] not in _GLUE:
+                while end < len(unit) and unit[end] not in _GLUE:
+                    end += 1
+        out.append((i, unit[i:end]))
+        i = end
+    return out
+
+
+def _is_word(unit: str) -> bool:
+    body = unit.rstrip("'?!")
+    return (
+        body != ""
+        and not body[0].isdecimal()
+        and all(ch.isalnum() or ch == "_" for ch in body)
+    )
+
+
+def _naive_classify(unit: str):
+    """(kind value, name, decoration) of one unit, or (None, reason)."""
+    if any(unicodedata.category(ch) == "Cc" for ch in unit):
+        return None, "unsupported control character"
+    if unit in ("\\\\", "\\"):
+        return "LineSep", None, ""
+    for prefix, kind in (("\\begin{", "EnvBegin"), ("\\end{", "EnvEnd")):
+        if unit.startswith(prefix):
+            name = unit[len(prefix):-1]
+            if unit.endswith("}") and name and not set(name) & set("{}"):
+                return kind, name, ""
+            return None, "malformed environment delimiter"
+    if (len(unit) > 1 and unit[0] == "\\"
+            and all(ch.isascii() and ch.isalpha() for ch in unit[1:])):
+        return "Command", unit[1:], ""
+    braces = {"{": "LBrace", "}": "RBrace", "[": "LBracket", "]": "RBracket"}
+    if unit in braces:
+        return braces[unit], None, ""
+    if unit in ("=", "+", ",", "(", ")", ":"):
+        return "Operator", None, ""
+    if all(ch in "0123456789" for ch in unit):
+        return "Number", None, ""
+    if _is_word(unit):
+        return "Word", None, unit[len(unit.rstrip("'?!")):]
+    return None, "cannot classify unit; lexical units must be whitespace-separated"
+
+
+def naive_tokenize(source: str, lenient: bool = False):
+    """Tokens of ``source`` with every unit classified on its own.
+
+    Returns ``(tokens, error)``.  Each token is ``(lexeme, kind value,
+    index, line, column, name, decoration)``, the end marker included.  On
+    the first unit that cannot be classified, ``error`` is ``(reason, unit,
+    line, column)`` and ``tokens`` is None.
+    """
+    tokens = []
+    for line_no, line in _naive_lines(source):
+        for offset, unit in _naive_units(line):
+            pieces = _naive_pieces(unit) if lenient else [(0, unit)]
+            for start, piece in pieces:
+                column = offset + start + 1
+                found = _naive_classify(piece)
+                if found[0] is None:
+                    return None, (found[1], piece, line_no, column)
+                kind, name, decoration = found
+                tokens.append((piece, kind, len(tokens), line_no, column,
+                               name, decoration))
+    if tokens:
+        last = tokens[-1]
+        end = (len(tokens), last[3], last[4] + len(last[0]))
+    else:
+        end = (0, 1, 1)
+    tokens.append(("", "EndMarker", *end, None, ""))
+    return tokens, None

@@ -1,12 +1,33 @@
 """Command-line driver: exit codes, streams, dumps, determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
+import itertools
 import subprocess
 import sys
 
-from ozcheck.cli import RunConfig, build_arg_parser, main, run
+from ozcheck import cli
+from ozcheck.cli import EXIT_INTERNAL, RunConfig, build_arg_parser, main, run
 from ozcheck.grammar import grammar_from_text
+
+from conftest import TESTS_DIR
+
+# SHA-256 over the exit status and stdout of ``run`` on each corpus file in
+# every combination of --format, --locale and --lenient (see
+# ``output_digest``), recorded before tokens and tree nodes became named
+# tuples; the diagnostics must not change.
+OUTPUT_DIGESTS = {
+    "circular_decl.tex": "1bb2875ce833a7a2fb5a02fed70ee3b716a6283fd94fd0561e41ad15cd636cb0",
+    "delta_not_state_var.tex": "8f847de77f1c39576aac0a6d4009b0726c42eacdba4c5ca6b0d96ae24b6b7cc3",
+    "duplicate_decl.tex": "a6434289e90e27dcf80f6ddd4862dccbc2d2a3ab4d67069fce631238dd32c948",
+    "empty_class.tex": "b9827c2a97f064d97175047dd0a4dc511a2cdd5ca0929022572d29025359c8ee",
+    "queue.tex": "b9827c2a97f064d97175047dd0a4dc511a2cdd5ca0929022572d29025359c8ee",
+    "queue_semantic_errors.tex": "a194e55ec1fbddaff72f88704d4516369a06dd2fae486be66dd80290432f7573",
+    "queue_syntax_error.tex": "d99bc6b7a791b82eb55ee532354fe29843bfdbe9b03e6496e6d8371906a56ee2",
+    "type_name_reuse.tex": "37da042fd91de255757b34c02289334758fb26fd835d5e36bdae650299785216",
+    "undefined_type.tex": "41b86f76b3146b3c1946da89dd0c342e002330e2bb810a955a4fe7c56ddb3edc",
+}
 
 
 def invoke(cfg: RunConfig) -> tuple[int, str, str]:
@@ -163,6 +184,38 @@ def test_runs_are_byte_identical(corpus):
     )
     outputs = [invoke(cfg) for _ in range(2)]
     assert outputs[0] == outputs[1]
+
+
+def output_digest(name: str) -> str:
+    """Digest of ``run`` on ``corpus/<name>``, from the tests directory."""
+    h = hashlib.sha256()
+    for fmt, locale, lenient in itertools.product(
+        ("text", "machine"), ("en", "fr"), (False, True)
+    ):
+        code, out, _ = invoke(RunConfig(
+            inputs=[f"corpus/{name}"], format=fmt, locale=locale,
+            lenient_lexing=lenient,
+        ))
+        h.update(f"{fmt} {locale} {lenient} {code}\n{out}".encode())
+    return h.hexdigest()
+
+
+def test_corpus_output_digests_are_pinned(corpus, monkeypatch):
+    assert sorted(p.name for p in corpus.glob("*.tex")) == sorted(OUTPUT_DIGESTS)
+    monkeypatch.chdir(TESTS_DIR)
+    for name, digest in OUTPUT_DIGESTS.items():
+        assert output_digest(name) == digest, name
+
+
+def test_internal_error_is_not_a_finding(corpus, monkeypatch, capsys):
+    def crash(spec):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "analyze", crash)
+    assert main([path_of(corpus, "queue.tex")]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.err == "ozcheck: internal error: ValueError: boom\n"
+    assert captured.out == ""
 
 
 def test_arg_parser_maps_flags():

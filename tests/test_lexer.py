@@ -15,6 +15,8 @@ from ozcheck.lexer import (
 )
 from ozcheck.ozgrammar import object_z_grammar
 
+from oracles import naive_tokenize
+
 
 def kinds(stream):
     return [t.kind for t in stream]
@@ -179,6 +181,67 @@ def test_retokenizing_joined_lexemes_is_identity(units, rng):
     ts2 = tokenize(rejoined)
     assert [(t.lexeme, t.kind) for t in ts] == [(t.lexeme, t.kind) for t in ts2]
     assert len(ts) == len(source.split()) + 1
+
+
+# ---------------------------------------------------------------------------
+# agreement with the naive lexer oracle
+
+_piece = st.sampled_from(
+    ["\\begin{class}", "\\end{class}", "\\begin{state}", "\\end{op}",
+     "\\seq", "\\nat", "\\Delta", "{", "}", "[", "]", "(", ")", ":", "=",
+     "+", ",", "\\\\", "\\", "items", "item?", "count'", "x!?", "_tmp",
+     "é1", "0", "127", "Queue", "\\documentclass", "\\begin{document}",
+     "\\end{document}"]
+)
+# glued punctuation: pieces joined without blanks
+_glued = st.lists(_piece, min_size=2, max_size=3).map("".join)
+_odd = st.one_of(
+    _glued,
+    st.sampled_from(["\\begin{", "\\end{}", "\\begin{a{b}}", "\\begin{x(y}",
+                     "٣", "9x", "a\x07", "\x00", "\x7f", "\x1f", "%"]),
+)
+_blank = st.sampled_from([" ", "  ", "\t", "\n", "\n% note\n", "\n  "])
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@given(st.data())
+def test_tokenize_agrees_with_naive_oracle(lenient, data):
+    # glue is common in lenient sources; in strict ones it is an error
+    unit = st.one_of(_piece, _glued) if lenient else _piece
+    units = data.draw(st.lists(st.tuples(unit, _blank), max_size=40))
+    # repeat some units so that the per-call classification memo is reused
+    if units:
+        units += data.draw(st.lists(st.sampled_from(units), max_size=20))
+    for at, odd, blank in data.draw(
+        st.lists(st.tuples(st.integers(0, 60), _odd, _blank), max_size=2)
+    ):
+        units.insert(at, (odd, blank))
+    source = "".join(u + blank for u, blank in units)
+    expected, error = naive_tokenize(source, lenient)
+    try:
+        ts = tokenize(source, lenient=lenient)
+    except LexError as e:
+        assert (e.reason, e.unit, e.line, e.column) == error
+        return
+    assert error is None
+    assert [
+        (t.lexeme, t.kind.value, *t.position, t.name, t.decoration) for t in ts
+    ] == expected
+
+
+def test_repeated_failing_unit_reports_its_first_occurrence():
+    for lenient in (False, True):
+        with pytest.raises(LexError) as exc:
+            tokenize("ok 9x \nok 9x", lenient=lenient)
+        assert (exc.value.line, exc.value.column) == (1, 4)
+
+
+def test_token_is_immutable():
+    token = tokenize("a")[0]
+    with pytest.raises(AttributeError):
+        token.lexeme = "b"
+    with pytest.raises(AttributeError):
+        token.extra = 1
 
 
 # ---------------------------------------------------------------------------

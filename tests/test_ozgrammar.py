@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ozcheck import check_text
 from ozcheck.grammar import ParseTable, build_table, format_grammar, grammar_from_text
 from ozcheck.lexer import tokenize
 from ozcheck.ozgrammar import (
@@ -14,6 +15,7 @@ from ozcheck.ozgrammar import (
     NamedType,
     ProductType,
     build_ast,
+    named_leaves,
     object_z_grammar,
     oz_parse_table,
     render_tokens,
@@ -136,7 +138,8 @@ def test_type_expressions():
         "a : \\fset \\nat \\\\\n"
         "b : \\pset Message \\\\\n"
         "c : \\seq \\seq Item \\\\\n"
-        "d : \\num \\cross Message \\cross \\nat\n"
+        "d : \\num \\cross Message \\cross \\nat \\\\\n"
+        "e : \\pset \\seq T \\cross \\nat \\cross \\fset U\n"
         "\\end{state}\n\\end{class}"
     )
     decls = ast_of(src).classes[0].state.declarations
@@ -157,6 +160,13 @@ def test_type_expressions():
             BuiltinType(BuiltinKind.NATURALS),
         )
     )
+    assert decls[4].type_expr == ProductType((
+        BuiltinType(BuiltinKind.POWER_SET,
+                    BuiltinType(BuiltinKind.SEQUENCE, NamedType("T", None))),
+        BuiltinType(BuiltinKind.NATURALS),
+        BuiltinType(BuiltinKind.FINITE_SETS, NamedType("U", None)),
+    ))
+    assert [t.name for t in named_leaves(decls[4].type_expr)] == ["T", "U"]
 
 
 def test_inheritance_block_lowering():
@@ -416,3 +426,24 @@ def test_lowering_is_total_on_generated_specifications():
         assert positions == sorted(positions)
         # and the rendering round-trips structurally
         assert ast_of(render_tokens(spec)) == spec
+
+
+def test_deep_type_expressions_do_not_recurse():
+    depth = 10_000
+    state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
+    assert check_text(state % ("\\pset " * depth + "\\nat")) == []
+    assert check_text(state % ("\\nat" + " \\cross \\nat" * depth)) == []
+    ds = check_text(state % ("\\pset " * depth + "Missing"))
+    assert [(d.code, d.symbol) for d in ds] == [("OZ-SEM-102", "Missing")]
+    ds = check_text(state % ("\\nat" + " \\cross \\seq Missing" * depth))
+    assert [d.code for d in ds] == ["OZ-SEM-102"] * depth
+    assert [d.column for d in ds] == sorted(d.column for d in ds)
+
+
+def test_many_operations_in_one_class_do_not_recurse():
+    n = 10_000
+    ops = " ".join(f"\\begin{{op}} {{ Op{i} }} \\end{{op}}" for i in range(n))
+    spec = ast_of(f"\\begin{{class}} {{ A }} {ops} \\end{{class}}")
+    assert [op.name for op in spec.classes[0].operations] == [
+        f"Op{i}" for i in range(n)
+    ]

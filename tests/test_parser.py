@@ -243,6 +243,18 @@ def test_deeply_nested_parentheses_do_not_recurse():
     assert check_text(source) == []
 
 
+def test_tree_nodes_are_immutable():
+    table, g = oz()
+    tree = parse(tokenize(corpus_text("empty_class.tex")), table, g)
+    leaf = tree.children[0].children[0]
+    assert leaf.is_leaf and not tree.is_leaf
+    for node in (tree, leaf):
+        with pytest.raises(AttributeError):
+            node.children = ()
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+
 def test_accepts_agrees_with_parse_on_toy_grammar():
     g = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
     table = build_table(g)

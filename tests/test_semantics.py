@@ -375,3 +375,41 @@ def test_diagnostics_sorted_by_position():
     assert [(d.line, d.column) for d in ds] == sorted(
         (d.line, d.column) for d in ds
     )
+
+
+def test_inheritance_cycle_reports_the_path_from_each_class():
+    src = (
+        "\\begin{class} { A }\n\\inherit B \\endinherit\n\\end{class}\n"
+        "\\begin{class} { B }\n\\inherit C \\endinherit\n\\end{class}\n"
+        "\\begin{class} { C }\n\\inherit D , B \\endinherit\n\\end{class}\n"
+        "\\begin{class} { D }\n\\end{class}"
+    )
+    ds = check_text(src)
+    assert [(d.class_name, d.symbol, d.line, d.column, d.detail) for d in ds] == [
+        ("C", "C", 5, 10, "C -> B -> C"),
+        ("A", "B", 8, 14, "A -> B -> C -> B"),
+        ("B", "B", 8, 14, "B -> C -> B"),
+    ]
+    assert codes(ds) == [INHERITANCE_CYCLE] * 3
+
+
+def test_long_inheritance_chain_declared_child_first_does_not_recurse():
+    # C0 inherits C1, ..., C9998 inherits C9999; only the root declares
+    # state, so the delta entry of C0's operation is an inherited variable
+    n = 10_000
+    paragraphs = [
+        f"\\begin{{class}} {{ C{i} }} \\inherit C{i + 1} \\endinherit"
+        " \\end{class}"
+        for i in range(n - 1)
+    ]
+    paragraphs.append(
+        f"\\begin{{class}} {{ C{n - 1} }} \\begin{{state}} x : \\nat"
+        " \\end{state} \\end{class}"
+    )
+    op = " \\begin{op} { Op } \\Delta ( %s ) \\end{op} \\end{class}"
+    clean = paragraphs[0].replace(" \\end{class}", op % "x")
+    assert check_text("\n".join([clean] + paragraphs[1:])) == []
+    broken = paragraphs[0].replace(" \\end{class}", op % "y")
+    ds = check_text("\n".join([broken] + paragraphs[1:]))
+    assert codes(ds) == [DELTA_NOT_STATE_VAR]
+    assert (ds[0].class_name, ds[0].symbol) == ("C0", "y")

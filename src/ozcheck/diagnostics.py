@@ -196,10 +196,11 @@ def render_machine(diagnostics: list[Diagnostic], locale: str = "en") -> str:
     """Tab-separated machine format, one line per diagnostic.
 
     Columns: code, class, block, symbol, line:col, message.  Empty fields
-    render as ``-``; lines are ordered by position, ties broken by code.
+    render as ``-``; lines follow the order of ``diagnostics``, which
+    :func:`ozcheck.semantics.analyze` already sorts by position.
     """
     lines = []
-    for d in sorted(diagnostics, key=Diagnostic.sort_key):
+    for d in diagnostics:
         message = _render_human_fr(d) if locale == "fr" else _en_message(d)
         lines.append(
             "\t".join(

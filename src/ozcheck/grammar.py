@@ -322,27 +322,27 @@ def canonical_collection(g: Grammar) -> ItemSetCollection:
     return ItemSetCollection(states, transitions)
 
 
-@dataclass(frozen=True)
-class Action:
-    """One ACTION cell: ``shift`` to a state, ``reduce`` by a production,
-    or ``accept``.  Absent cells are the error entries."""
+# An ACTION cell is an int: 0 is the error entry, ``target*4 + SHIFT`` a
+# shift to a state, ``production*4 + REDUCE`` a reduce by a production and
+# ``ACCEPT`` the accept.
+SHIFT, REDUCE, ACCEPT = 1, 2, 3
 
-    kind: str
-    target: int = -1
 
-    def render(self) -> str:
-        if self.kind == "shift":
-            return f"s{self.target}"
-        if self.kind == "reduce":
-            return f"r{self.target}"
-        return "acc"
+def render_cell(cell: int) -> str:
+    """``sN`` for a shift to state N, ``rN`` for a reduce by production N,
+    ``acc`` for the accept."""
+    if cell & 3 == SHIFT:
+        return f"s{cell >> 2}"
+    if cell & 3 == REDUCE:
+        return f"r{cell >> 2}"
+    return "acc"
 
 
 @dataclass(frozen=True)
 class Conflict:
     state: int
     terminal: Symbol
-    actions: tuple[Action, ...]
+    actions: tuple[int, ...]  # the distinct ACTION cells, in placement order
     items: tuple[Item, ...]
 
 
@@ -359,7 +359,7 @@ class ConflictReport:
     def describe(self) -> str:
         lines = [f"{len(self.conflicts)} SLR(1) conflict(s):"]
         for c in self.conflicts:
-            acts = ", ".join(a.render() for a in c.actions)
+            acts = ", ".join(render_cell(a) for a in c.actions)
             lines.append(
                 f"  state {c.state} on {c.terminal.name!r}: {acts}"
             )
@@ -371,34 +371,34 @@ class ConflictReport:
 class ParseTable:
     """Dense ACTION/GOTO tables over (state x symbol) with error sentinels.
 
-    ``action[state][column]`` holds an :class:`Action` or ``None``; columns
-    follow terminal registration order (the end marker is the last
-    terminal).  ``goto_map[state][column]`` holds a state number or ``-1``,
-    with columns over the non-augmented nonterminals.  Immutable after
-    construction and safe for concurrent readers.
+    ``action[state][column]`` holds an int ACTION cell encoded with
+    ``SHIFT``/``REDUCE``/``ACCEPT``, 0 for an error entry; columns follow
+    terminal registration order (the end marker is the last terminal).  ``goto_map[state][column]`` holds a state
+    number or ``-1``, with columns over the non-augmented nonterminals.
+    ``body_len[p]`` and ``head_col[p]`` are the body length of production
+    ``p`` and the GOTO column of its head.  Immutable after construction and
+    safe for concurrent readers.
     """
 
-    def __init__(self, grammar: Grammar, collection: ItemSetCollection):
+    def __init__(self, grammar: Grammar, n_states: int):
         self.grammar = grammar
-        self.collection = collection
+        self.n_states = n_states
         self.term_columns = grammar.terminals
         self.nonterm_columns = [
             nt for nt in grammar.nonterminals if nt is not grammar.augmented_start
         ]
         self.term_index = {s.id: c for c, s in enumerate(self.term_columns)}
         self.nonterm_index = {s.id: c for c, s in enumerate(self.nonterm_columns)}
-        n = len(collection.states)
-        self.action: list[list[Action | None]] = [
-            [None] * len(self.term_columns) for _ in range(n)
+        self.action: list[list[int]] = [
+            [0] * len(self.term_columns) for _ in range(n_states)
         ]
         self.goto_map: list[list[int]] = [
-            [-1] * len(self.nonterm_columns) for _ in range(n)
+            [-1] * len(self.nonterm_columns) for _ in range(n_states)
         ]
-        self._fast: tuple | None = None
-
-    @property
-    def n_states(self) -> int:
-        return len(self.collection.states)
+        self.body_len = [len(p.body) for p in grammar.productions]
+        self.head_col = [
+            self.nonterm_index.get(p.head.id, -1) for p in grammar.productions
+        ]
 
     @property
     def n_terminals(self) -> int:
@@ -412,47 +412,11 @@ class ParseTable:
         """(rows, columns) of the combined ACTION+GOTO table."""
         return (self.n_states, self.n_terminals + self.n_nonterminals)
 
-    def action_for(self, state: int, terminal_id: int) -> Action | None:
-        return self.action[state][self.term_index[terminal_id]]
-
-    def goto_for(self, state: int, nonterminal_id: int) -> int:
-        return self.goto_map[state][self.nonterm_index[nonterminal_id]]
-
     def expected_terminals(self, state: int) -> list[Symbol]:
         """Terminals with a non-error entry in ``state``, sorted by name."""
         row = self.action[state]
-        found = [
-            sym for c, sym in enumerate(self.term_columns) if row[c] is not None
-        ]
+        found = [sym for c, sym in enumerate(self.term_columns) if row[c]]
         return sorted(found, key=lambda s: s.name)
-
-    def fast_tables(self) -> tuple:
-        """Integer-encoded tables for the hot parsing loop.
-
-        Cells encode error as 0, shift as ``target*4+1``, reduce as
-        ``production*4+2`` and accept as 3.
-        """
-        if self._fast is None:
-            rows = []
-            for row in self.action:
-                enc = []
-                for a in row:
-                    if a is None:
-                        enc.append(0)
-                    elif a.kind == "shift":
-                        enc.append(a.target * 4 + 1)
-                    elif a.kind == "reduce":
-                        enc.append(a.target * 4 + 2)
-                    else:
-                        enc.append(3)
-                rows.append(enc)
-            body_len = [len(p.body) for p in self.grammar.productions]
-            head_col = [
-                self.nonterm_index.get(p.head.id, -1)
-                for p in self.grammar.productions
-            ]
-            self._fast = (rows, self.goto_map, body_len, head_col)
-        return self._fast
 
     def dump_tsv(self) -> str:
         """Tab-separated dump with a dimensions header.
@@ -473,7 +437,7 @@ class ParseTable:
         out.append("\t".join(header))
         for i in range(rows):
             cells = [str(i)]
-            cells += [a.render() if a else "." for a in self.action[i]]
+            cells += [render_cell(a) if a else "." for a in self.action[i]]
             cells += [str(t) if t >= 0 else "." for t in self.goto_map[i]]
             out.append("\t".join(cells))
         return "\n".join(out) + "\n"
@@ -490,13 +454,14 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
     collection = canonical_collection(g)
     first = compute_first(g)
     follow = compute_follow(g, first)
-    table = ParseTable(g, collection)
+    table = ParseTable(g, len(collection.states))
 
-    # cell -> list of (action, responsible item), kept in placement order
-    cells: dict[tuple[int, int], list[tuple[Action, Item]]] = {}
+    # (state, terminal id) -> list of (cell, responsible item), in placement
+    # order
+    cells: dict[tuple[int, int], list[tuple[int, Item]]] = {}
 
-    def place(state: int, terminal: Symbol, action: Action, item: Item) -> None:
-        cells.setdefault((state, terminal.id), []).append((action, item))
+    def place(state: int, terminal: Symbol, cell: int, item: Item) -> None:
+        cells.setdefault((state, terminal.id), []).append((cell, item))
 
     for i, state in enumerate(collection.states):
         for item in sorted(state, key=lambda it: (it.production, it.dot)):
@@ -504,27 +469,23 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
             if sym is not None:
                 if sym.is_terminal:
                     target = collection.transitions[(i, sym.id)]
-                    place(i, sym, Action("shift", target), item)
+                    place(i, sym, target * 4 + SHIFT, item)
             elif item.production == 0:
-                place(i, g.end_marker, Action("accept"), item)
+                place(i, g.end_marker, ACCEPT, item)
             else:
                 p = g.productions[item.production]
                 for tid in sorted(follow[p.head.id]):
-                    sym_t = g.symbols[tid]
-                    place(i, sym_t, Action("reduce", p.index), item)
+                    place(i, g.symbols[tid], p.index * 4 + REDUCE, item)
 
     conflicts: list[Conflict] = []
     for (state, tid), placed in sorted(cells.items()):
-        distinct: list[Action] = []
-        for action, _ in placed:
-            if action not in distinct:
-                distinct.append(action)
+        distinct = tuple(dict.fromkeys(cell for cell, _ in placed))
         if len(distinct) > 1:
             conflicts.append(
                 Conflict(
                     state,
                     g.symbols[tid],
-                    tuple(distinct),
+                    distinct,
                     tuple(item for _, item in placed),
                 )
             )

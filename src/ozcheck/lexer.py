@@ -269,22 +269,17 @@ def terminal_of(token: Token, g: "Grammar") -> "Symbol":
     """Map a token to its grammar terminal.
 
     Keyword-like tokens (environments, commands, operators, braces) map to
-    the terminal registered under their display form.  Word and Number
-    tokens map to the generic ``Word``/``Number`` terminals when the
-    grammar registers them, otherwise their lexeme is looked up directly,
-    which lets token streams drive grammars over ad-hoc alphabets.
+    the terminal registered under their lexeme, and a lone ``\\`` to the
+    ``\\\\`` line separator.  Word and Number tokens map to the generic
+    ``Word``/``Number`` terminals when the grammar registers them, otherwise
+    their lexeme is looked up directly, which lets token streams drive
+    grammars over ad-hoc alphabets.
     """
     kind = token.kind
     if kind is TokenKind.END_MARKER:
         return g.end_marker
 
-    if kind is TokenKind.ENV_BEGIN:
-        name = f"\\begin{{{token.name}}}"
-    elif kind is TokenKind.ENV_END:
-        name = f"\\end{{{token.name}}}"
-    elif kind is TokenKind.COMMAND:
-        name = "\\" + (token.name or "")
-    elif kind is TokenKind.LINE_SEP:
+    if kind is TokenKind.LINE_SEP:
         name = "\\\\"
     elif kind is TokenKind.WORD:
         generic = g.try_symbol("Word")

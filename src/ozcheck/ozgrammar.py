@@ -190,13 +190,9 @@ def named_leaves(t: TypeExpr):
 
 @dataclass(frozen=True)
 class Declaration:
-    names: tuple[str, ...]
+    name: str
     type_expr: TypeExpr
     pos: Position = field(compare=False)
-
-    @property
-    def name(self) -> str:
-        return self.names[0]
 
 
 @dataclass(frozen=True)
@@ -437,7 +433,7 @@ def _lower_operation(node: TreeNode) -> OperationSchema:
 def _lower_declaration(node: TreeNode) -> Declaration:
     name_token = node.children[0].token
     return Declaration(
-        names=(name_token.lexeme,),
+        name=name_token.lexeme,
         type_expr=_lower_type_expr(node.children[2]),
         pos=name_token.position,
     )
@@ -527,13 +523,17 @@ def _render_decl(d: Declaration) -> str:
 
 
 def _render_type(t: TypeExpr) -> str:
+    words = []  # loop, not recursion: constructor chains are input-controlled
+    while isinstance(t, BuiltinType) and t.argument is not None:
+        words.append(t.kind.value)
+        t = t.argument
     if isinstance(t, NamedType):
-        return t.name
-    if isinstance(t, BuiltinType):
-        if t.argument is None:
-            return t.kind.value
-        return f"{t.kind.value} {_render_type(t.argument)}"
-    return " \\cross ".join(_render_type(p) for p in t.parts)
+        words.append(t.name)
+    elif isinstance(t, BuiltinType):
+        words.append(t.kind.value)
+    else:
+        words.append(" \\cross ".join(_render_type(p) for p in t.parts))
+    return " ".join(words)
 
 
 def _render_schema(env: str, block: SchemaBlock) -> list[str]:

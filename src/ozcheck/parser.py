@@ -1,7 +1,7 @@
 """Table-driven shift-reduce parser with step tracing and error localization.
 
-One driver runs the classical stack automaton over the int-encoded cells of
-``ParseTable.fast_tables()``: on a shift it pushes the successor state and
+One driver runs the classical stack automaton over the int ACTION cells of
+``ParseTable.action``: on a shift it pushes the successor state and
 advances the input pointer; on a reduce by ``A -> Y1..Yn`` it pops n
 states, then consults the GOTO entry of the exposed state for ``A`` and
 pushes the target.  A reduce is recorded as two trace steps (the reduction
@@ -197,9 +197,10 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            trace: list[TraceStep] | None) -> TreeNode:
-    """Run the automaton on the int-encoded table; append the trace rows to
+    """Run the automaton on the table's int cells; append the trace rows to
     ``trace`` unless it is None."""
-    action_rows, goto_rows, body_len, head_col = table.fast_tables()
+    action_rows, goto_rows = table.action, table.goto_map
+    body_len, head_col = table.body_len, table.head_col
     term_index = table.term_index
     terminals = table.term_columns
     toks = tokens.tokens
@@ -306,7 +307,8 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
     Used by the property-test harness to replay many strings against one
     table without building tokens, trees or traces.
     """
-    action_rows, goto_rows, body_len, head_col = table.fast_tables()
+    action_rows, goto_rows = table.action, table.goto_map
+    body_len, head_col = table.body_len, table.head_col
     term_index = table.term_index
     cols = [term_index[i] for i in terminal_ids]
     cols.append(term_index[table.grammar.end_marker.id])

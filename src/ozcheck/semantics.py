@@ -41,10 +41,6 @@ from .ozgrammar import (
     named_leaves,
 )
 
-BUILTIN_TYPE_NAMES = frozenset(
-    {"\\nat", "\\num", "\\pset", "\\fset", "\\seq"}
-)
-
 LOCAL = "local"
 INHERITED = "inherited"
 
@@ -53,15 +49,14 @@ INHERITED = "inherited"
 class TypeEnv:
     """Type names visible in a specification.
 
-    Builtin names are LaTeX commands and can never collide with Word
-    identifiers, so in practice only given types, class names and generic
-    parameters participate in resolution and clash checks.
+    Builtin types are LaTeX commands and can never collide with Word
+    identifiers, so only given types, class names and generic parameters
+    take part in resolution and clash checks.
     """
 
     given_types: frozenset[str]
     class_names: frozenset[str]
     generic_params: dict[str, frozenset[str]]
-    builtins: frozenset[str] = BUILTIN_TYPE_NAMES
 
     def resolvable(self, name: str, owner_class: str | None) -> bool:
         if name in self.given_types or name in self.class_names:
@@ -69,9 +64,6 @@ class TypeEnv:
         if owner_class is not None:
             return name in self.generic_params.get(owner_class, frozenset())
         return False
-
-    def is_type_name(self, name: str, owner_class: str | None) -> bool:
-        return self.resolvable(name, owner_class) or name in self.builtins
 
 
 def build_type_env(spec: Specification) -> TypeEnv:
@@ -108,7 +100,6 @@ class SchemaScope:
     owner_class: str
     block: str
     entries: tuple[ScopeEntry, ...]
-    constants: frozenset[str] = frozenset()
 
     def local_entries(self) -> tuple[ScopeEntry, ...]:
         return tuple(e for e in self.entries if e.origin == LOCAL)
@@ -117,22 +108,21 @@ class SchemaScope:
         return frozenset(e.name for e in self.entries)
 
 
-class SemanticError(Exception):
-    pass
+class UnknownParentError(Exception):
+    code = diag.UNKNOWN_PARENT
+    detail = None
 
-
-class UnknownParentError(SemanticError):
     def __init__(self, child: str, ref: NameRef):
         super().__init__(f"class {child}: unknown parent {ref.name}")
-        self.child = child
         self.ref = ref
 
 
-class InheritanceCycleError(SemanticError):
-    def __init__(self, child: str, cycle: tuple[str, ...], ref: NameRef):
-        super().__init__(f"inheritance cycle: {' -> '.join(cycle)}")
-        self.child = child
-        self.cycle = cycle
+class InheritanceCycleError(Exception):
+    code = diag.INHERITANCE_CYCLE
+
+    def __init__(self, cycle: tuple[str, ...], ref: NameRef):
+        self.detail = " -> ".join(cycle)
+        super().__init__(f"inheritance cycle: {self.detail}")
         self.ref = ref
 
 
@@ -161,9 +151,6 @@ class ResolvedClass:
 
     def state_variable_names(self) -> frozenset[str]:
         return frozenset(e.name for e in self.state_entries)
-
-    def constant_names(self) -> frozenset[str]:
-        return frozenset(e.name for e in self.constant_entries)
 
 
 def _merge(
@@ -240,7 +227,7 @@ def resolve_inheritance(
             top.next_parent += 1
             if ref.name in on_path:
                 cycle = tuple(r.cls.name for r in path) + (ref.name,)
-                raise InheritanceCycleError(child.name, cycle, ref)
+                raise InheritanceCycleError(cycle, ref)
             parent_cls = env.get(ref.name)
             if parent_cls is None:
                 raise UnknownParentError(child.name, ref)
@@ -328,7 +315,7 @@ def check_type_name_clash(scope: SchemaScope, env: TypeEnv) -> list[Diagnostic]:
     """OZ-SEM-104 when a declared variable carries a type's name."""
     out: list[Diagnostic] = []
     for entry in scope.local_entries():
-        if env.is_type_name(entry.name, scope.owner_class):
+        if env.resolvable(entry.name, scope.owner_class):
             pos = entry.declaration.pos
             out.append(
                 Diagnostic(
@@ -370,25 +357,17 @@ def check_delta_list(op: OperationSchema, rc: ResolvedClass) -> list[Diagnostic]
 def class_scopes(rc: ResolvedClass) -> list[SchemaScope]:
     """The checkable scopes of a class: local defs, state, init, operations."""
     c = rc.cls
-    constants = rc.constant_names()
     scopes: list[SchemaScope] = []
     if c.local_defs:
         scopes.append(
-            SchemaScope(
-                c.name, diag.BLOCK_LOCAL_DEFS, rc.constant_entries, constants
-            )
+            SchemaScope(c.name, diag.BLOCK_LOCAL_DEFS, rc.constant_entries)
         )
     if c.state is not None:
-        scopes.append(
-            SchemaScope(c.name, diag.BLOCK_STATE, rc.state_entries, constants)
-        )
+        scopes.append(SchemaScope(c.name, diag.BLOCK_STATE, rc.state_entries))
     if c.init is not None:
         scopes.append(
             SchemaScope(
-                c.name,
-                diag.BLOCK_INIT,
-                _local_entries(c.init.declarations),
-                constants,
+                c.name, diag.BLOCK_INIT, _local_entries(c.init.declarations)
             )
         )
     for op in c.operations:
@@ -397,7 +376,6 @@ def class_scopes(rc: ResolvedClass) -> list[SchemaScope]:
                 c.name,
                 diag.operation_block(op.name),
                 _local_entries(op.declarations),
-                constants,
             )
         )
     return scopes
@@ -418,28 +396,16 @@ def analyze(spec: Specification) -> list[Diagnostic]:
     for c in spec.classes:
         try:
             rc = resolve_inheritance(c, classes, cache)
-        except UnknownParentError as e:
+        except (UnknownParentError, InheritanceCycleError) as e:
             out.append(
                 Diagnostic(
-                    code=diag.UNKNOWN_PARENT,
+                    code=e.code,
                     symbol=e.ref.name,
                     line=e.ref.pos.line,
                     column=e.ref.pos.column,
                     class_name=c.name,
                     block=diag.BLOCK_INHERITANCE,
-                )
-            )
-            rc = _Resolution(c).resolved()  # local members only
-        except InheritanceCycleError as e:
-            out.append(
-                Diagnostic(
-                    code=diag.INHERITANCE_CYCLE,
-                    symbol=e.ref.name,
-                    line=e.ref.pos.line,
-                    column=e.ref.pos.column,
-                    class_name=c.name,
-                    block=diag.BLOCK_INHERITANCE,
-                    detail=" -> ".join(e.cycle),
+                    detail=e.detail,
                 )
             )
             rc = _Resolution(c).resolved()  # local members only

@@ -140,6 +140,22 @@ def test_dump_table_reports_dimensions():
     assert head[1].startswith("# table: ")
 
 
+# SHA-256 of each dump of the shipped grammar, recorded while ACTION cells
+# were still objects; the dumps must not change.
+DUMP_DIGESTS = {
+    "dump_table": "d05524dbd59189636e692c823b424917559b14905da756e9f0f960d35ded4dd9",
+    "dump_grammar": "f34aa28e7e10843fad1457f11eff63fe95424e5bb5087da6dfc07690ec254436",
+    "dump_first_follow": "1641a8bc28a570ccfad0149c87823252af80781e89d406283e03677d693dadcc",
+}
+
+
+def test_dump_digests_are_pinned():
+    for flag, digest in DUMP_DIGESTS.items():
+        code, out, _ = invoke(RunConfig(**{flag: True}))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flag
+
+
 def test_dump_first_follow_lists_sets():
     code, out, _ = invoke(RunConfig(dump_first_follow=True))
     assert code == 0

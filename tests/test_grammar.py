@@ -1,9 +1,14 @@
 """Grammar core: FIRST/FOLLOW, item sets, canonical collection, tables."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from ozcheck.grammar import (
+    ACCEPT,
+    REDUCE,
+    SHIFT,
     ConflictReport,
     Grammar,
     GrammarError,
@@ -238,24 +243,17 @@ def test_table_for_single_production_grammar():
     g = Grammar.build(S_TO_A)
     table = build_table(g)
     assert isinstance(table, ParseTable)
-    a = g.symbol("a")
-    shift = table.action_for(0, a.id)
-    assert shift.kind == "shift" and shift.target == 2
-    accept = table.action_for(1, g.end_marker.id)
-    assert accept.kind == "accept"
-    reduce = table.action_for(2, g.end_marker.id)
-    assert reduce.kind == "reduce" and reduce.target == 1
+    a = table.term_index[g.symbol("a").id]
+    end = table.term_index[g.end_marker.id]
+    assert table.action[0][a] == 2 * 4 + SHIFT
+    assert table.action[1][end] == ACCEPT
+    assert table.action[2][end] == 1 * 4 + REDUCE
 
 
 def test_exactly_one_accept_cell():
     for prods in (S_TO_A, FRAGMENT):
         table = build_table(Grammar.build(prods))
-        accepts = [
-            a
-            for row in table.action
-            for a in row
-            if a is not None and a.kind == "accept"
-        ]
+        accepts = [cell for row in table.action for cell in row if cell == ACCEPT]
         assert len(accepts) == 1
 
 
@@ -263,32 +261,58 @@ def test_duplicate_production_forces_reduce_reduce_conflict():
     report = build_table(Grammar.build([("S", ["a"]), ("S", ["a"])]))
     assert isinstance(report, ConflictReport)
     assert report.conflicts
-    kinds = {a.kind for c in report.conflicts for a in c.actions}
-    assert kinds == {"reduce"}
+    kinds = {cell & 3 for c in report.conflicts for cell in c.actions}
+    assert kinds == {REDUCE}
     assert "conflict" in report.describe()
+
+
+# SHA-256 of ``describe()`` for a reduce/reduce and a shift/reduce grammar,
+# recorded while ACTION cells were still objects; the text must not change.
+CONFLICT_DIGESTS = {
+    "reduce/reduce": (
+        [("S", ["a"]), ("S", ["a"])],
+        "4174b0365947777a299933bc3d8824ac0f27e7f97992cda0bc59e31c49773dc1",
+    ),
+    "shift/reduce": (
+        [("E", ["E", "+", "E"]), ("E", ["E", "*", "E"]), ("E", ["a"])],
+        "828a436f956ee792ad642c53ecc0a377e1cf570d1a07be4f55fa62ef68964498",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFLICT_DIGESTS))
+def test_conflict_report_text_is_pinned(name):
+    productions, digest = CONFLICT_DIGESTS[name]
+    report = build_table(Grammar.build(productions))
+    assert isinstance(report, ConflictReport)
+    text = report.describe()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 def replay_actions(table, terminal_names):
     """ACTION-cell sequence for a terminal string (gotos not recorded)."""
     g = table.grammar
     ids = [g.symbol(n).id for n in terminal_names] + [g.end_marker.id]
+    cols = [table.term_index[i] for i in ids]
     states = [0]
     log = []
     i = 0
     while True:
-        act = table.action_for(states[-1], ids[i])
-        assert act is not None, "replay hit an error cell"
-        if act.kind == "shift":
+        cell = table.action[states[-1]][cols[i]]
+        assert cell, "replay hit an error cell"
+        if cell & 3 == SHIFT:
             log.append("shift")
-            states.append(act.target)
+            states.append(cell >> 2)
             i += 1
-        elif act.kind == "reduce":
-            p = g.productions[act.target]
+        elif cell & 3 == REDUCE:
+            p = g.productions[cell >> 2]
             log.append(("reduce", str(p)))
             if p.body:
                 del states[-len(p.body) :]
-            states.append(table.goto_for(states[-1], p.head.id))
+            head = table.nonterm_index[p.head.id]
+            states.append(table.goto_map[states[-1]][head])
         else:
+            assert cell == ACCEPT
             log.append("accept")
             return log
 

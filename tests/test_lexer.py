@@ -264,13 +264,14 @@ def test_end_marker_maps_to_dollar():
 
 def test_commands_map_to_dedicated_terminals():
     g = object_z_grammar()
-    ts = tokenize(r"\Delta \visibility \begin{state} ( : \\")
+    ts = tokenize("\\Delta \\visibility \\begin{state} ( : \\\\ \\")
     assert terminal_of(ts[0], g).name == "\\Delta"
     assert terminal_of(ts[1], g).name == "\\visibility"
     assert terminal_of(ts[2], g).name == "\\begin{state}"
     assert terminal_of(ts[3], g).name == "("
     assert terminal_of(ts[4], g).name == ":"
     assert terminal_of(ts[5], g).name == "\\\\"
+    assert terminal_of(ts[6], g).name == "\\\\"  # a lone backslash
 
 
 def test_unknown_command_raises():

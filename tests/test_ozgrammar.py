@@ -432,6 +432,9 @@ def test_deep_type_expressions_do_not_recurse():
     depth = 10_000
     state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
     assert check_text(state % ("\\pset " * depth + "\\nat")) == []
+    source = state % ("\\pset " * depth + "\\fset Missing")
+    # compared as text: the generated ``==`` of the AST still recurses
+    assert render_tokens(ast_of(source)).split() == source.split()
     assert check_text(state % ("\\nat" + " \\cross \\nat" * depth)) == []
     ds = check_text(state % ("\\pset " * depth + "Missing"))
     assert [(d.code, d.symbol) for d in ds] == [("OZ-SEM-102", "Missing")]

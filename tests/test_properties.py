@@ -2,7 +2,13 @@
 from __future__ import annotations
 
 import random
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ozcheck import check_text
+from ozcheck.diagnostics import Diagnostic
 from ozcheck.grammar import (
     Grammar,
     ParseTable,
@@ -11,9 +17,10 @@ from ozcheck.grammar import (
     compute_follow,
 )
 from ozcheck.lexer import tokenize
+from ozcheck.ozgrammar import object_z_grammar
 from ozcheck.parser import parse_with_trace
 
-from conftest import naive_trace_rows
+from conftest import CORPUS, naive_trace_rows
 from oracles import first_oracle, language_upto
 from randgrammars import (
     check_first_follow_agreement,
@@ -121,3 +128,48 @@ def test_table_construction_is_deterministic_on_random_grammars():
         else:
             assert not isinstance(t2, ParseTable)
             assert t1.describe() == t2.describe()
+
+
+# ---------------------------------------------------------------------------
+# check_text is total: any text yields diagnostics, never an exception
+
+# the shipped grammar's terminals, with sample units for Word and Number,
+# plus units outside the vocabulary
+_VOCAB = sorted(
+    {s.name for s in object_z_grammar().terminals} - {"$", "Word", "Number"}
+) + ["Queue", "items", "x'", "n?", "0", "42", "\\", "\\undefined", "%"]
+_CORPUS = sorted(p.read_text(encoding="utf-8") for p in CORPUS.glob("*.tex"))
+
+
+def assert_total(source: str, lenient: bool) -> None:
+    diagnostics = check_text(source, lenient=lenient)
+    assert isinstance(diagnostics, list)
+    assert all(isinstance(d, Diagnostic) for d in diagnostics)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_VOCAB + [" ", "\n"]), max_size=80).map(" ".join),
+))
+def test_check_text_is_total_on_arbitrary_text(lenient, source):
+    assert_total(source, lenient)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_text_is_total_on_corpus_mutations(lenient, data):
+    # units and the blanks between them; an edit replaces up to two of these
+    # pieces with one, so it inserts, deletes, replaces or glues units
+    pieces = re.findall(r"\S+|\s+", data.draw(st.sampled_from(_CORPUS)))
+    edit = st.tuples(
+        st.integers(0, 10**4),
+        st.integers(0, 2),
+        st.sampled_from(_VOCAB + ["", " ", "\n"]),
+    )
+    for at, width, text in data.draw(st.lists(edit, min_size=1, max_size=4)):
+        at %= len(pieces) + 1
+        pieces[at:at + width] = [text]
+    assert_total("".join(pieces), lenient)

@@ -156,8 +156,32 @@ class BuiltinKind(Enum):
 
 @dataclass(frozen=True)
 class BuiltinType:
+    """A builtin type; ``\\pset``, ``\\fset`` and ``\\seq`` take an argument.
+
+    The only AST node that nests itself, as deep as the input says, so
+    equality and hashing loop down the chain instead of recursing.
+    """
+
     kind: BuiltinKind
     argument: "TypeExpr | None" = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BuiltinType:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is BuiltinType and b.__class__ is BuiltinType:
+            if a.kind is not b.kind:
+                return False
+            a, b = a.argument, b.argument
+        return a == b
+
+    def __hash__(self) -> int:
+        kinds = []
+        t = self
+        while t.__class__ is BuiltinType:
+            kinds.append(t.kind)
+            t = t.argument
+        return hash((tuple(kinds), t))
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,20 @@ states, then consults the GOTO entry of the exposed state for ``A`` and
 pushes the target.  A reduce is recorded as two trace steps (the reduction
 itself and the goto) so traces show the same row structure as a textbook
 run.  A token's terminal depends only on its lexeme, so each distinct
-lexeme is mapped once per parse.  Tree nodes are immutable named tuples.
-The trace is built only when asked for, and its cost is linear in the bytes
-it renders.  The (class, block) localization of a syntax error is replayed
-from the shifted tokens when the error occurs.
+lexeme is mapped once per parse.  Tree nodes and trace rows are immutable
+named tuples.  The trace is built only when asked for, and its cost is
+linear in the bytes it renders: the rows at one input position share one
+remaining-input string.  Its size grows with tokens times remaining input,
+because every row prints the rest of the input; it is quadratic in file
+length whatever the stack depth, and the ``entrée`` column is most of it.
+The (class, block) localization of a syntax error is replayed from the
+shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -51,9 +54,11 @@ class TreeNode(NamedTuple):
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One row of the trace: stack and remaining input before the action."""
+class TraceStep(NamedTuple):
+    """One row of the trace: stack and remaining input before the action.
+
+    Rows at one input position share one ``remaining`` string.
+    """
 
     stack: str
     remaining: str
@@ -214,22 +219,24 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     productions = g.productions
     states = [0]
     trees: list[TreeNode] = []
+    stack = remaining = ""
     if trace is not None:
         # One stack prefix per stack entry, in step with ``states``, and the
-        # remaining input joined once and sliced at each token's offset:
-        # each row costs the length of what it prints.
+        # remaining input joined once and sliced once per input position, by
+        # the shift that reaches it: the rows at one position share that
+        # suffix, and beyond it a shift or goto costs one new stack prefix.
         prefix = ["$ [0]"]
         reduce_texts: dict[int, str] = {}
-        line = " ".join([t.lexeme for t in tokens if t.lexeme] + ["$"])
+        remaining = line = " ".join(
+            [t.lexeme for t in tokens if t.lexeme] + ["$"])
         offsets = list(accumulate(
             (len(t.lexeme) + 1 if t.lexeme else 0 for t in tokens), initial=0))
-    stack = remaining = ""
     pos = 0
     while True:
         cell = action_rows[states[-1]][cols[pos]]
         op = cell & 3
         if trace is not None:
-            stack, remaining = prefix[-1], line[offsets[pos]:]
+            stack = prefix[-1]
         if op == 1:  # shift
             target = cell >> 2
             terminal = terminals[cols[pos]]
@@ -240,6 +247,8 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             states.append(target)
             trees.append(TreeNode(terminal, -1, (), toks[pos]))
             pos += 1
+            if trace is not None:
+                remaining = line[offsets[pos]:]
         elif op == 2:  # reduce
             p = productions[cell >> 2]
             n = body_len[p.index]

@@ -50,35 +50,28 @@ class TypeEnv:
     """Type names visible in a specification.
 
     Builtin types are LaTeX commands and can never collide with Word
-    identifiers, so only given types, class names and generic parameters
-    take part in resolution and clash checks.
+    identifiers, so only given types, class names and the generic
+    parameters of the class being checked take part in resolution and
+    clash checks.
     """
 
     given_types: frozenset[str]
     class_names: frozenset[str]
-    generic_params: dict[str, frozenset[str]]
 
-    def resolvable(self, name: str, owner_class: str | None) -> bool:
-        if name in self.given_types or name in self.class_names:
-            return True
-        if owner_class is not None:
-            return name in self.generic_params.get(owner_class, frozenset())
-        return False
+    def resolvable(self, name: str, generic_params: frozenset[str]) -> bool:
+        return (name in self.given_types or name in self.class_names
+                or name in generic_params)
 
 
 def build_type_env(spec: Specification) -> TypeEnv:
     given: set[str] = set()
     classes: set[str] = set()
-    generics: dict[str, frozenset[str]] = {}
     for para in spec.paragraphs:
         if isinstance(para, GivenTypeDecl):
             given.update(r.name for r in para.names)
         else:
             classes.add(para.name)
-            generics[para.name] = frozenset(
-                r.name for r in para.generic_params
-            )
-    return TypeEnv(frozenset(given), frozenset(classes), generics)
+    return TypeEnv(frozenset(given), frozenset(classes))
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,13 @@ class SchemaScope:
     Entries are ordered by declaration position and duplicates are kept,
     which the duplicate check depends on.  ``entries`` may include
     inherited members; the checks only report on the local ones.
+    ``generic_params`` are the owner class's own generic parameters.
     """
 
     owner_class: str
     block: str
     entries: tuple[ScopeEntry, ...]
+    generic_params: frozenset[str]
 
     def local_entries(self) -> tuple[ScopeEntry, ...]:
         return tuple(e for e in self.entries if e.origin == LOCAL)
@@ -202,45 +197,48 @@ class _Resolution:
 def resolve_inheritance(
     c: ClassDef,
     env: dict[str, ClassDef],
-    _cache: dict[str, ResolvedClass] | None = None,
+    _cache: dict[int, ResolvedClass] | None = None,
 ) -> ResolvedClass:
     """Flatten the ancestors of ``c`` transitively.
 
-    Parents are resolved depth-first in declaration order, with an explicit
-    stack because chain length is input-controlled.  Raises
-    :class:`UnknownParentError` when an inherited class is not in ``env``
-    and :class:`InheritanceCycleError` when a class is reachable from
-    itself; the cycle runs from ``c`` along the path being resolved.
+    A parent name refers to the class ``env`` maps it to; ``c`` itself need
+    not be that class (a later class of a repeated name is resolved with
+    its own members).  Parents are resolved depth-first in declaration
+    order, with an explicit stack because chain length is input-controlled.
+    Raises :class:`UnknownParentError` when an inherited class is not in
+    ``env`` and :class:`InheritanceCycleError` when a class is reachable
+    from itself; the cycle runs from ``c`` along the path being resolved.
+    ``_cache`` is keyed by the identity of the class.
     """
     if _cache is None:
         _cache = {}
-    if c.name in _cache:
-        return _cache[c.name]
+    if id(c) in _cache:
+        return _cache[id(c)]
 
     path = [_Resolution(c)]
-    on_path = {c.name}
+    on_path = {id(c)}
     while True:
         top = path[-1]
         child = top.cls
         if top.next_parent < len(child.inherits):
             ref = child.inherits[top.next_parent]
             top.next_parent += 1
-            if ref.name in on_path:
-                cycle = tuple(r.cls.name for r in path) + (ref.name,)
-                raise InheritanceCycleError(cycle, ref)
             parent_cls = env.get(ref.name)
             if parent_cls is None:
                 raise UnknownParentError(child.name, ref)
-            parent = _cache.get(parent_cls.name)
+            if id(parent_cls) in on_path:
+                cycle = tuple(r.cls.name for r in path) + (ref.name,)
+                raise InheritanceCycleError(cycle, ref)
+            parent = _cache.get(id(parent_cls))
             if parent is None:
                 path.append(_Resolution(parent_cls))
-                on_path.add(parent_cls.name)
+                on_path.add(id(parent_cls))
             else:
                 top.inherit(parent)
             continue
-        resolved = _cache[child.name] = top.resolved()
+        resolved = _cache[id(child)] = top.resolved()
         path.pop()
-        on_path.discard(child.name)
+        on_path.discard(id(child))
         if not path:
             return resolved
         path[-1].inherit(resolved)
@@ -276,7 +274,7 @@ def check_undefined_types(scope: SchemaScope, env: TypeEnv) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for entry in scope.local_entries():
         for leaf in named_leaves(entry.declaration.type_expr):
-            if not env.resolvable(leaf.name, scope.owner_class):
+            if not env.resolvable(leaf.name, scope.generic_params):
                 out.append(
                     Diagnostic(
                         code=diag.UNDEFINED_TYPE,
@@ -315,7 +313,7 @@ def check_type_name_clash(scope: SchemaScope, env: TypeEnv) -> list[Diagnostic]:
     """OZ-SEM-104 when a declared variable carries a type's name."""
     out: list[Diagnostic] = []
     for entry in scope.local_entries():
-        if env.resolvable(entry.name, scope.owner_class):
+        if env.resolvable(entry.name, scope.generic_params):
             pos = entry.declaration.pos
             out.append(
                 Diagnostic(
@@ -357,28 +355,19 @@ def check_delta_list(op: OperationSchema, rc: ResolvedClass) -> list[Diagnostic]
 def class_scopes(rc: ResolvedClass) -> list[SchemaScope]:
     """The checkable scopes of a class: local defs, state, init, operations."""
     c = rc.cls
-    scopes: list[SchemaScope] = []
+    generics = frozenset(r.name for r in c.generic_params)
+    blocks: list[tuple[str, tuple[ScopeEntry, ...]]] = []
     if c.local_defs:
-        scopes.append(
-            SchemaScope(c.name, diag.BLOCK_LOCAL_DEFS, rc.constant_entries)
-        )
+        blocks.append((diag.BLOCK_LOCAL_DEFS, rc.constant_entries))
     if c.state is not None:
-        scopes.append(SchemaScope(c.name, diag.BLOCK_STATE, rc.state_entries))
+        blocks.append((diag.BLOCK_STATE, rc.state_entries))
     if c.init is not None:
-        scopes.append(
-            SchemaScope(
-                c.name, diag.BLOCK_INIT, _local_entries(c.init.declarations)
-            )
-        )
+        blocks.append((diag.BLOCK_INIT, _local_entries(c.init.declarations)))
     for op in c.operations:
-        scopes.append(
-            SchemaScope(
-                c.name,
-                diag.operation_block(op.name),
-                _local_entries(op.declarations),
-            )
-        )
-    return scopes
+        blocks.append((diag.operation_block(op.name),
+                       _local_entries(op.declarations)))
+    return [SchemaScope(c.name, block, entries, generics)
+            for block, entries in blocks]
 
 
 def analyze(spec: Specification) -> list[Diagnostic]:
@@ -386,11 +375,14 @@ def analyze(spec: Specification) -> list[Diagnostic]:
 
     Diagnostics are ordered by source position, ties broken by code.
     Inheritance failures surface as OZ-INH diagnostics and the class is
-    then checked against its local members only.
+    then checked against its local members only.  A repeated class name
+    refers to its first class; every class is checked with its own blocks.
     """
     env = build_type_env(spec)
-    classes = {c.name: c for c in spec.classes}
-    cache: dict[str, ResolvedClass] = {}
+    classes: dict[str, ClassDef] = {}
+    for c in spec.classes:
+        classes.setdefault(c.name, c)  # a name refers to its first class
+    cache: dict[int, ResolvedClass] = {}
     out: list[Diagnostic] = []
 
     for c in spec.classes:

@@ -4,9 +4,12 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import ozcheck
 from ozcheck import cli
 from ozcheck.cli import EXIT_INTERNAL, RunConfig, build_arg_parser, main, run
 from ozcheck.grammar import grammar_from_text
@@ -249,11 +252,16 @@ def test_main_bad_flag_exits_2(capsys):
 
 
 def test_module_entry_point(corpus):
+    # the child runs the package the tests import, installed or not
+    src = str(Path(ozcheck.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
         [sys.executable, "-m", "ozcheck", "--format", "machine",
          path_of(corpus, "queue.tex")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == ""
@@ -262,6 +270,7 @@ def test_module_entry_point(corpus):
          path_of(corpus, "queue_syntax_error.tex")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 1
     assert result.stdout.startswith("OZ-SYN-001")

@@ -433,7 +433,7 @@ def test_deep_type_expressions_do_not_recurse():
     state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
     assert check_text(state % ("\\pset " * depth + "\\nat")) == []
     source = state % ("\\pset " * depth + "\\fset Missing")
-    # compared as text: the generated ``==`` of the AST still recurses
+    # compared as text; ``==`` on deep chains has its own test below
     assert render_tokens(ast_of(source)).split() == source.split()
     assert check_text(state % ("\\nat" + " \\cross \\nat" * depth)) == []
     ds = check_text(state % ("\\pset " * depth + "Missing"))
@@ -441,6 +441,27 @@ def test_deep_type_expressions_do_not_recurse():
     ds = check_text(state % ("\\nat" + " \\cross \\seq Missing" * depth))
     assert [d.code for d in ds] == ["OZ-SEM-102"] * depth
     assert [d.column for d in ds] == sorted(d.column for d in ds)
+
+
+def test_deep_type_chains_compare_and_hash_without_recursion():
+    depth = 10_000
+    state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
+    spec = ast_of(state % ("\\pset " * depth + "\\nat"))
+    same = ast_of(state % ("\\pset " * depth + "\\nat"))
+    assert spec == same and spec is not same
+    assert hash(spec) == hash(same)
+    type_expr = spec.classes[0].state.declarations[0].type_expr
+    assert type_expr == same.classes[0].state.declarations[0].type_expr
+    assert hash(type_expr) == hash(same.classes[0].state.declarations[0].type_expr)
+    assert spec != ast_of(state % ("\\pset " * depth + "\\num"))
+    assert spec != ast_of(state % ("\\pset " * depth + "Missing"))
+    assert spec != ast_of(state % ("\\pset " * (depth - 1) + "\\nat"))
+    middle = "\\pset " * (depth // 2) + "\\fset " + "\\pset " * (depth // 2 - 1)
+    assert spec != ast_of(state % (middle + "\\nat"))
+    # named leaves compare by name, not position
+    named = ast_of(state % ("\\pset " * depth + "Missing"))
+    moved = ast_of(state % ("\\pset " * depth + "\n Missing"))
+    assert named == moved and hash(named) == hash(moved)
 
 
 def test_many_operations_in_one_class_do_not_recurse():

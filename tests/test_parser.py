@@ -255,6 +255,21 @@ def test_tree_nodes_are_immutable():
             node.extra = 1
 
 
+def test_trace_rows_share_one_remaining_input_per_position(corpus):
+    for path in sorted(corpus.glob("*.tex")):
+        _, steps = corpus_trace(path.name)
+        at_position: dict[int, str] = {}  # input position -> its suffix
+        pos = 0
+        for step in steps:
+            assert step.remaining is at_position.setdefault(pos, step.remaining)
+            if step.kind == "shift":
+                pos += 1
+        distinct = {id(step.remaining) for step in steps}
+        assert len(distinct) == len(at_position), path.name
+    with pytest.raises(AttributeError):  # rows are immutable
+        steps[0].remaining = ""
+
+
 def test_accepts_agrees_with_parse_on_toy_grammar():
     g = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
     table = build_table(g)

@@ -413,3 +413,43 @@ def test_long_inheritance_chain_declared_child_first_does_not_recurse():
     ds = check_text("\n".join([broken] + paragraphs[1:]))
     assert codes(ds) == [DELTA_NOT_STATE_VAR]
     assert (ds[0].class_name, ds[0].symbol) == ("C0", "y")
+
+
+def test_repeated_class_name_checks_each_class_once():
+    clean = "\\begin{class} { A } \\begin{state} x : \\nat \\end{state} \\end{class}\n"
+    broken = ("\\begin{class} { A } \\begin{state} y : Missing \\\\ y : \\nat"
+              " \\end{state} \\end{class}\n")
+    alone = [(d.code, d.symbol) for d in check_text(broken)]
+    assert alone == [(UNDEFINED_TYPE, "Missing"), (DUPLICATE_DECL, "y")]
+    for source, line in ((clean + broken, 2), (broken + clean, 1)):
+        ds = check_text(source)
+        assert [(d.code, d.symbol, d.line) for d in ds] == [
+            (UNDEFINED_TYPE, "Missing", line),
+            (DUPLICATE_DECL, "y", line),
+        ]
+
+
+def test_repeated_class_name_refers_to_its_first_class():
+    with_x = "\\begin{class} { A } \\begin{state} x : \\nat \\end{state} \\end{class}\n"
+    without_x = "\\begin{class} { A } \\end{class}\n"
+    child = ("\\begin{class} { B } \\inherit A \\endinherit"
+             " \\begin{op} { Op } \\Delta ( x ) \\end{op} \\end{class}\n")
+    assert check_text(with_x + without_x + child) == []
+    ds = check_text(without_x + with_x + child)
+    assert [(d.code, d.class_name, d.symbol) for d in ds] == [
+        (DELTA_NOT_STATE_VAR, "B", "x")
+    ]
+    # the later A inherits B, whose parent is the first A: no cycle
+    later = "\\begin{class} { A } \\inherit B \\endinherit \\end{class}\n"
+    assert check_text(with_x + child + later) == []
+
+
+def test_repeated_class_name_keeps_each_class_generic_parameters():
+    generic = ("\\begin{class} { A [ T ] } \\begin{state} x : T"
+               " \\end{state} \\end{class}\n")
+    plain = "\\begin{class} { A } \\begin{state} y : T \\end{state} \\end{class}\n"
+    for source, line in ((generic + plain, 2), (plain + generic, 1)):
+        ds = check_text(source)
+        assert [(d.code, d.symbol, d.line) for d in ds] == [
+            (UNDEFINED_TYPE, "T", line)
+        ]

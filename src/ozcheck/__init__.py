@@ -1,16 +1,18 @@
 """ozcheck: a checker for Object Z class specifications written in LaTeX.
 
 The package builds an SLR(1) parse table from a declared grammar, parses
-whitespace-separated LaTeX tokens with a traced shift-reduce automaton,
-lowers the parse tree into an AST of class paragraphs, and enforces the
-semantic constraints with three-level (class, block, symbol) diagnostics.
+whitespace-separated LaTeX tokens with a traced shift-reduce automaton that
+builds the AST of class paragraphs on reduce, and enforces the semantic
+constraints with three-level (class, block, symbol) diagnostics.  The
+derivation tree is built only on request (:func:`parse`), and
+:func:`build_ast` folds it into the same AST.
 """
 from __future__ import annotations
 
 from . import cli
 from .diagnostics import Diagnostic, render_human, render_machine
 from .lexer import LexError, UnknownTokenError, tokenize
-from .ozgrammar import build_ast, object_z_grammar, oz_parse_table
+from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
 from .parser import ParseError, parse, parse_with_trace
 from .semantics import analyze
 
@@ -44,6 +46,7 @@ __all__ = [
     "object_z_grammar",
     "oz_parse_table",
     "parse",
+    "parse_spec",
     "parse_with_trace",
     "render_human",
     "render_machine",

@@ -1,4 +1,4 @@
-"""Command-line entry point: lexer -> parser -> AST -> semantic checks.
+"""Command-line entry point: lexer -> parser and AST -> semantic checks.
 
 Diagnostics and dumps go to standard output; usage and I/O failures go to
 the error stream with exit status 2.  Exit status is 0 only when every
@@ -17,7 +17,8 @@ from . import diagnostics as diag
 from .diagnostics import Diagnostic, render_human, render_machine
 from .grammar import dump_first_follow, format_grammar
 from .lexer import LexError, UnknownTokenError, tokenize
-from .ozgrammar import build_ast, object_z_grammar, oz_parse_table
+# perfbench/spans.py wraps parse, parse_with_trace and build_ast here by name
+from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
 from .parser import ParseError, parse, parse_with_trace, render_trace
 from .semantics import analyze
 
@@ -49,25 +50,20 @@ def check_source(
     """Run the full pipeline over one source text.
 
     Returns the diagnostics, sorted by position, plus the parse trace
-    (empty unless requested).  The first lexical or syntax failure stops the
-    pipeline for that source with one diagnostic; semantic checks run only
-    on parsed specifications.
+    (empty unless requested).  One drive of the automaton builds the AST on
+    reduce, traced or not; no parse tree is built.  The first lexical or
+    syntax failure stops the pipeline for that source with one diagnostic;
+    semantic checks run only on parsed specifications.
     """
-    grammar = object_z_grammar()
-    table = oz_parse_table()
-    steps: list = []
+    steps: list | None = [] if want_trace else None
     try:
         tokens = tokenize(source, lenient=lenient)
-        if want_trace:
-            tree, steps = parse_with_trace(tokens, table, grammar)
-        else:
-            tree = parse(tokens, table, grammar)
+        spec = parse_spec(tokens, oz_parse_table(), object_z_grammar(), steps)
     except (LexError, UnknownTokenError) as e:
         return [e.to_diagnostic()], []
     except ParseError as e:
         return [e.to_diagnostic()], list(e.trace or [])
-    spec = build_ast(tree)
-    return analyze(spec), steps
+    return analyze(spec), steps or []
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

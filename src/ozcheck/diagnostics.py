@@ -63,11 +63,6 @@ class Diagnostic:
     class_name: str | None = None
     block: str | None = None
     detail: str | None = None
-    severity: str = "error"
-
-    @property
-    def message(self) -> str:
-        return _en_message(self)
 
     def sort_key(self) -> tuple:
         return (self.line, self.column, self.code, self.symbol)

@@ -255,16 +255,6 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     return TokenStream(tuple(tokens))
 
 
-def dump_tokens(stream: TokenStream) -> str:
-    """Debug format: one token per line, ``index<TAB>kind<TAB>lexeme<TAB>line:col``."""
-    lines = []
-    for t in stream:
-        lines.append(
-            f"{t.position.index}\t{t.kind.value}\t{t.lexeme}\t{t.line}:{t.column}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def terminal_of(token: Token, g: "Grammar") -> "Symbol":
     """Map a token to its grammar terminal.
 

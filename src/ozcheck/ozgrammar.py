@@ -1,4 +1,4 @@
-"""The concrete Object Z grammar and the typed AST built from parse trees.
+"""The concrete Object Z grammar and the typed AST its parser builds.
 
 The grammar covers class paragraphs in the LaTeX encoding: a heading with
 an optional generic parameter list, an optional visibility list, an
@@ -13,6 +13,12 @@ and operation schemas hold declarations, with predicates allowed after
 ``\\ST``; init schemas also accept bare predicate lines, which is how an
 initial state is usually written.  Predicate lines are checked for
 well-formedness but kept as opaque token sequences in the AST.
+
+The AST is built on reduce: each production has one AST action, and
+:func:`parse_spec` drives the automaton with them, so no parse tree is
+built on the way (the bottom-up evaluation of an S-attributed definition,
+yacc's ``$$ = f($1..$n)``).  :func:`build_ast` folds a parse tree from
+:func:`ozcheck.parser.parse` with the same actions.
 """
 from __future__ import annotations
 
@@ -21,8 +27,8 @@ from enum import Enum
 from functools import lru_cache
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import Position, Token, TokenKind
-from .parser import TreeNode
+from .lexer import Position, Token, TokenKind, TokenStream
+from .parser import TraceStep, TreeNode, _drive, fold
 
 OZ_GRAMMAR_TEXT = r"""
 # Object Z class specifications over LaTeX-level terminals.
@@ -290,201 +296,159 @@ class Specification:
 
 
 # ---------------------------------------------------------------------------
-# Lowering
+# AST actions, run on reduce by ``parser._drive`` (``kids`` are the values of
+# the body symbols; a shifted token is its own value).  Right-recursive
+# lists are Python lists, last item first, reversed once by their owner.  A
+# schema line is a (declaration or first token of a predicate, end) pair:
+# it ends at the separator after it, or where the list is reduced.  Class
+# sections are (ClassDef field, value) pairs, operations or chains of them.
 
 
-def build_ast(tree: TreeNode) -> Specification:
-    """Lower a parse tree from the shipped grammar into a Specification."""
-    paragraphs: list[GivenTypeDecl | ClassDef] = []
-    node = tree
-    while True:  # ParagraphList right spine
-        paragraphs.append(_lower_paragraph(node.children[0]))
-        if len(node.children) == 1:
-            break
-        node = node.children[1]
-    return Specification(tuple(paragraphs))
+def _first(kids, toks, pos):
+    return kids[0]
 
 
-def _lower_paragraph(node: TreeNode) -> GivenTypeDecl | ClassDef:
-    first = node.children[0]
-    if first.symbol.name == "[":
-        return GivenTypeDecl(_lower_name_list(node.children[1]))
-
-    heading = node.children[2]
-    name_token = heading.children[0].token
-    generic: tuple[NameRef, ...] = ()
-    if len(heading.children) > 1:
-        generic = _lower_name_list(heading.children[2])
-
-    sections = _Sections()
-    _collect_sections(node.children[4:-1], sections)
-    return ClassDef(
-        name=name_token.lexeme,
-        name_pos=name_token.position,
-        generic_params=generic,
-        visibility=sections.visibility,
-        inherits=sections.inherits,
-        local_defs=sections.local_defs,
-        state=sections.state,
-        init=sections.init,
-        operations=tuple(sections.operations),
-    )
+def _spine(kids, toks, pos):
+    """``X -> item [separator] X``, ``X -> item`` or ``X ->``."""
+    items = kids[-1] if len(kids) > 1 else []
+    if kids:
+        items.append(kids[0])
+    return items
 
 
-class _Sections:
-    def __init__(self) -> None:
-        self.visibility: tuple[NameRef, ...] | None = None
-        self.inherits: tuple[NameRef, ...] = ()
-        self.local_defs: tuple[Declaration, ...] = ()
-        self.state: SchemaBlock | None = None
-        self.init: SchemaBlock | None = None
-        self.operations: list[OperationSchema] = []
+def _reversed(items: list) -> tuple:
+    items.reverse()
+    return tuple(items)
 
 
-def _collect_sections(nodes: tuple[TreeNode, ...], out: _Sections) -> None:
-    # explicit stack: OperationSeq nests once per operation
-    pending = list(reversed(nodes))
-    while pending:
-        node = pending.pop()
-        if node.is_leaf:
-            continue
-        name = node.symbol.name
-        if name == "VisibilityDecl":
-            out.visibility = _lower_name_list(node.children[2])
-        elif name == "Inheritance":
-            out.inherits = _lower_name_list(node.children[0])
-        elif name == "AxdefEnv":
-            out.local_defs = _lower_declaration_list(node.children[1])
-        elif name == "StateEnv":
-            decls, preds = _lower_schema_body(node.children[1])
-            out.state = SchemaBlock("state", decls, preds)
-        elif name == "InitEnv":
-            decls, preds = _lower_init_body(node.children[1])
-            out.init = SchemaBlock("init", decls, preds)
-        elif name == "OperationEnv":
-            out.operations.append(_lower_operation(node))
-        else:  # wrapper nonterminals: Visibility, StateSchema, Sections*, ...
-            pending.extend(reversed(node.children))
+def _name_refs(words: list) -> tuple[NameRef, ...]:
+    return tuple(NameRef(w.lexeme, w.position) for w in reversed(words))
 
 
-def _lower_name_list(node: TreeNode) -> tuple[NameRef, ...]:
-    refs: list[NameRef] = []
-    while True:
-        token = node.children[0].token
-        refs.append(NameRef(token.lexeme, token.position))
-        if len(node.children) == 1:
-            return tuple(refs)
-        node = node.children[2]
+def _lines(kids, toks, pos):
+    if len(kids) == 1:
+        return [(kids[0], pos)]
+    rest = kids[2]
+    rest.append((kids[0], kids[1].position.index))
+    return rest
 
 
-def _spine(node: TreeNode, list_symbol: str) -> list[TreeNode]:
-    """Flatten a right-recursive list nonterminal into its element nodes."""
-    items: list[TreeNode] = []
-    while True:
-        items.append(node.children[0])
-        rest = [c for c in node.children[1:] if c.symbol.name == list_symbol]
-        if not rest:
-            return items
-        node = rest[0]
-
-
-def _lower_declaration_list(node: TreeNode) -> tuple[Declaration, ...]:
-    return tuple(
-        _lower_declaration(n) for n in _spine(node, "DeclarationList")
-    )
-
-
-def _lower_predicate_list(node: TreeNode) -> tuple[PredicateLine, ...]:
-    return tuple(
-        PredicateLine(n.frontier()) for n in _spine(node, "PredicateList")
-    )
-
-
-def _lower_schema_body(
-    node: TreeNode,
-) -> tuple[tuple[Declaration, ...], tuple[PredicateLine, ...]]:
-    decls: tuple[Declaration, ...] = ()
-    preds: tuple[PredicateLine, ...] = ()
-    for child in node.children:
-        if child.symbol.name == "DeclarationList":
-            decls = _lower_declaration_list(child)
-        elif child.symbol.name == "PredicateList":
-            preds = _lower_predicate_list(child)
-    return decls, preds
-
-
-def _lower_init_body(
-    node: TreeNode,
-) -> tuple[tuple[Declaration, ...], tuple[PredicateLine, ...]]:
-    """Split init lines: declarations up to the first non-declaration line,
-    everything after (and any explicit ``\\ST`` part) is a predicate."""
+def _body(kids, toks, pos):
+    """Declarations up to the first predicate line; every line after it,
+    a declaration too, is a predicate line of its own tokens."""
+    lines = [line for k in reversed(kids) if k.__class__ is list for line in k]
     decls: list[Declaration] = []
     preds: list[PredicateLine] = []
-    for child in node.children:
-        if child.symbol.name == "LineList":
-            for line in _spine(child, "LineList"):
-                inner = line.children[0]
-                if inner.symbol.name == "Declaration" and not preds:
-                    decls.append(_lower_declaration(inner))
-                else:
-                    preds.append(PredicateLine(line.frontier()))
-        elif child.symbol.name == "PredicateList":
-            preds.extend(_lower_predicate_list(child))
+    for value, end in reversed(lines):
+        if value.__class__ is Declaration and not preds:
+            decls.append(value)
+        else:
+            start = value.pos if value.__class__ is Declaration else value.position
+            preds.append(PredicateLine(toks[start.index:end]))
     return tuple(decls), tuple(preds)
 
 
-def _lower_operation(node: TreeNode) -> OperationSchema:
-    name_token = node.children[2].token
-    body = node.children[4]
-    delta: DeltaList | None = None
-    decls: tuple[Declaration, ...] = ()
-    preds: tuple[PredicateLine, ...] = ()
-    for child in body.children:
-        if child.symbol.name == "DeltaPart":
-            kind = "Delta" if child.children[0].token.name == "Delta" else "Xi"
-            delta = DeltaList(kind, _lower_name_list(child.children[2]))
-        elif child.symbol.name == "SchemaBody":
-            decls, preds = _lower_schema_body(child)
-    return OperationSchema(
-        name=name_token.lexeme,
-        name_pos=name_token.position,
-        delta=delta,
-        declarations=decls,
-        predicates=preds,
-    )
-
-
-def _lower_declaration(node: TreeNode) -> Declaration:
-    name_token = node.children[0].token
-    return Declaration(
-        name=name_token.lexeme,
-        type_expr=_lower_type_expr(node.children[2]),
-        pos=name_token.position,
-    )
+def _declaration(kids, toks, pos):
+    name, parts = kids[0], _reversed(kids[2])  # the \cross spine
+    type_expr = parts[0] if len(parts) == 1 else ProductType(parts)
+    return Declaration(name.lexeme, type_expr, name.position)
 
 
 _BUILTIN_BY_COMMAND = {k.value: k for k in BuiltinKind}
 
 
-def _lower_type_expr(node: TreeNode) -> TypeExpr:
-    # the \cross spine flattens into one product
-    parts = [_lower_type_atom(n) for n in _spine(node, "TypeExpr")]
-    return parts[0] if len(parts) == 1 else ProductType(tuple(parts))
-
-
-def _lower_type_atom(node: TreeNode) -> TypeExpr:
-    outer: list[BuiltinKind] = []  # \pset, \fset, \seq prefixes, outermost first
-    while len(node.children) > 1:
-        outer.append(_BUILTIN_BY_COMMAND[node.children[0].token.lexeme])
-        node = node.children[1]
-    token = node.children[0].token
+def _type_atom(kids, toks, pos):
+    token = kids[0]
     if token.kind is TokenKind.WORD:
-        t: TypeExpr = NamedType(token.lexeme, token.position)
-    else:
-        t = BuiltinType(_BUILTIN_BY_COMMAND[token.lexeme])
-    for kind in reversed(outer):
-        t = BuiltinType(kind, t)
-    return t
+        return NamedType(token.lexeme, token.position)
+    argument = kids[1] if len(kids) > 1 else None
+    return BuiltinType(_BUILTIN_BY_COMMAND[token.lexeme], argument)
+
+
+def _paragraph(kids, toks, pos):
+    if kids[0].lexeme == "[":
+        return GivenTypeDecl(_name_refs(kids[1]))
+    name, generic = kids[2]
+    fields: dict = {}
+    operations: list[OperationSchema] = []
+    pending = kids[:3:-1]  # the sections, first on top
+    while pending:
+        value = pending.pop()
+        if value.__class__ is list:  # a chain, last first
+            pending += value
+        elif value.__class__ is tuple:
+            fields[value[0]] = value[1]
+        elif value.__class__ is OperationSchema:
+            operations.append(value)
+    return ClassDef(name.lexeme, name.position, generic,
+                    operations=tuple(operations), **fields)
+
+
+# By head; a head not named here, and ``_first`` on one value, leave the
+# driver's None action, which keeps one value and makes None of any other.
+_AST_ACTIONS = {
+    "ParagraphList": _spine,
+    "Paragraph": _paragraph,
+    "ClassHeading": lambda kids, toks, pos: (
+        kids[0], _name_refs(kids[2]) if len(kids) > 1 else ()),
+    "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2])),
+    "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0])),
+    "SectionsAfterVisibility": _spine,
+    "SectionsAfterLocals": _spine,
+    "SectionsAfterState": _spine,
+    "SectionsAfterInit": _spine,
+    "OperationSeq": _spine,
+    "AxdefEnv": lambda kids, toks, pos: (
+        "local_defs", _body(kids[1:2], toks, pos)[0]),
+    "StateEnv": lambda kids, toks, pos: ("state", SchemaBlock("state", *kids[1])),
+    "InitEnv": lambda kids, toks, pos: ("init", SchemaBlock("init", *kids[1])),
+    "OperationEnv": lambda kids, toks, pos: OperationSchema(
+        kids[2].lexeme, kids[2].position, *kids[4]),
+    "OperationBody": lambda kids, toks, pos: (
+        kids[0] if len(kids) > 1 else None, *kids[-1]),
+    "DeltaPart": lambda kids, toks, pos: DeltaList(kids[0].name, _name_refs(kids[2])),
+    "SchemaBody": _body,
+    "InitBody": _body,
+    "DeclarationList": _lines,
+    "LineList": _lines,
+    "PredicateList": _lines,
+    "Separator": _first,
+    "Declaration": _declaration,
+    "NameList": _spine,
+    "TypeExpr": _spine,
+    "TypeAtom": _type_atom,
+    "Predicate": _first,  # a predicate's value is its first token
+    "Sum": _first,
+    "CatExpr": _first,
+    "Atom": _first,
+}
+
+
+@lru_cache(maxsize=1)
+def ast_actions() -> tuple:
+    """The AST action of each production of the shipped grammar, by index."""
+    return tuple(
+        None if act is _first and len(p.body) == 1 else act
+        for p in object_z_grammar().productions
+        for act in [_AST_ACTIONS.get(p.head.name)]
+    )
+
+
+def parse_spec(tokens: TokenStream, table: ParseTable, g: Grammar,
+               trace: list[TraceStep] | None = None) -> Specification:
+    """Parse a token stream of the shipped grammar straight into its AST.
+
+    The AST actions run on reduce, so no parse tree is built.  Trace rows
+    are appended to ``trace`` unless it is None.  Raises what
+    :func:`ozcheck.parser.parse` raises.
+    """
+    return Specification(_reversed(_drive(tokens, table, g, ast_actions(), trace)))
+
+
+def build_ast(tree: TreeNode) -> Specification:
+    """Fold a parse tree of the shipped grammar into its AST with the same
+    actions :func:`parse_spec` runs on reduce."""
+    return Specification(_reversed(fold(tree, ast_actions())))
 
 
 # ---------------------------------------------------------------------------

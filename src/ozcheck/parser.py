@@ -1,20 +1,23 @@
 """Table-driven shift-reduce parser with step tracing and error localization.
 
 One driver runs the classical stack automaton over the int ACTION cells of
-``ParseTable.action``: on a shift it pushes the successor state and
-advances the input pointer; on a reduce by ``A -> Y1..Yn`` it pops n
-states, then consults the GOTO entry of the exposed state for ``A`` and
-pushes the target.  A reduce is recorded as two trace steps (the reduction
-itself and the goto) so traces show the same row structure as a textbook
-run.  A token's terminal depends only on its lexeme, so each distinct
-lexeme is mapped once per parse.  Tree nodes and trace rows are immutable
-named tuples.  The trace is built only when asked for, and its cost is
-linear in the bytes it renders: the rows at one input position share one
-remaining-input string.  Its size grows with tokens times remaining input,
-because every row prints the rest of the input; it is quadratic in file
-length whatever the stack depth, and the ``entrée`` column is most of it.
-The (class, block) localization of a syntax error is replayed from the
-shifted tokens when the error occurs.
+``ParseTable.action``: on a shift it pushes the successor state and the
+token; on a reduce by ``A -> Y1..Yn`` it pops n states and n values, pushes
+the value the production's semantic action makes of them (yacc's ``$$ =
+f($1..$n)``), then consults the GOTO entry of the exposed state for ``A``
+and pushes the target.  :func:`parse` runs actions that build the
+derivation tree, ``ozgrammar.parse_spec`` actions that build the AST, and
+:func:`fold` applies actions to a tree already built.  A reduce is recorded
+as two trace steps (the reduction itself and the goto) so traces show the
+same row structure as a textbook run.  A token's terminal depends only on
+its lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes
+and trace rows are immutable named tuples.  The trace is built only when
+asked for, and its cost is linear in the bytes it renders: the rows at one
+input position share one remaining-input string.  Its size grows with
+tokens times remaining input, because every row prints the rest of the
+input; it is quadratic in file length whatever the stack depth, and the
+``entrée`` column is most of it.  The (class, block) localization of a
+syntax error is replayed from the shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -201,13 +204,18 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
-           trace: list[TraceStep] | None) -> TreeNode:
-    """Run the automaton on the table's int cells; append the trace rows to
-    ``trace`` unless it is None."""
+           actions: tuple, trace: list[TraceStep] | None):
+    """Run the automaton on the table's int cells; return the start symbol's
+    value and append the trace rows to ``trace`` unless it is None.
+
+    A shift pushes the token.  A reduce by ``p`` replaces its n values,
+    ``kids``, with ``actions[p](kids, toks, pos)``: ``toks`` is the token
+    tuple and ``pos`` the number of tokens shifted.  A None action keeps
+    one value and makes None of any other number.
+    """
     action_rows, goto_rows = table.action, table.goto_map
     body_len, head_col = table.body_len, table.head_col
     term_index = table.term_index
-    terminals = table.term_columns
     toks = tokens.tokens
     col_of: dict[str, int] = {}  # lexeme -> column of its terminal
     cols = []
@@ -216,15 +224,15 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         if col is None:
             col = col_of[token.lexeme] = term_index[terminal_of(token, g).id]
         cols.append(col)
-    productions = g.productions
     states = [0]
-    trees: list[TreeNode] = []
+    values: list = []
     stack = remaining = ""
     if trace is not None:
         # One stack prefix per stack entry, in step with ``states``, and the
         # remaining input joined once and sliced once per input position, by
         # the shift that reaches it: the rows at one position share that
         # suffix, and beyond it a shift or goto costs one new stack prefix.
+        productions, terminals = g.productions, table.term_columns
         prefix = ["$ [0]"]
         reduce_texts: dict[int, str] = {}
         remaining = line = " ".join(
@@ -239,53 +247,95 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             stack = prefix[-1]
         if op == 1:  # shift
             target = cell >> 2
-            terminal = terminals[cols[pos]]
             if trace is not None:
                 trace.append(TraceStep(stack, remaining, "shift",
                                        f"d{target}", state=target))
-                prefix.append(f"{stack} {terminal.name} [{target}]")
+                prefix.append(f"{stack} {terminals[cols[pos]].name} [{target}]")
             states.append(target)
-            trees.append(TreeNode(terminal, -1, (), toks[pos]))
+            values.append(toks[pos])
             pos += 1
             if trace is not None:
                 remaining = line[offsets[pos]:]
         elif op == 2:  # reduce
-            p = productions[cell >> 2]
-            n = body_len[p.index]
+            p = cell >> 2
+            n = body_len[p]
             if trace is not None:
-                text = reduce_texts.get(p.index)
+                text = reduce_texts.get(p)
                 if text is None:
-                    text = reduce_texts[p.index] = f"r{p.index}: {p}"
+                    text = reduce_texts[p] = f"r{p}: {productions[p]}"
                 trace.append(TraceStep(stack, remaining, "reduce", text,
-                                       production=p.index))
-            children = tuple(trees[-n:]) if n else ()
+                                       production=p))
+            act = actions[p]
+            if act is not None:
+                k = len(values) - n
+                kids = values[k:]
+                del values[k:]
+                values.append(act(kids, toks, pos))
+            elif n != 1:
+                del values[len(values) - n:]
+                values.append(None)
             if n:
                 del states[-n:]
-                del trees[-n:]
                 if trace is not None:
                     del prefix[-n:]
                     stack = prefix[-1]
             exposed = states[-1]
-            target = goto_rows[exposed][head_col[p.index]]
+            target = goto_rows[exposed][head_col[p]]
             if target < 0:  # unreachable on a well-formed table
                 raise _syntax_error(tokens, pos, exposed, table, trace,
                                     stack, remaining)
             if trace is not None:
-                stack = f"{stack} {p.head.name}"
+                head = productions[p].head.name
+                stack = f"{stack} {head}"
                 trace.append(TraceStep(
                     stack, remaining, "goto",
-                    f"in {exposed} with {p.head.name}: go to {target}",
+                    f"in {exposed} with {head}: go to {target}",
                     state=target))
                 prefix.append(f"{stack} [{target}]")
             states.append(target)
-            trees.append(TreeNode(p.head, p.index, children))
         elif op == 3:  # accept
             if trace is not None:
                 trace.append(TraceStep(stack, remaining, "accept", "ACCEPT"))
-            return trees[-1]
+            return values[-1]
         else:
             raise _syntax_error(tokens, pos, states[-1], table, trace,
                                 stack, remaining)
+
+
+def fold(tree: TreeNode, actions: tuple):
+    """Apply ``actions`` to a parse tree bottom-up, as the driver applies
+    them on reduce, and return the value of the root."""
+    toks, values, pos = tree.frontier(), [], 0
+    pending = [(tree, False)]  # explicit stack: nesting depth is input-controlled
+    while pending:
+        node, done = pending.pop()
+        if node.token is not None:
+            values.append(node.token)
+            pos += 1
+        elif not done:
+            pending.append((node, True))
+            pending += [(c, False) for c in reversed(node.children)]
+        else:  # reduce, as in _drive
+            n, act = len(node.children), actions[node.production]
+            if act is not None:
+                k = len(values) - n
+                kids = values[k:]
+                del values[k:]
+                values.append(act(kids, toks, pos))
+            elif n != 1:
+                del values[len(values) - n:]
+                values.append(None)
+    return values[-1]
+
+
+def _tree_actions(g: Grammar) -> tuple:
+    """Actions that build the derivation tree; a body terminal's value is
+    the token shifted for it."""
+    def node(p):
+        return lambda kids, toks, pos: TreeNode(p.head, p.index, tuple(
+            TreeNode(s, -1, (), k) if s.is_terminal else k
+            for s, k in zip(p.body, kids)))
+    return tuple(node(p) for p in g.productions)
 
 
 def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
@@ -295,7 +345,7 @@ def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
     class/block, and the terminals that would have been accepted.  Raises
     :class:`UnknownTokenError` if a token maps to no terminal of ``g``.
     """
-    return _drive(tokens, table, g, None)
+    return _drive(tokens, table, g, _tree_actions(g), None)
 
 
 def parse_with_trace(
@@ -307,7 +357,7 @@ def parse_with_trace(
     ending at the error step.
     """
     trace: list[TraceStep] = []
-    return _drive(tokens, table, g, trace), trace
+    return _drive(tokens, table, g, _tree_actions(g), trace), trace
 
 
 def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:

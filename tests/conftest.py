@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-from ozcheck.lexer import terminal_of
+from ozcheck.lexer import terminal_of, tokenize
+from ozcheck.ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.parser import parse
 
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
@@ -72,3 +75,33 @@ def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
         [terminal_of(t, g).name for t in tokens],
         [t.lexeme for t in tokens],
     )
+
+
+def same_ast(a, b) -> bool:
+    """``==`` that also compares what the AST's ``==`` ignores: the source
+    positions and the tokens of predicate lines.  Loops, never recurses."""
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if x.__class__ is not y.__class__:
+            return False
+        if is_dataclass(x):
+            pending.extend((getattr(x, f.name), getattr(y, f.name))
+                           for f in fields(x))
+        elif x.__class__ is tuple:
+            if len(x) != len(y):
+                return False
+            pending.extend(zip(x, y))
+        elif x != y:  # tokens and positions are flat named tuples
+            return False
+    return True
+
+
+def ast_both_ways(source: str):
+    """The AST built on reduce, as ``check_source`` builds it, after checking
+    that the fold of the parse tree gives the same one."""
+    tokens = tokenize(source)
+    table, g = oz_parse_table(), object_z_grammar()
+    spec = parse_spec(tokens, table, g)
+    assert same_ast(spec, build_ast(parse(tokens, table, g)))
+    return spec

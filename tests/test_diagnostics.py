@@ -5,6 +5,7 @@ from ozcheck import check_text
 from ozcheck.diagnostics import (
     CODE_CATALOG,
     Diagnostic,
+    _en_message,
     render_human,
     render_machine,
 )
@@ -72,7 +73,7 @@ def test_machine_rendering_round_trips():
         assert block == (d.block or "-")
         assert symbol == d.symbol
         assert pos == f"{d.line}:{d.column}"
-        assert message == d.message
+        assert message == _en_message(d)
 
 
 def test_machine_rendering_absent_fields_dashed():

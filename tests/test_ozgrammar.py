@@ -7,7 +7,7 @@ import pytest
 
 from ozcheck import check_text
 from ozcheck.grammar import ParseTable, build_table, format_grammar, grammar_from_text
-from ozcheck.lexer import tokenize
+from ozcheck.lexer import TokenKind, tokenize
 from ozcheck.ozgrammar import (
     BuiltinKind,
     BuiltinType,
@@ -18,11 +18,12 @@ from ozcheck.ozgrammar import (
     named_leaves,
     object_z_grammar,
     oz_parse_table,
+    parse_spec,
     render_tokens,
 )
 from ozcheck.parser import ParseError, parse
 
-from conftest import corpus_text
+from conftest import ast_both_ways, corpus_text, same_ast
 
 
 def parse_text(source: str):
@@ -386,7 +387,12 @@ def random_specification(rng: random.Random) -> str:
             lines.append("\\end{state}")
         if rng.random() < 0.6:
             lines.append("\\begin{init}")
-            lines.append(pred_lines(rng.randint(1, 2)))
+            # declaration and predicate lines in any order, then maybe \ST
+            lines.append(" \\\\\n".join(
+                rng.choice([declaration, predicate])()
+                for _ in range(rng.randint(1, 3))))
+            if rng.random() < 0.3:
+                lines.append("\\ST\n" + pred_lines(rng.randint(1, 2)))
             lines.append("\\end{init}")
         for _ in range(rng.randrange(3)):
             lines.append(f"\\begin{{op}} {{ {word()} }}")
@@ -428,14 +434,70 @@ def test_lowering_is_total_on_generated_specifications():
         assert ast_of(render_tokens(spec)) == spec
 
 
+# Tokens other than line separators that may stand just before and just
+# after a predicate line.
+LINE_STARTS = {"\\ST", "\\begin{init}"}
+LINE_ENDS = {"\\ST", "\\end{state}", "\\end{init}", "\\end{op}"}
+
+
+def assert_predicate_lines_are_whole(spec, source):
+    """Each predicate line holds exactly the tokens between two line
+    boundaries of the source."""
+    def bounds(t, others):
+        return t.kind is TokenKind.LINE_SEP or t.lexeme in others
+
+    toks = tokenize(source).tokens
+    for c in spec.classes:
+        blocks = [b for b in (c.state, c.init) if b is not None]
+        for line in [p for b in blocks + list(c.operations) for p in b.predicates]:
+            first = line.tokens[0].position.index
+            last = line.tokens[-1].position.index
+            assert line.tokens == toks[first:last + 1]
+            assert bounds(toks[first - 1], LINE_STARTS), line.text
+            assert bounds(toks[last + 1], LINE_ENDS), line.text
+            assert not any(bounds(t, LINE_ENDS) for t in line.tokens), line.text
+
+
+def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
+    rng = random.Random(20261018)
+    sources += [random_specification(rng) for _ in range(300)]
+    for source in sources:
+        try:
+            spec = ast_both_ways(source)
+        except ParseError as e:  # both paths reject it at the same token
+            with pytest.raises(ParseError) as again:
+                parse_spec(tokenize(source), oz_parse_table(), object_z_grammar())
+            assert again.value.offending == e.offending
+            continue
+        assert_predicate_lines_are_whole(spec, source)
+
+
+def test_init_declaration_after_a_predicate_keeps_its_own_tokens():
+    source = (
+        "\\begin{class} { A } \\begin{init}\n"
+        "x : \\nat \\\\ x = ( 0 ) \\\\ \\\\ y : \\seq T \\ST z = 1\n"
+        "\\end{init} \\end{class}"
+    )
+    init = ast_both_ways(source).classes[0].init
+    assert [(d.name, d.pos.index) for d in init.declarations] == [("x", 5)]
+    toks = tokenize(source).tokens
+    assert [p.tokens for p in init.predicates] == [
+        toks[9:14], toks[16:20], toks[21:24]]
+    assert [p.text for p in init.predicates] == [
+        "x = ( 0 )", "y : \\seq T", "z = 1"]
+
+
 def test_deep_type_expressions_do_not_recurse():
     depth = 10_000
     state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
     assert check_text(state % ("\\pset " * depth + "\\nat")) == []
     source = state % ("\\pset " * depth + "\\fset Missing")
     # compared as text; ``==`` on deep chains has its own test below
-    assert render_tokens(ast_of(source)).split() == source.split()
-    assert check_text(state % ("\\nat" + " \\cross \\nat" * depth)) == []
+    assert render_tokens(ast_both_ways(source)).split() == source.split()
+    source = state % ("\\nat" + " \\cross \\nat" * depth)
+    assert check_text(source) == []
+    assert render_tokens(ast_both_ways(source)).split() == source.split()
     ds = check_text(state % ("\\pset " * depth + "Missing"))
     assert [(d.code, d.symbol) for d in ds] == [("OZ-SEM-102", "Missing")]
     ds = check_text(state % ("\\nat" + " \\cross \\seq Missing" * depth))
@@ -467,7 +529,21 @@ def test_deep_type_chains_compare_and_hash_without_recursion():
 def test_many_operations_in_one_class_do_not_recurse():
     n = 10_000
     ops = " ".join(f"\\begin{{op}} {{ Op{i} }} \\end{{op}}" for i in range(n))
-    spec = ast_of(f"\\begin{{class}} {{ A }} {ops} \\end{{class}}")
+    spec = ast_both_ways(f"\\begin{{class}} {{ A }} {ops} \\end{{class}}")
     assert [op.name for op in spec.classes[0].operations] == [
         f"Op{i}" for i in range(n)
     ]
+
+
+@pytest.mark.parametrize("source", [
+    "[ " + " , ".join(f"T{i}" for i in range(10_000)) + " ]",
+    "\\begin{class} { A } \\begin{state} "
+    + " \\\\ ".join(f"x{i} : \\nat" for i in range(10_000))
+    + " \\end{state} \\end{class}",
+    "\\begin{class} { A } \\begin{state} x : \\nat \\ST "
+    + " \\\\ ".join(f"x = {i}" for i in range(10_000))
+    + " \\end{state} \\end{class}",
+], ids=["names", "declarations", "predicates"])
+def test_long_lists_do_not_recurse(source):
+    assert check_text(source) == []
+    assert render_tokens(ast_both_ways(source)).split() == source.split()

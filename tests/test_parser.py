@@ -18,7 +18,7 @@ from ozcheck.parser import (
     render_trace,
 )
 
-from conftest import corpus_text, naive_trace_rows
+from conftest import ast_both_ways, corpus_text, naive_trace_rows
 
 # SHA-256 of the rendered trace of each corpus file, recorded from the
 # per-row rendering that ``trace_oracle`` keeps as the reference; the
@@ -241,6 +241,8 @@ def test_deeply_nested_parentheses_do_not_recurse():
         + r"\end{init} \end{class}"
     )
     assert check_text(source) == []
+    init = ast_both_ways(source).classes[0].init
+    assert init.predicates[0].text.split() == source.split()[10:-2]
 
 
 def test_tree_nodes_are_immutable():

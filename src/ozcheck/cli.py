@@ -58,7 +58,7 @@ def check_source(
     steps: list | None = [] if want_trace else None
     try:
         tokens = tokenize(source, lenient=lenient)
-        spec = parse_spec(tokens, oz_parse_table(), object_z_grammar(), steps)
+        spec = parse_spec(tokens, steps)
     except (LexError, UnknownTokenError) as e:
         return [e.to_diagnostic()], []
     except ParseError as e:

@@ -434,15 +434,17 @@ def ast_actions() -> tuple:
     )
 
 
-def parse_spec(tokens: TokenStream, table: ParseTable, g: Grammar,
+def parse_spec(tokens: TokenStream,
                trace: list[TraceStep] | None = None) -> Specification:
-    """Parse a token stream of the shipped grammar straight into its AST.
+    """Parse a token stream straight into its AST with the shipped grammar
+    and table (the only ones the AST actions are indexed by).
 
     The AST actions run on reduce, so no parse tree is built.  Trace rows
     are appended to ``trace`` unless it is None.  Raises what
     :func:`ozcheck.parser.parse` raises.
     """
-    return Specification(_reversed(_drive(tokens, table, g, ast_actions(), trace)))
+    return Specification(_reversed(_drive(
+        tokens, oz_parse_table(), object_z_grammar(), ast_actions(), trace)))
 
 
 def build_ast(tree: TreeNode) -> Specification:

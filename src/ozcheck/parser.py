@@ -24,6 +24,7 @@ share one immutable table concurrently.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -203,15 +204,27 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
     return ParseError(token, *tracker.location(), expected, trace)
 
 
+def _reduce(values: list, n: int, act, toks: tuple[Token, ...], pos: int) -> None:
+    """Replace the top ``n`` values, ``kids``, with ``act(kids, toks, pos)``;
+    a None action keeps one value and makes None of any other number."""
+    if act is not None:
+        k = len(values) - n
+        kids = values[k:]
+        del values[k:]
+        values.append(act(kids, toks, pos))
+    elif n != 1:
+        del values[len(values) - n:]
+        values.append(None)
+
+
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            actions: tuple, trace: list[TraceStep] | None):
     """Run the automaton on the table's int cells; return the start symbol's
     value and append the trace rows to ``trace`` unless it is None.
 
-    A shift pushes the token.  A reduce by ``p`` replaces its n values,
-    ``kids``, with ``actions[p](kids, toks, pos)``: ``toks`` is the token
-    tuple and ``pos`` the number of tokens shifted.  A None action keeps
-    one value and makes None of any other number.
+    A shift pushes the token.  A reduce by ``p`` runs :func:`_reduce` with
+    ``actions[p]``: ``toks`` is the token tuple and ``pos`` the number of
+    tokens shifted.
     """
     action_rows, goto_rows = table.action, table.goto_map
     body_len, head_col = table.body_len, table.head_col
@@ -265,15 +278,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                     text = reduce_texts[p] = f"r{p}: {productions[p]}"
                 trace.append(TraceStep(stack, remaining, "reduce", text,
                                        production=p))
-            act = actions[p]
-            if act is not None:
-                k = len(values) - n
-                kids = values[k:]
-                del values[k:]
-                values.append(act(kids, toks, pos))
-            elif n != 1:
-                del values[len(values) - n:]
-                values.append(None)
+            _reduce(values, n, actions[p], toks, pos)
             if n:
                 del states[-n:]
                 if trace is not None:
@@ -306,35 +311,35 @@ def fold(tree: TreeNode, actions: tuple):
     """Apply ``actions`` to a parse tree bottom-up, as the driver applies
     them on reduce, and return the value of the root."""
     toks, values, pos = tree.frontier(), [], 0
-    pending = [(tree, False)]  # explicit stack: nesting depth is input-controlled
+    # Explicit stack, as nesting depth is input-controlled: a node's body
+    # length and production sit under its children until they are folded.
+    pending: list = [tree]
     while pending:
-        node, done = pending.pop()
-        if node.token is not None:
+        node = pending.pop()
+        if node.__class__ is int:
+            _reduce(values, pending.pop(), actions[node], toks, pos)
+        elif node.token is not None:
             values.append(node.token)
             pos += 1
-        elif not done:
-            pending.append((node, True))
-            pending += [(c, False) for c in reversed(node.children)]
-        else:  # reduce, as in _drive
-            n, act = len(node.children), actions[node.production]
-            if act is not None:
-                k = len(values) - n
-                kids = values[k:]
-                del values[k:]
-                values.append(act(kids, toks, pos))
-            elif n != 1:
-                del values[len(values) - n:]
-                values.append(None)
+        else:
+            pending += (len(node.children), node.production)
+            pending += reversed(node.children)
     return values[-1]
 
 
+@lru_cache(maxsize=8)
 def _tree_actions(g: Grammar) -> tuple:
     """Actions that build the derivation tree; a body terminal's value is
     the token shifted for it."""
     def node(p):
-        return lambda kids, toks, pos: TreeNode(p.head, p.index, tuple(
-            TreeNode(s, -1, (), k) if s.is_terminal else k
-            for s, k in zip(p.body, kids)))
+        head, index = p.head, p.index
+        leaves = [(i, s) for i, s in enumerate(p.body) if s.is_terminal]
+
+        def act(kids, toks, pos):
+            for i, s in leaves:
+                kids[i] = TreeNode(s, -1, (), kids[i])
+            return TreeNode(head, index, tuple(kids))
+        return act
     return tuple(node(p) for p in g.productions)
 
 

@@ -101,7 +101,6 @@ def ast_both_ways(source: str):
     """The AST built on reduce, as ``check_source`` builds it, after checking
     that the fold of the parse tree gives the same one."""
     tokens = tokenize(source)
-    table, g = oz_parse_table(), object_z_grammar()
-    spec = parse_spec(tokens, table, g)
-    assert same_ast(spec, build_ast(parse(tokens, table, g)))
+    spec = parse_spec(tokens)
+    assert same_ast(spec, build_ast(parse(tokens, oz_parse_table(), object_z_grammar())))
     return spec

@@ -21,7 +21,7 @@ from ozcheck.ozgrammar import (
     parse_spec,
     render_tokens,
 )
-from ozcheck.parser import ParseError, parse
+from ozcheck.parser import ParseError, parse, parse_with_trace
 
 from conftest import ast_both_ways, corpus_text, same_ast
 
@@ -458,19 +458,33 @@ def assert_predicate_lines_are_whole(spec, source):
             assert not any(bounds(t, LINE_ENDS) for t in line.tokens), line.text
 
 
+def rejection(parse_fn):
+    """What the ParseError raised by ``parse_fn()`` reports."""
+    with pytest.raises(ParseError) as raised:
+        parse_fn()
+    e = raised.value
+    return e.offending, e.enclosing_class, e.enclosing_block, e.expected, e.trace
+
+
 def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
     sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
     rng = random.Random(20261018)
     sources += [random_specification(rng) for _ in range(300)]
+    table, g = oz_parse_table(), object_z_grammar()
+    rejected = 0
     for source in sources:
         try:
             spec = ast_both_ways(source)
-        except ParseError as e:  # both paths reject it at the same token
-            with pytest.raises(ParseError) as again:
-                parse_spec(tokenize(source), oz_parse_table(), object_z_grammar())
-            assert again.value.offending == e.offending
+        except ParseError:  # both paths reject it alike, traced or not
+            tokens = tokenize(source)
+            assert rejection(lambda: parse_spec(tokens)) == rejection(
+                lambda: parse(tokens, table, g))
+            assert rejection(lambda: parse_spec(tokens, [])) == rejection(
+                lambda: parse_with_trace(tokens, table, g))
+            rejected += 1
             continue
         assert_predicate_lines_are_whole(spec, source)
+    assert rejected > 0
 
 
 def test_init_declaration_after_a_predicate_keeps_its_own_tokens():

@@ -5,7 +5,7 @@ whitespace-separated LaTeX tokens with a traced shift-reduce automaton that
 builds the AST of class paragraphs on reduce, and enforces the semantic
 constraints with three-level (class, block, symbol) diagnostics.  The
 derivation tree is built only on request (:func:`parse`), and
-:func:`build_ast` folds it into the same AST.
+:func:`build_ast` drives its frontier to the same AST.
 """
 from __future__ import annotations
 

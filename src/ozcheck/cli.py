@@ -62,7 +62,7 @@ def check_source(
     except (LexError, UnknownTokenError) as e:
         return [e.to_diagnostic()], []
     except ParseError as e:
-        return [e.to_diagnostic()], list(e.trace or [])
+        return [e.to_diagnostic()], steps or []
     return analyze(spec), steps or []
 
 

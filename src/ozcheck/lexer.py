@@ -85,10 +85,6 @@ class TokenStream:
     def __getitem__(self, i):
         return self.tokens[i]
 
-    @property
-    def end_marker(self) -> Token:
-        return self.tokens[-1]
-
 
 class LexError(Exception):
     def __init__(self, message: str, unit: str, line: int, column: int):

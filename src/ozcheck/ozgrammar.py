@@ -17,8 +17,9 @@ well-formedness but kept as opaque token sequences in the AST.
 The AST is built on reduce: each production has one AST action, and
 :func:`parse_spec` drives the automaton with them, so no parse tree is
 built on the way (the bottom-up evaluation of an S-attributed definition,
-yacc's ``$$ = f($1..$n)``).  :func:`build_ast` folds a parse tree from
-:func:`ozcheck.parser.parse` with the same actions.
+yacc's ``$$ = f($1..$n)``).  :func:`build_ast` gets the AST of a parse
+tree from :func:`ozcheck.parser.parse` by driving the tree's frontier
+through :func:`parse_spec`, so the actions have one evaluator, the driver.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
 from .lexer import Position, Token, TokenKind, TokenStream
-from .parser import TraceStep, TreeNode, _drive, fold
+from .parser import TraceStep, TreeNode, _drive
 
 OZ_GRAMMAR_TEXT = r"""
 # Object Z class specifications over LaTeX-level terminals.
@@ -448,9 +449,14 @@ def parse_spec(tokens: TokenStream,
 
 
 def build_ast(tree: TreeNode) -> Specification:
-    """Fold a parse tree of the shipped grammar into its AST with the same
-    actions :func:`parse_spec` runs on reduce."""
-    return Specification(_reversed(fold(tree, ast_actions())))
+    """The AST of a parse tree of the shipped grammar: its frontier, ended
+    by one end marker, driven through :func:`parse_spec`.  An SLR(1)
+    grammar is unambiguous, so the leaves fix the tree, and the AST is the
+    one the tree's own tokens give."""
+    toks = tree.frontier()
+    last = toks[-1]
+    end = Position(len(toks), last.line, last.column + len(last.lexeme))
+    return parse_spec(TokenStream(toks + (Token("", TokenKind.END_MARKER, end),)))
 
 
 # ---------------------------------------------------------------------------

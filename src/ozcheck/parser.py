@@ -6,18 +6,18 @@ token; on a reduce by ``A -> Y1..Yn`` it pops n states and n values, pushes
 the value the production's semantic action makes of them (yacc's ``$$ =
 f($1..$n)``), then consults the GOTO entry of the exposed state for ``A``
 and pushes the target.  :func:`parse` runs actions that build the
-derivation tree, ``ozgrammar.parse_spec`` actions that build the AST, and
-:func:`fold` applies actions to a tree already built.  A reduce is recorded
-as two trace steps (the reduction itself and the goto) so traces show the
-same row structure as a textbook run.  A token's terminal depends only on
-its lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes
-and trace rows are immutable named tuples.  The trace is built only when
-asked for, and its cost is linear in the bytes it renders: the rows at one
-input position share one remaining-input string.  Its size grows with
-tokens times remaining input, because every row prints the rest of the
-input; it is quadratic in file length whatever the stack depth, and the
-``entrée`` column is most of it.  The (class, block) localization of a
-syntax error is replayed from the shifted tokens when the error occurs.
+derivation tree and ``ozgrammar.parse_spec`` actions that build the AST;
+there is no other evaluator of the actions.  A reduce is recorded as two
+trace steps (the reduction itself and the goto) so traces show the same row
+structure as a textbook run.  A token's terminal depends only on its
+lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes and
+trace rows are immutable named tuples.  The trace is built only when asked
+for, and its cost is linear in the bytes it renders: the rows at one input
+position share one remaining-input string.  Its size grows with tokens
+times remaining input, because every row prints the rest of the input; it
+is quadratic in file length whatever the stack depth, and the ``entrée``
+column is most of it.  The (class, block) localization of a syntax error is
+replayed from the shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -204,27 +204,15 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
     return ParseError(token, *tracker.location(), expected, trace)
 
 
-def _reduce(values: list, n: int, act, toks: tuple[Token, ...], pos: int) -> None:
-    """Replace the top ``n`` values, ``kids``, with ``act(kids, toks, pos)``;
-    a None action keeps one value and makes None of any other number."""
-    if act is not None:
-        k = len(values) - n
-        kids = values[k:]
-        del values[k:]
-        values.append(act(kids, toks, pos))
-    elif n != 1:
-        del values[len(values) - n:]
-        values.append(None)
-
-
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            actions: tuple, trace: list[TraceStep] | None):
     """Run the automaton on the table's int cells; return the start symbol's
     value and append the trace rows to ``trace`` unless it is None.
 
-    A shift pushes the token.  A reduce by ``p`` runs :func:`_reduce` with
-    ``actions[p]``: ``toks`` is the token tuple and ``pos`` the number of
-    tokens shifted.
+    A shift pushes the token.  A reduce by ``p`` replaces the top n values,
+    ``kids``, with ``actions[p](kids, toks, pos)``, where ``toks`` is the
+    token tuple and ``pos`` the number of tokens shifted; a None action
+    keeps one value and makes None of any other number.
     """
     action_rows, goto_rows = table.action, table.goto_map
     body_len, head_col = table.body_len, table.head_col
@@ -278,7 +266,15 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                     text = reduce_texts[p] = f"r{p}: {productions[p]}"
                 trace.append(TraceStep(stack, remaining, "reduce", text,
                                        production=p))
-            _reduce(values, n, actions[p], toks, pos)
+            act = actions[p]
+            if act is not None:
+                k = len(values) - n
+                kids = values[k:]
+                del values[k:]
+                values.append(act(kids, toks, pos))
+            elif n != 1:
+                del values[len(values) - n:]
+                values.append(None)
             if n:
                 del states[-n:]
                 if trace is not None:
@@ -305,26 +301,6 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         else:
             raise _syntax_error(tokens, pos, states[-1], table, trace,
                                 stack, remaining)
-
-
-def fold(tree: TreeNode, actions: tuple):
-    """Apply ``actions`` to a parse tree bottom-up, as the driver applies
-    them on reduce, and return the value of the root."""
-    toks, values, pos = tree.frontier(), [], 0
-    # Explicit stack, as nesting depth is input-controlled: a node's body
-    # length and production sit under its children until they are folded.
-    pending: list = [tree]
-    while pending:
-        node = pending.pop()
-        if node.__class__ is int:
-            _reduce(values, pending.pop(), actions[node], toks, pos)
-        elif node.token is not None:
-            values.append(node.token)
-            pos += 1
-        else:
-            pending += (len(node.children), node.production)
-            pending += reversed(node.children)
-    return values[-1]
 
 
 @lru_cache(maxsize=8)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from . import diagnostics as diag
 from .diagnostics import Diagnostic
+from .lexer import Position
 from .ozgrammar import (
     ClassDef,
     Declaration,
@@ -248,44 +249,34 @@ def resolve_inheritance(
 # The five checks.  Each returns its diagnostics; none suppresses another.
 
 
+def _finding(code: str, symbol: str, pos: Position, class_name: str,
+             block: str, detail: str | None = None) -> Diagnostic:
+    """A finding about ``symbol`` at the line and column of ``pos``."""
+    return Diagnostic(code, symbol, pos.line, pos.column, class_name, block,
+                      detail)
+
+
 def check_circular(scope: SchemaScope) -> list[Diagnostic]:
     """OZ-SEM-101 for every same-schema variable referenced as a type."""
-    out: list[Diagnostic] = []
     names = scope.variable_names()
-    for entry in scope.local_entries():
-        for leaf in named_leaves(entry.declaration.type_expr):
-            if leaf.name in names:
-                out.append(
-                    Diagnostic(
-                        code=diag.CIRCULAR_DECL,
-                        symbol=leaf.name,
-                        line=leaf.pos.line,
-                        column=leaf.pos.column,
-                        class_name=scope.owner_class,
-                        block=scope.block,
-                        detail=entry.name,
-                    )
-                )
-    return out
+    return [
+        _finding(diag.CIRCULAR_DECL, leaf.name, leaf.pos, scope.owner_class,
+                 scope.block, entry.name)
+        for entry in scope.local_entries()
+        for leaf in named_leaves(entry.declaration.type_expr)
+        if leaf.name in names
+    ]
 
 
 def check_undefined_types(scope: SchemaScope, env: TypeEnv) -> list[Diagnostic]:
     """OZ-SEM-102 for every type leaf that resolves to nothing."""
-    out: list[Diagnostic] = []
-    for entry in scope.local_entries():
-        for leaf in named_leaves(entry.declaration.type_expr):
-            if not env.resolvable(leaf.name, scope.generic_params):
-                out.append(
-                    Diagnostic(
-                        code=diag.UNDEFINED_TYPE,
-                        symbol=leaf.name,
-                        line=leaf.pos.line,
-                        column=leaf.pos.column,
-                        class_name=scope.owner_class,
-                        block=scope.block,
-                    )
-                )
-    return out
+    return [
+        _finding(diag.UNDEFINED_TYPE, leaf.name, leaf.pos, scope.owner_class,
+                 scope.block)
+        for entry in scope.local_entries()
+        for leaf in named_leaves(entry.declaration.type_expr)
+        if not env.resolvable(leaf.name, scope.generic_params)
+    ]
 
 
 def check_duplicates(scope: SchemaScope) -> list[Diagnostic]:
@@ -294,59 +285,34 @@ def check_duplicates(scope: SchemaScope) -> list[Diagnostic]:
     seen: set[str] = set()
     for entry in scope.local_entries():
         if entry.name in seen:
-            pos = entry.declaration.pos
-            out.append(
-                Diagnostic(
-                    code=diag.DUPLICATE_DECL,
-                    symbol=entry.name,
-                    line=pos.line,
-                    column=pos.column,
-                    class_name=scope.owner_class,
-                    block=scope.block,
-                )
-            )
+            out.append(_finding(diag.DUPLICATE_DECL, entry.name,
+                                entry.declaration.pos, scope.owner_class,
+                                scope.block))
         seen.add(entry.name)
     return out
 
 
 def check_type_name_clash(scope: SchemaScope, env: TypeEnv) -> list[Diagnostic]:
     """OZ-SEM-104 when a declared variable carries a type's name."""
-    out: list[Diagnostic] = []
-    for entry in scope.local_entries():
-        if env.resolvable(entry.name, scope.generic_params):
-            pos = entry.declaration.pos
-            out.append(
-                Diagnostic(
-                    code=diag.TYPE_NAME_CLASH,
-                    symbol=entry.name,
-                    line=pos.line,
-                    column=pos.column,
-                    class_name=scope.owner_class,
-                    block=scope.block,
-                )
-            )
-    return out
+    return [
+        _finding(diag.TYPE_NAME_CLASH, entry.name, entry.declaration.pos,
+                 scope.owner_class, scope.block)
+        for entry in scope.local_entries()
+        if env.resolvable(entry.name, scope.generic_params)
+    ]
 
 
 def check_delta_list(op: OperationSchema, rc: ResolvedClass) -> list[Diagnostic]:
     """OZ-SEM-105 for delta entries outside the (flattened) state variables."""
     if op.delta is None:
         return []
-    out: list[Diagnostic] = []
     state_names = rc.state_variable_names()
-    for ref in op.delta.names:
-        if ref.name not in state_names:
-            out.append(
-                Diagnostic(
-                    code=diag.DELTA_NOT_STATE_VAR,
-                    symbol=ref.name,
-                    line=ref.pos.line,
-                    column=ref.pos.column,
-                    class_name=rc.name,
-                    block=diag.operation_block(op.name),
-                )
-            )
-    return out
+    return [
+        _finding(diag.DELTA_NOT_STATE_VAR, ref.name, ref.pos, rc.name,
+                 diag.operation_block(op.name))
+        for ref in op.delta.names
+        if ref.name not in state_names
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +355,8 @@ def analyze(spec: Specification) -> list[Diagnostic]:
         try:
             rc = resolve_inheritance(c, classes, cache)
         except (UnknownParentError, InheritanceCycleError) as e:
-            out.append(
-                Diagnostic(
-                    code=e.code,
-                    symbol=e.ref.name,
-                    line=e.ref.pos.line,
-                    column=e.ref.pos.column,
-                    class_name=c.name,
-                    block=diag.BLOCK_INHERITANCE,
-                    detail=e.detail,
-                )
-            )
+            out.append(_finding(e.code, e.ref.name, e.ref.pos, c.name,
+                                diag.BLOCK_INHERITANCE, e.detail))
             rc = _Resolution(c).resolved()  # local members only
 
         for scope in class_scopes(rc):

@@ -99,7 +99,8 @@ def same_ast(a, b) -> bool:
 
 def ast_both_ways(source: str):
     """The AST built on reduce, as ``check_source`` builds it, after checking
-    that the fold of the parse tree gives the same one."""
+    that ``build_ast`` gives the same one from the parse tree, whose
+    frontier it drives again."""
     tokens = tokenize(source)
     spec = parse_spec(tokens)
     assert same_ast(spec, build_ast(parse(tokens, oz_parse_table(), object_z_grammar())))

@@ -1,7 +1,9 @@
 """Command-line driver: exit codes, streams, dumps, determinism."""
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
 import io
 import itertools
 import os
@@ -274,3 +276,17 @@ def test_module_entry_point(corpus):
     )
     assert result.returncode == 1
     assert result.stdout.startswith("OZ-SYN-001")
+
+
+def test_names_the_benchmark_wraps_exist():
+    # perfbench/spans.py replaces these module attributes by name, among
+    # them imports of ozcheck.cli that the CLI itself never calls
+    spans = (TESTS_DIR.parent / "perfbench" / "spans.py").read_text(encoding="utf-8")
+    wrapped = next(
+        ast.literal_eval(node.value) for node in ast.parse(spans).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"])
+    assert wrapped
+    for module, attribute, _ in wrapped:
+        assert callable(getattr(importlib.import_module(module), attribute)), (
+            module, attribute)

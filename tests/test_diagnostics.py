@@ -1,6 +1,8 @@
 """Diagnostic rendering: human text, machine lines, locales."""
 from __future__ import annotations
 
+import hashlib
+
 from ozcheck import check_text
 from ozcheck.diagnostics import (
     CODE_CATALOG,
@@ -121,3 +123,59 @@ def test_french_rendering_of_other_codes():
     ds = check_text(corpus_text("delta_not_state_var.tex"))
     text = render_human(ds[0], locale="fr")
     assert "variable" in text and '"cste"' in text and "Ajouter" in text
+
+
+# ---------------------------------------------------------------------------
+# Every code in both locales, pinned
+
+
+# SHA-256 over ``rendering_transcript``: render_human and render_machine, in
+# English and French, of one diagnostic per code for each localization and
+# detail below.  Recorded before the semantic checks shared one constructor
+# for their findings; the text must not change.
+RENDERING_DIGEST = "1893d2ca1ca88a7c445938c7b3c3678c35b8c6c460941de9ed385d3fa53c0e53"
+
+LOCALIZATIONS = [
+    (None, None),
+    (None, "top-level"),
+    ("Queue", "state-schema"),
+    ("Queue", "operation(Join)"),
+    ("Queue", "operation"),
+    ("Queue", "inheritance"),
+]
+
+
+def rendering_transcript() -> str:
+    ds = [
+        Diagnostic(code, "x'", 3, 7, class_name, block, detail)
+        for code in sorted(CODE_CATALOG)
+        for class_name, block in LOCALIZATIONS
+        for detail in (None, "A -> B -> A")
+    ]
+    pieces = []
+    for locale in ("en", "fr"):
+        pieces += [render_human(d, locale=locale) + "\n" for d in ds]
+        pieces.append(render_machine(ds, locale=locale))
+    return "".join(pieces)
+
+
+def test_rendering_of_every_code_in_both_locales_is_pinned():
+    digest = hashlib.sha256(rendering_transcript().encode()).hexdigest()
+    assert digest == RENDERING_DIGEST
+
+
+def test_french_rendering_of_lexical_inheritance_and_top_level_errors():
+    def fr(code, class_name=None, block=None, detail=None):
+        return render_human(Diagnostic(code, "Z", 1, 2, class_name, block,
+                                       detail), locale="fr")
+
+    assert fr("OZ-LEX-001", detail="unsupported control character") == (
+        'Erreur lexicale : unité "Z" non reconnue.')
+    assert fr("OZ-INH-201", "A", "inheritance") == (
+        'Erreur dans la classe "A" : la classe héritée "Z" n\'est pas '
+        'définie.')
+    assert fr("OZ-INH-202", "A", "inheritance", "A -> Z -> A") == (
+        'Erreur dans la classe "A" : héritage circulaire (A -> Z -> A).')
+    assert fr("OZ-SYN-001", None, "top-level", '"["') == (
+        'Une erreur dans le niveau supérieur : la syntaxe est incorrecte et '
+        'ceci est causé par la chaîne "Z".')

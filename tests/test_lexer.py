@@ -41,7 +41,7 @@ def test_class_line():
 def test_empty_text_yields_only_end_marker():
     ts = tokenize("")
     assert kinds(ts) == [TokenKind.END_MARKER]
-    assert ts.end_marker.position == (0, 1, 1)
+    assert ts[-1].position == (0, 1, 1)
 
 
 def test_declaration_line():
@@ -265,7 +265,7 @@ def test_word_maps_to_generic_word_terminal():
 def test_end_marker_maps_to_dollar():
     g = object_z_grammar()
     ts = tokenize("")
-    assert terminal_of(ts.end_marker, g) is g.end_marker
+    assert terminal_of(ts[-1], g) is g.end_marker
 
 
 def test_commands_map_to_dedicated_terminals():

@@ -342,3 +342,40 @@ def naive_tokenize(source: str, lenient: bool = False):
         end = (0, 1, 1)
     tokens.append(("", "EndMarker", *end, None, ""))
     return tokens, None
+
+
+def naive_state_names(c, classes) -> set[str] | None:
+    """State-variable names of class ``c`` and every class it inherits from.
+
+    ``classes`` maps a parent name to its class.  The classes reachable from
+    ``c`` are collected breadth-first over parent names; the answer is
+    ``None`` when a reachable parent name is missing from ``classes`` or
+    when some reachable class reaches itself, and otherwise the union of the
+    reachable classes' own state-variable names.
+    """
+    def own(k):
+        return {d.name for d in k.state.declarations} if k.state else set()
+
+    def parents(k):
+        return [classes.get(r.name) for r in k.inherits]
+
+    reached = {id(c): c}
+    queue = deque([c])
+    while queue:
+        for p in parents(queue.popleft()):
+            if p is None:
+                return None
+            if id(p) not in reached:
+                reached[id(p)] = p
+                queue.append(p)
+    for k in reached.values():
+        seen: set[int] = set()
+        pending = parents(k)
+        while pending:
+            p = pending.pop()
+            if p is k:
+                return None
+            if id(p) not in seen:
+                seen.add(id(p))
+                pending.extend(parents(p))
+    return set().union(*(own(k) for k in reached.values()))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import importlib
+import inspect
 import io
 import itertools
 import os
@@ -290,3 +291,16 @@ def test_names_the_benchmark_wraps_exist():
     for module, attribute, _ in wrapped:
         assert callable(getattr(importlib.import_module(module), attribute)), (
             module, attribute)
+
+
+def test_keywords_the_benchmark_passes_to_run_config_exist():
+    # perfbench/worker.py builds one cli.RunConfig per file by keyword
+    worker = (TESTS_DIR.parent / "perfbench" / "worker.py").read_text(encoding="utf-8")
+    keywords = {
+        kw.arg for node in ast.walk(ast.parse(worker))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "RunConfig"
+        for kw in node.keywords
+    }
+    assert {"inputs", "lenient_lexing"} <= keywords
+    assert keywords <= set(inspect.signature(RunConfig).parameters)

@@ -2,10 +2,12 @@
 conventions.
 
 The input convention is whitespace separation: every lexical unit must be
-delimited by blanks, tabs or newlines.  ``tokenize`` splits the source on
-whitespace runs and classifies each unit.  A lenient mode additionally
-splits ``{ } [ ] ( ) , :`` glued to neighbouring units, for sources that do
-not follow the convention strictly.
+delimited by blanks, tabs or newlines.  ``tokenize`` scans each content line
+once with one compiled pattern: ``\\S+`` finds the units.  A lenient mode
+additionally splits ``{ } [ ] ( ) , :`` glued to neighbouring units, for
+sources that do not follow the convention strictly; its pattern never spans
+a blank, so the pieces it finds on a line are exactly the pieces of each
+blank-separated unit.
 
 A unit's classification depends only on its text, so ``tokenize`` classifies
 each distinct unit once per call and reuses the result for its repetitions.
@@ -15,7 +17,6 @@ may be processed concurrently.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -128,30 +129,32 @@ _ENV_RE = re.compile(r"\\(begin|end)\{([^{}]*)\}\Z")
 _COMMAND_RE = re.compile(r"\\[A-Za-z]+\Z")
 _NUMBER_RE = re.compile(r"[0-9]+\Z")
 _WORD_RE = re.compile(r"[^\W\d]\w*['?!]*\Z")
-_OPERATORS = frozenset({"=", "+", ",", "(", ")", ":"})
-_SINGLE = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
+# Unicode category Cc is exactly these two ranges
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+# (kind, name, decoration) of the lexemes whose text fixes their kind;
+# single backslashes appear in transcribed sources where \\ is meant
+_FIXED = {
+    "\\\\": (TokenKind.LINE_SEP, None, ""),
+    "\\": (TokenKind.LINE_SEP, None, ""),
+    "{": (TokenKind.LBRACE, None, ""),
+    "}": (TokenKind.RBRACE, None, ""),
+    "[": (TokenKind.LBRACKET, None, ""),
+    "]": (TokenKind.RBRACKET, None, ""),
+    **{op: (TokenKind.OPERATOR, None, "") for op in "=+,():"},
 }
-# lenient mode: peel punctuation glued to words, keeping \begin{...}/\end{...}
-# as single units
-_LENIENT_RE = re.compile(
-    r"\\(?:begin|end)\{[^{}]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+"
-)
-# a unit without any of these characters is a single lenient piece
-_GLUE_RE = re.compile(r"[{}\[\](),:]")
 
 
 def _classify(unit: str, line: int, column: int) -> tuple[TokenKind, str | None, str]:
     """Return (kind, env_or_command_name, decoration) for one unit."""
-    for ch in unit:
-        if unicodedata.category(ch) == "Cc":
-            raise LexError("unsupported control character", unit, line, column)
-    if unit == "\\\\" or unit == "\\":
-        # single backslashes appear in transcribed sources where \\ is meant
-        return TokenKind.LINE_SEP, None, ""
+    if _CONTROL_RE.search(unit):
+        raise LexError("unsupported control character", unit, line, column)
+    fixed = _FIXED.get(unit)
+    if fixed is not None:
+        return fixed
+    # the commonest kind first: a word never starts with \ or a digit
+    if _WORD_RE.fullmatch(unit):
+        base = unit.rstrip("'?!")
+        return TokenKind.WORD, None, unit[len(base):]
     if unit.startswith("\\begin{") or unit.startswith("\\end{"):
         m = _ENV_RE.fullmatch(unit)
         if not m or not m.group(2):
@@ -160,15 +163,8 @@ def _classify(unit: str, line: int, column: int) -> tuple[TokenKind, str | None,
         return kind, m.group(2), ""
     if _COMMAND_RE.fullmatch(unit):
         return TokenKind.COMMAND, unit[1:], ""
-    if unit in _SINGLE:
-        return _SINGLE[unit], None, ""
-    if unit in _OPERATORS:
-        return TokenKind.OPERATOR, None, ""
     if _NUMBER_RE.fullmatch(unit):
         return TokenKind.NUMBER, None, ""
-    if _WORD_RE.fullmatch(unit):
-        base = unit.rstrip("'?!")
-        return TokenKind.WORD, None, unit[len(base):]
     raise LexError(
         "cannot classify unit; lexical units must be whitespace-separated",
         unit,
@@ -209,6 +205,11 @@ def _content_lines(source: str) -> Iterator[tuple[int, str]]:
 
 
 _UNIT_RE = re.compile(r"\S+")
+# lenient mode: punctuation glued to words is a piece of its own, and
+# \begin{...}/\end{...} stay whole; no alternative matches a blank
+_PIECE_RE = re.compile(
+    r"\\(?:begin|end)\{[^{}\s]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+"
+)
 
 
 def tokenize(source: str, lenient: bool = False) -> TokenStream:
@@ -220,31 +221,28 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     """
     tokens: list[Token] = []
     append = tokens.append
-    # unit -> (kind, name, decoration); a unit that fails raises at its
+    # the NamedTuple constructors without their Python-level __new__ frame
+    new = tuple.__new__
+    finditer = (_PIECE_RE if lenient else _UNIT_RE).finditer
+    # piece -> (kind, name, decoration); a piece that fails raises at its
     # first occurrence and is never stored
     classes: dict[str, tuple[TokenKind, str | None, str]] = {}
+    index = 0
     for line_no, line in _content_lines(source):
-        for m in _UNIT_RE.finditer(line):
-            unit = m.group()
+        for m in finditer(line):
+            piece = m.group()
             column = m.start() + 1
-            if lenient and _GLUE_RE.search(unit):
-                pieces = [(p.group(), column + p.start())
-                          for p in _LENIENT_RE.finditer(unit)]
-            else:
-                pieces = ((unit, column),)
-            for piece, col in pieces:
-                found = classes.get(piece)
-                if found is None:
-                    found = classes[piece] = _classify(piece, line_no, col)
-                append(Token(piece, found[0],
-                             Position(len(tokens), line_no, col),
-                             found[1], found[2]))
+            found = classes.get(piece)
+            if found is None:
+                found = classes[piece] = _classify(piece, line_no, column)
+            append(new(Token, (piece, found[0],
+                               new(Position, (index, line_no, column)),
+                               found[1], found[2])))
+            index += 1
 
     if tokens:
         last = tokens[-1]
-        end_pos = Position(
-            len(tokens), last.line, last.column + len(last.lexeme)
-        )
+        end_pos = Position(index, last.line, last.column + len(last.lexeme))
     else:
         end_pos = Position(0, 1, 1)
     tokens.append(Token("", TokenKind.END_MARKER, end_pos))

@@ -1,9 +1,14 @@
 """Tokenizer: unit classification, positions, modes, and terminal mapping."""
 from __future__ import annotations
 
+import sys
+import unicodedata
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ozcheck import lexer
 from ozcheck.grammar import Grammar
 from ozcheck.lexer import (
     LexError,
@@ -14,6 +19,7 @@ from ozcheck.lexer import (
 )
 from ozcheck.ozgrammar import object_z_grammar
 
+from conftest import CORPUS
 from oracles import naive_tokenize
 
 
@@ -204,9 +210,11 @@ _glued = st.lists(_piece, min_size=2, max_size=3).map("".join)
 _odd = st.one_of(
     _glued,
     st.sampled_from(["\\begin{", "\\end{}", "\\begin{a{b}}", "\\begin{x(y}",
-                     "٣", "9x", "a\x07", "\x00", "\x7f", "\x1f", "%"]),
+                     "٣", "9x", "a\x07", "\x00", "\x7f", "\x1f", "%",
+                     "\\begin{a", "b}"]),
 )
-_blank = st.sampled_from([" ", "  ", "\t", "\n", "\n% note\n", "\n  "])
+_blank = st.sampled_from([" ", "  ", "\t", "\n", "\n% note\n", "\n  ",
+                          "\x85", "\xa0", "\u2028", "\r"])
 
 
 @pytest.mark.parametrize("lenient", [False, True])
@@ -233,6 +241,96 @@ def test_tokenize_agrees_with_naive_oracle(lenient, data):
     assert [
         (t.lexeme, t.kind.value, *t.position, t.name, t.decoration) for t in ts
     ] == expected
+
+
+def lexer_outcome(source: str, lenient: bool):
+    """What the lexer gives on ``source``, in the oracle's terms."""
+    try:
+        ts = tokenize(source, lenient=lenient)
+    except LexError as e:
+        return None, (e.reason, e.unit, e.line, e.column)
+    return [(t.lexeme, t.kind.value, *t.position, t.name, t.decoration)
+            for t in ts], None
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("source", [
+    "\\begin{a b}", "\\begin{ }", "\\end{class}}", "x:\\seq", "a,,b",
+    "a\x0bb", "a\x0cb", "a\x85b", "a\xa0b", "a\u2028b", "a\r\nb",
+    "\\begin{class}\x85{\xa0A\u2028}\r\n\\end{class}",
+])
+def test_lenient_edge_cases_agree_with_naive_oracle(source, lenient):
+    # an environment delimiter never spans a blank, and every Unicode blank
+    # (the ones str.isspace() knows) splits units, in both modes
+    assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
+
+
+_CC = [chr(c) for c in range(sys.maxunicode + 1)
+       if unicodedata.category(chr(c)) == "Cc"]
+
+
+def test_control_rule_is_unicode_category_cc():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert lexer._CONTROL_RE.findall(every) == _CC
+    assert len(_CC) == 65
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("ch", [ch for ch in _CC if not ch.isspace()],
+                         ids=lambda ch: f"U+{ord(ch):04X}")
+def test_each_control_character_is_rejected_at_its_unit(ch, lenient):
+    unit = f"ab{ch}cd"
+    with pytest.raises(LexError) as exc:
+        tokenize(f"ok\n  ok {unit} ok", lenient=lenient)
+    e = exc.value
+    assert (e.reason, e.unit, e.line, e.column) == (
+        "unsupported control character", unit, 2, 6)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("ch", ["\u00ad", "\u200b", "\ufeff"])
+def test_format_characters_are_not_control_characters(ch, lenient):
+    source = f"ok ab{ch}cd"
+    with pytest.raises(LexError) as exc:
+        tokenize(source, lenient=lenient)
+    assert exc.value.reason != "unsupported control character"
+    assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
+
+
+_MEMO_SOURCES = {
+    False: "a : \\nat \\\\\na : \\nat\n\\visibility ( a , b , a )\n",
+    True: "a:\\nat \\\\\na : \\nat\n\\visibility(a,b,a)\n",
+}
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_each_distinct_piece_is_classified_once_per_call(monkeypatch, lenient):
+    calls: Counter = Counter()
+    classify = lexer._classify
+
+    def counting(piece, line, column):
+        calls[piece] += 1
+        return classify(piece, line, column)
+
+    monkeypatch.setattr(lexer, "_classify", counting)
+    for _ in range(2):  # the memo lives for one call only
+        calls.clear()
+        ts = tokenize(_MEMO_SOURCES[lenient], lenient=lenient)
+        assert len(ts) == 16
+        assert calls == Counter({t.lexeme for t in ts if t.lexeme})
+
+    calls.clear()
+    with pytest.raises(LexError) as exc:
+        tokenize("ok 9x \nok 9x", lenient=lenient)
+    assert calls == Counter({"ok": 1, "9x": 1})
+    assert (exc.value.line, exc.value.column) == (1, 4)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("path", sorted(CORPUS.iterdir()), ids=lambda p: p.name)
+def test_corpus_tokenizes_as_naive_oracle(path, lenient):
+    source = path.read_text(encoding="utf-8")
+    assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
 
 
 def test_repeated_failing_unit_reports_its_first_occurrence():

@@ -25,7 +25,7 @@ def check_text(source: str, lenient: bool = False) -> list[Diagnostic]:
     Lexical and syntax failures yield a single diagnostic; otherwise the
     parsed specification is analyzed semantically.
     """
-    return cli.check_source(source, lenient)[0]
+    return cli.check_source(source, lenient)
 
 
 def check_file(path: str, lenient: bool = False) -> list[Diagnostic]:

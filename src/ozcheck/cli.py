@@ -1,15 +1,16 @@
 """Command-line entry point: lexer -> parser and AST -> semantic checks.
 
-Diagnostics and dumps go to standard output; usage and I/O failures go to
-the error stream with exit status 2.  Exit status is 0 only when every
-input file produced zero diagnostics, 1 otherwise.  An internal failure is
-reported on the error stream with exit status 3, so it is never mistaken
-for a finding.  The parse table is built once at startup and shared across
-all input files.
+Diagnostics, traces and dumps go to standard output; usage and I/O
+failures, an output that cannot be written among them, go to the error
+stream with exit status 2.  Exit status is 0 only when every input file
+produced zero diagnostics, 1 otherwise.  An internal failure is reported on
+the error stream with exit status 3, so it is never mistaken for a finding.
+The parse table is built once at startup and shared across all input files.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -17,9 +18,12 @@ from . import diagnostics as diag
 from .diagnostics import Diagnostic, render_human, render_machine
 from .grammar import dump_first_follow, format_grammar
 from .lexer import LexError, UnknownTokenError, tokenize
-# perfbench/spans.py wraps parse, parse_with_trace and build_ast here by name
+# perfbench/spans.py wraps parse, parse_with_trace, render_trace and
+# build_ast here by name; the CLI calls none of them: parse_spec builds the
+# AST in its one drive, and a TraceWriter streams the trace rows.
 from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
-from .parser import ParseError, parse, parse_with_trace, render_trace
+from .parser import (ParseError, TraceWriter, parse, parse_with_trace,
+                     render_trace)
 from .semantics import analyze
 
 EXIT_CLEAN = 0
@@ -45,25 +49,25 @@ class RunConfig:
 
 
 def check_source(
-    source: str, lenient: bool = False, want_trace: bool = False
-) -> tuple[list[Diagnostic], list]:
+    source: str, lenient: bool = False, trace: TraceWriter | None = None
+) -> list[Diagnostic]:
     """Run the full pipeline over one source text.
 
-    Returns the diagnostics, sorted by position, plus the parse trace
-    (empty unless requested).  One drive of the automaton builds the AST on
-    reduce, traced or not; no parse tree is built.  The first lexical or
-    syntax failure stops the pipeline for that source with one diagnostic;
-    semantic checks run only on parsed specifications.
+    Returns the diagnostics, sorted by position.  One drive of the
+    automaton builds the AST on reduce, traced or not; no parse tree is
+    built.  Unless ``trace`` is None the drive appends its rows to it as it
+    makes them, so a :class:`TraceWriter` writes the trace before the
+    diagnostics are known, and nothing if lexing fails or a token has no
+    terminal.  The first lexical or syntax failure stops the pipeline for
+    that source with one diagnostic; semantic checks run only on parsed
+    specifications.
     """
-    steps: list | None = [] if want_trace else None
     try:
         tokens = tokenize(source, lenient=lenient)
-        spec = parse_spec(tokens, steps)
-    except (LexError, UnknownTokenError) as e:
-        return [e.to_diagnostic()], []
-    except ParseError as e:
-        return [e.to_diagnostic()], steps or []
-    return analyze(spec), steps or []
+        spec = parse_spec(tokens, trace)
+    except (LexError, UnknownTokenError, ParseError) as e:
+        return [e.to_diagnostic()]
+    return analyze(spec)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -123,12 +127,8 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             print(f"ozcheck: cannot read {path}: not valid UTF-8", file=err)
             return EXIT_USAGE
 
-        diagnostics, steps = check_source(
-            source, lenient=cfg.lenient_lexing, want_trace=cfg.trace
-        )
-        if cfg.trace and steps:
-            out.write(f"# trace: {path}\n")
-            out.write(render_trace(steps))
+        rows = TraceWriter(out, f"# trace: {path}\n") if cfg.trace else None
+        diagnostics = check_source(source, cfg.lenient_lexing, rows)
         if diagnostics:
             any_diagnostics = True
         if cfg.format == "machine":
@@ -142,11 +142,31 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _main(argv)
+        status = _main(argv)
+        sys.stdout.flush()  # a closed output fails here, not at exit
+        return status
+    except OSError as e:  # run reports unreadable inputs; this is the output
+        _discard_stdout()
+        print(f"ozcheck: cannot write output: {e.strerror or e}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except Exception as e:  # last resort: a crash must not read as a finding
         print(f"ozcheck: internal error: {type(e).__name__}: {e}",
               file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _discard_stdout() -> None:
+    """Point the standard output at the null device, so the interpreter's
+    final flush of what could not be written fails no more (the SIGPIPE
+    note of the Python ``signal`` documentation)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _main(argv: list[str] | None) -> int:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
 from .lexer import Position, Token, TokenKind, TokenStream
-from .parser import TraceStep, TreeNode, _drive
+from .parser import TraceStep, TraceWriter, TreeNode, _drive
 
 OZ_GRAMMAR_TEXT = r"""
 # Object Z class specifications over LaTeX-level terminals.
@@ -435,13 +435,15 @@ def ast_actions() -> tuple:
     )
 
 
-def parse_spec(tokens: TokenStream,
-               trace: list[TraceStep] | None = None) -> Specification:
+def parse_spec(
+    tokens: TokenStream, trace: list[TraceStep] | TraceWriter | None = None
+) -> Specification:
     """Parse a token stream straight into its AST with the shipped grammar
     and table (the only ones the AST actions are indexed by).
 
     The AST actions run on reduce, so no parse tree is built.  Trace rows
-    are appended to ``trace`` unless it is None.  Raises what
+    are appended to ``trace`` unless it is None: a list keeps them, a
+    :class:`~ozcheck.parser.TraceWriter` writes each out.  Raises what
     :func:`ozcheck.parser.parse` raises.
     """
     return Specification(_reversed(_drive(

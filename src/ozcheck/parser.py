@@ -12,12 +12,16 @@ trace steps (the reduction itself and the goto) so traces show the same row
 structure as a textbook run.  A token's terminal depends only on its
 lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes and
 trace rows are immutable named tuples.  The trace is built only when asked
-for, and its cost is linear in the bytes it renders: the rows at one input
-position share one remaining-input string.  Its size grows with tokens
-times remaining input, because every row prints the rest of the input; it
-is quadratic in file length whatever the stack depth, and the ``entrée``
-column is most of it.  The (class, block) localization of a syntax error is
-replayed from the shifted tokens when the error occurs.
+for, and its cost is linear in the bytes it renders: the driver keeps the
+text of the current stack and one remaining-input string per input
+position, and hands each row to the trace's ``append``.  A list keeps the
+rows; a :class:`TraceWriter` writes each one out at once, so a streamed
+trace holds only the current stack text and one suffix of the input.  Its
+size grows with tokens times remaining input, because every row prints the
+rest of the input; it is quadratic in file length whatever the stack
+depth, and the ``entrée`` column is most of it.  The (class, block)
+localization of a syntax error is replayed from the shifted tokens when
+the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -72,12 +76,36 @@ class TraceStep(NamedTuple):
     state: int = -1
 
 
+_HEADER = "pile\tentrée\taction\n"
+
+
+def _row(step: TraceStep) -> str:
+    """A step's tab-separated pile, entrée and action columns."""
+    return f"{step.stack}\t{step.remaining}\t{step.text}\n"
+
+
 def render_trace(steps: list[TraceStep]) -> str:
     """Three tab-separated columns (pile, entrée, action), one row per step."""
-    pieces = ["pile\tentrée\taction\n"]
-    for s in steps:
-        pieces += (s.stack, "\t", s.remaining, "\t", s.text, "\n")
-    return "".join(pieces)
+    return "".join([_HEADER, *map(_row, steps)])
+
+
+class TraceWriter:
+    """A trace that keeps no rows: ``append`` writes each row through
+    ``out.write`` as the driver makes it, in the layout of :func:`render_trace`.
+
+    ``title`` and the column header go out just before the first row, so a
+    source that fails before the drive gets neither.
+    """
+
+    def __init__(self, out, title: str) -> None:
+        self._write = out.write
+        self._head = title + _HEADER
+
+    def append(self, step: TraceStep) -> None:
+        if self._head:
+            self._write(self._head)
+            self._head = ""
+        self._write(_row(step))
 
 
 class ParseError(Exception):
@@ -93,7 +121,7 @@ class ParseError(Exception):
         enclosing_class: str | None,
         enclosing_block: str | None,
         expected: tuple[str, ...],
-        trace: list[TraceStep] | None = None,
+        trace: list[TraceStep] | TraceWriter | None = None,
     ):
         self.offending = offending
         self.enclosing_class = enclosing_class
@@ -189,7 +217,8 @@ class BlockTracker:
 
 
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
-                  table: ParseTable, trace: list[TraceStep] | None,
+                  table: ParseTable,
+                  trace: list[TraceStep] | TraceWriter | None,
                   stack: str, remaining: str) -> ParseError:
     token = tokens[pos]
     expected = tuple(s.name for s in table.expected_terminals(state))
@@ -205,7 +234,7 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
-           actions: tuple, trace: list[TraceStep] | None):
+           actions: tuple, trace: list[TraceStep] | TraceWriter | None):
     """Run the automaton on the table's int cells; return the start symbol's
     value and append the trace rows to ``trace`` unless it is None.
 
@@ -229,12 +258,14 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     values: list = []
     stack = remaining = ""
     if trace is not None:
-        # One stack prefix per stack entry, in step with ``states``, and the
-        # remaining input joined once and sliced once per input position, by
-        # the shift that reaches it: the rows at one position share that
-        # suffix, and beyond it a shift or goto costs one new stack prefix.
+        # The text of the current stack, with the end offset of each stack
+        # entry's text in step with ``states``: a push appends one fragment
+        # and a pop slices back to the exposed entry's end.  The remaining
+        # input is joined once and sliced once per input position, by the
+        # shift that reaches it, so the rows at one position share it.
         productions, terminals = g.productions, table.term_columns
-        prefix = ["$ [0]"]
+        stack = "$ [0]"
+        ends = [len(stack)]
         reduce_texts: dict[int, str] = {}
         remaining = line = " ".join(
             [t.lexeme for t in tokens if t.lexeme] + ["$"])
@@ -244,14 +275,13 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     while True:
         cell = action_rows[states[-1]][cols[pos]]
         op = cell & 3
-        if trace is not None:
-            stack = prefix[-1]
         if op == 1:  # shift
             target = cell >> 2
             if trace is not None:
                 trace.append(TraceStep(stack, remaining, "shift",
                                        f"d{target}", state=target))
-                prefix.append(f"{stack} {terminals[cols[pos]].name} [{target}]")
+                stack += f" {terminals[cols[pos]].name} [{target}]"
+                ends.append(len(stack))
             states.append(target)
             values.append(toks[pos])
             pos += 1
@@ -278,8 +308,8 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             if n:
                 del states[-n:]
                 if trace is not None:
-                    del prefix[-n:]
-                    stack = prefix[-1]
+                    del ends[-n:]
+                    stack = stack[:ends[-1]]
             exposed = states[-1]
             target = goto_rows[exposed][head_col[p]]
             if target < 0:  # unreachable on a well-formed table
@@ -292,7 +322,8 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                     stack, remaining, "goto",
                     f"in {exposed} with {head}: go to {target}",
                     state=target))
-                prefix.append(f"{stack} [{target}]")
+                stack += f" [{target}]"
+                ends.append(len(stack))
             states.append(target)
         elif op == 3:  # accept
             if trace is not None:

@@ -87,6 +87,42 @@ _EN_MESSAGES = {
     INHERITANCE_CYCLE: "inheritance cycle: {detail}",
 }
 
+_FR_MESSAGES = {
+    SYNTAX_ERROR: (
+        "{where} : la syntaxe est incorrecte et ceci est causé par "
+        'la chaîne "{symbol}".'
+    ),
+    LEX_ERROR: 'Erreur lexicale : unité "{symbol}" non reconnue.',
+    CIRCULAR_DECL: (
+        'Erreur dans la classe "{cls}" : déclaration circulaire dans '
+        'l\'opération "{bare}" causée par la variable "{symbol}".'
+    ),
+    UNDEFINED_TYPE: (
+        'Erreur de type dans l\'opération "{bare}" de la classe '
+        '"{cls}". Le type "{symbol}" n\'est pas défini.'
+    ),
+    DUPLICATE_DECL: (
+        'Erreur dans la classe "{cls}" : la variable "{symbol}" est '
+        'déclarée plusieurs fois dans l\'opération "{bare}".'
+    ),
+    TYPE_NAME_CLASH: (
+        'Erreur dans la classe "{cls}" : la variable "{symbol}" '
+        "porte un nom réservé pour un type."
+    ),
+    DELTA_NOT_STATE_VAR: (
+        'Erreur dans la classe "{cls}" : la liste Δ de l\'opération '
+        '"{bare}" contient "{symbol}" qui n\'est pas une variable '
+        "d'état."
+    ),
+    UNKNOWN_PARENT: (
+        'Erreur dans la classe "{cls}" : la classe héritée '
+        '"{symbol}" n\'est pas définie.'
+    ),
+    INHERITANCE_CYCLE: (
+        'Erreur dans la classe "{cls}" : héritage circulaire ({detail}).'
+    ),
+}
+
 # French block names: (form with article, bare form).
 _FR_BLOCKS = {
     BLOCK_CLASS_HEADING: ("l'entête de la classe", "entête de la classe"),
@@ -129,55 +165,15 @@ def _render_human_en(d: Diagnostic) -> str:
 
 
 def _render_human_fr(d: Diagnostic) -> str:
+    template = _FR_MESSAGES.get(d.code)
+    if template is None:
+        return _render_human_en(d)
     cls = d.class_name
     article, bare = _fr_block(d.block)
-    if d.code == SYNTAX_ERROR:
-        head = f'Classe "{cls}", une erreur dans {article}' if cls else (
-            f"Une erreur dans {article}"
-        )
-        return (
-            f"{head} : la syntaxe est incorrecte et ceci est causé par "
-            f'la chaîne "{d.symbol}".'
-        )
-    if d.code == LEX_ERROR:
-        return f'Erreur lexicale : unité "{d.symbol}" non reconnue.'
-    if d.code == CIRCULAR_DECL:
-        return (
-            f'Erreur dans la classe "{cls}" : déclaration circulaire dans '
-            f'l\'opération "{bare}" causée par la variable "{d.symbol}".'
-        )
-    if d.code == UNDEFINED_TYPE:
-        return (
-            f'Erreur de type dans l\'opération "{bare}" de la classe '
-            f'"{cls}". Le type "{d.symbol}" n\'est pas défini.'
-        )
-    if d.code == DUPLICATE_DECL:
-        return (
-            f'Erreur dans la classe "{cls}" : la variable "{d.symbol}" est '
-            f'déclarée plusieurs fois dans l\'opération "{bare}".'
-        )
-    if d.code == TYPE_NAME_CLASH:
-        return (
-            f'Erreur dans la classe "{cls}" : la variable "{d.symbol}" '
-            f"porte un nom réservé pour un type."
-        )
-    if d.code == DELTA_NOT_STATE_VAR:
-        return (
-            f'Erreur dans la classe "{cls}" : la liste Δ de l\'opération '
-            f'"{bare}" contient "{d.symbol}" qui n\'est pas une variable '
-            f"d'état."
-        )
-    if d.code == UNKNOWN_PARENT:
-        return (
-            f'Erreur dans la classe "{cls}" : la classe héritée '
-            f'"{d.symbol}" n\'est pas définie.'
-        )
-    if d.code == INHERITANCE_CYCLE:
-        return (
-            f'Erreur dans la classe "{cls}" : héritage circulaire '
-            f"({d.detail})."
-        )
-    return _render_human_en(d)
+    where = (f'Classe "{cls}", une erreur dans {article}' if cls
+             else f"Une erreur dans {article}")
+    return template.format(where=where, cls=cls, bare=bare,
+                           symbol=d.symbol, detail=d.detail)
 
 
 def render_human(d: Diagnostic, locale: str = "en") -> str:

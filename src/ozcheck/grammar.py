@@ -296,8 +296,9 @@ def canonical_collection(g: Grammar) -> ItemSetCollection:
     """Build the canonical collection breadth-first.
 
     State 0 is the closure of ``start' -> · start``.  New states are
-    numbered in discovery order, visiting the outgoing symbols of each state
-    in registration order, which makes the numbering reproducible.
+    numbered in discovery order, visiting the symbols after a dot in each
+    state in registration (id) order, which makes the numbering
+    reproducible; no other symbol has a goto.
     """
     start_state = closure([Item(0, 0)], g)
     states = [start_state]
@@ -308,10 +309,9 @@ def canonical_collection(g: Grammar) -> ItemSetCollection:
     while queue:
         i = queue.popleft()
         state = states[i]
-        for sym in g.symbols:
+        dotted = {item.next_symbol(g) for item in state} - {None}
+        for sym in sorted(dotted, key=lambda s: s.id):
             target = goto_set(state, sym, g)
-            if not target:
-                continue
             j = index.get(target)
             if j is None:
                 j = len(states)
@@ -400,17 +400,9 @@ class ParseTable:
             self.nonterm_index.get(p.head.id, -1) for p in grammar.productions
         ]
 
-    @property
-    def n_terminals(self) -> int:
-        return len(self.term_columns)
-
-    @property
-    def n_nonterminals(self) -> int:
-        return len(self.nonterm_columns)
-
     def dimensions(self) -> tuple[int, int]:
         """(rows, columns) of the combined ACTION+GOTO table."""
-        return (self.n_states, self.n_terminals + self.n_nonterminals)
+        return (self.n_states, len(self.term_columns) + len(self.nonterm_columns))
 
     def expected_terminals(self, state: int) -> list[Symbol]:
         """Terminals with a non-error entry in ``state``, sorted by name."""
@@ -428,8 +420,8 @@ class ParseTable:
         out = [
             f"# productions: {len(self.grammar.productions)} (including augmentation)",
             f"# table: {rows}x{cols} "
-            f"({rows} states, {self.n_terminals} terminals, "
-            f"{self.n_nonterminals} nonterminals)",
+            f"({rows} states, {len(self.term_columns)} terminals, "
+            f"{len(self.nonterm_columns)} nonterminals)",
         ]
         header = ["state"]
         header += [s.name for s in self.term_columns]

@@ -45,10 +45,6 @@ class TreeNode(NamedTuple):
     children: tuple["TreeNode", ...] = ()
     token: Token | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
     def frontier(self) -> tuple[Token, ...]:
         """Terminal tokens of the subtree, left to right."""
         out: list[Token] = []

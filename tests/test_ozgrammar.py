@@ -19,11 +19,11 @@ from ozcheck.ozgrammar import (
     object_z_grammar,
     oz_parse_table,
     parse_spec,
-    render_tokens,
 )
 from ozcheck.parser import ParseError, parse, parse_with_trace
 
 from conftest import ast_both_ways, corpus_text, same_ast
+from render import render_tokens
 
 
 def parse_text(source: str):

@@ -249,7 +249,7 @@ def test_tree_nodes_are_immutable():
     table, g = oz()
     tree = parse(tokenize(corpus_text("empty_class.tex")), table, g)
     leaf = tree.children[0].children[0]
-    assert leaf.is_leaf and not tree.is_leaf
+    assert leaf.token is not None and tree.token is None
     for node in (tree, leaf):
         with pytest.raises(AttributeError):
             node.children = ()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,10 @@ from ozcheck.grammar import (
     Grammar,
     ParseTable,
     build_table,
+    canonical_collection,
     compute_first,
     compute_follow,
+    goto_set,
 )
 from ozcheck.lexer import tokenize
 from ozcheck.ozgrammar import object_z_grammar
@@ -128,6 +131,16 @@ def test_table_construction_is_deterministic_on_random_grammars():
         else:
             assert not isinstance(t2, ParseTable)
             assert t1.describe() == t2.describe()
+
+
+def test_collection_has_a_transition_exactly_where_goto_is_non_empty():
+    grammars = [case.grammar for case in generate_cases(seed=987003, count=25)]
+    for g in grammars + [object_z_grammar()]:
+        coll = canonical_collection(g)
+        for (i, state), x in product(enumerate(coll.states), g.symbols):
+            j = coll.transitions.get((i, x.id))
+            expected = frozenset() if j is None else coll.states[j]
+            assert goto_set(state, x, g) == expected, (g, i, x.name)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def check_text(source: str, lenient: bool = False) -> list[Diagnostic]:
 
 def check_file(path: str, lenient: bool = False) -> list[Diagnostic]:
     """Check one file; see :func:`check_text`."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return check_text(fh.read(), lenient=lenient)
 
 

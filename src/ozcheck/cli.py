@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import diagnostics as diag
 from .diagnostics import Diagnostic, render_human, render_machine
@@ -32,20 +31,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
 class RunConfig:
-    inputs: list[str] = field(default_factory=list)
-    trace: bool = False
-    dump_table: bool = False
-    dump_grammar: bool = False
-    dump_first_follow: bool = False
-    format: str = "text"
-    locale: str = "en"
-    lenient_lexing: bool = False
-
-    @property
-    def has_dump(self) -> bool:
-        return self.dump_table or self.dump_grammar or self.dump_first_follow
+    def __init__(self, inputs: list[str] | None = None, trace: bool = False,
+                 dump_table: bool = False, dump_grammar: bool = False,
+                 dump_first_follow: bool = False, format: str = "text",
+                 locale: str = "en", lenient_lexing: bool = False) -> None:
+        self.inputs = [] if inputs is None else inputs
+        self.trace = trace
+        self.dump_table = dump_table
+        self.dump_grammar = dump_grammar
+        self.dump_first_follow = dump_first_follow
+        self.format = format
+        self.locale = locale
+        self.lenient_lexing = lenient_lexing
 
 
 def check_source(
@@ -101,7 +99,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
 
-    if not cfg.inputs and not cfg.has_dump:
+    if not (cfg.inputs or cfg.dump_table or cfg.dump_grammar or cfg.dump_first_follow):
         print("usage: at least one input file is required", file=err)
         return EXIT_USAGE
     if cfg.format not in ("text", "machine") or cfg.locale not in ("en", "fr"):
@@ -118,7 +116,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     any_diagnostics = False
     for path in cfg.inputs:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 source = fh.read()
         except OSError as e:
             print(f"ozcheck: cannot read {path}: {e.strerror}", file=err)
@@ -172,21 +170,12 @@ def _discard_stdout() -> None:
 def _main(argv: list[str] | None) -> int:
     parser = build_arg_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = vars(parser.parse_args(argv))
     except SystemExit as e:
         # argparse exits 2 on bad flags and 0 on --help; keep the contract
         return int(e.code or 0)
-    cfg = RunConfig(
-        inputs=list(ns.inputs),
-        trace=ns.trace,
-        dump_table=ns.dump_table,
-        dump_grammar=ns.dump_grammar,
-        dump_first_follow=ns.dump_first_follow,
-        format=ns.format,
-        locale=ns.locale,
-        lenient_lexing=ns.lenient,
-    )
-    return run(cfg)
+    # every option is named after its RunConfig field except --lenient
+    return run(RunConfig(lenient_lexing=ns.pop("lenient"), **ns))
 
 
 if __name__ == "__main__":

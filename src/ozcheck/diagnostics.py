@@ -5,9 +5,9 @@ and a three-level localization: the class it occurred in, the block inside
 that class, and the offending symbol.  Rendering is a pure function of the
 diagnostic, so identical findings always produce identical text.
 """
-from __future__ import annotations
+from typing import NamedTuple
 
-from dataclasses import dataclass
+from .records import record
 
 # Stable diagnostic codes (public contract).
 LEX_ERROR = "OZ-LEX-001"
@@ -47,8 +47,8 @@ def operation_block(name: str | None) -> str:
     return f"operation({name})" if name else "operation"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@record()
+class Diagnostic(NamedTuple):
     """A coded finding with (class, block, symbol) localization.
 
     ``detail`` carries the code-specific extra datum (the declared variable

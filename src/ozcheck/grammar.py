@@ -10,12 +10,11 @@ the same table.
 Everything here is a pure function of its inputs; grammars and tables are
 immutable once built and safe to share between concurrent parsers.
 """
-from __future__ import annotations
-
 import re
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from .records import record
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -26,8 +25,8 @@ class GrammarError(ValueError):
     """Raised for structurally invalid grammars or interchange text."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+@record()
+class Symbol(NamedTuple):
     """A grammar symbol; ``id`` is its position in the registration order."""
 
     id: int
@@ -42,8 +41,8 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True)
-class Production:
+@record()
+class Production(NamedTuple):
     """``head -> body``; index 0 is reserved for the augmentation."""
 
     index: int
@@ -158,8 +157,8 @@ class Grammar:
         )
 
 
-@dataclass(frozen=True)
-class Item:
+@record()
+class Item(NamedTuple):
     """LR(0) item: a production index and a dot position in its body."""
 
     production: int
@@ -284,12 +283,13 @@ def goto_set(items: Iterable[Item], x: Symbol, g: Grammar) -> frozenset[Item]:
     return closure(kernel, g)
 
 
-@dataclass
 class ItemSetCollection:
     """Canonical LR(0) collection: numbered states plus goto transitions."""
 
-    states: list[frozenset[Item]]
-    transitions: dict[tuple[int, int], int]
+    def __init__(self, states: list[frozenset[Item]],
+                 transitions: dict[tuple[int, int], int]) -> None:
+        self.states = states
+        self.transitions = transitions
 
 
 def canonical_collection(g: Grammar) -> ItemSetCollection:
@@ -338,23 +338,23 @@ def render_cell(cell: int) -> str:
     return "acc"
 
 
-@dataclass(frozen=True)
-class Conflict:
+@record()
+class Conflict(NamedTuple):
     state: int
     terminal: Symbol
     actions: tuple[int, ...]  # the distinct ACTION cells, in placement order
     items: tuple[Item, ...]
 
 
-@dataclass
 class ConflictReport:
     """Every table cell that received two distinct actions.
 
     Non-empty exactly when the grammar is not SLR(1).
     """
 
-    grammar: Grammar
-    conflicts: list[Conflict]
+    def __init__(self, grammar: Grammar, conflicts: list[Conflict]) -> None:
+        self.grammar = grammar
+        self.conflicts = conflicts
 
     def describe(self) -> str:
         lines = [f"{len(self.conflicts)} SLR(1) conflict(s):"]

@@ -14,14 +14,12 @@ each distinct unit once per call and reuses the result for its repetitions.
 Tokens are immutable named tuples.  Tokenizing is pure; independent sources
 may be processed concurrently.
 """
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import diagnostics as diag
+from .records import record
 
 if TYPE_CHECKING:
     from .grammar import Grammar, Symbol
@@ -71,20 +69,18 @@ class Token(NamedTuple):
         return self.lexeme
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    """Tokens of one source, terminated by exactly one EndMarker."""
+@record()
+class TokenStream(tuple):
+    """The tokens of one source, as a tuple ending in exactly one EndMarker."""
 
-    tokens: tuple[Token, ...]
+    __slots__ = ()
 
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
+    def __new__(cls, tokens: tuple[Token, ...]) -> "TokenStream":
+        return tuple.__new__(cls, tokens)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(self)
 
 
 class LexError(Exception):
@@ -96,13 +92,8 @@ class LexError(Exception):
         self.column = column
 
     def to_diagnostic(self) -> diag.Diagnostic:
-        return diag.Diagnostic(
-            code=diag.LEX_ERROR,
-            symbol=self.unit,
-            line=self.line,
-            column=self.column,
-            detail=self.reason,
-        )
+        return diag.Diagnostic(diag.LEX_ERROR, self.unit, self.line, self.column,
+                               detail=self.reason)
 
 
 class UnknownTokenError(Exception):
@@ -116,13 +107,9 @@ class UnknownTokenError(Exception):
         self.token = token
 
     def to_diagnostic(self) -> diag.Diagnostic:
-        return diag.Diagnostic(
-            code=diag.LEX_ERROR,
-            symbol=self.token.lexeme,
-            line=self.token.line,
-            column=self.token.column,
-            detail=f'the unit "{self.token.lexeme}" is not part of the input vocabulary',
-        )
+        t = self.token
+        return diag.Diagnostic(diag.LEX_ERROR, t.lexeme, t.line, t.column, detail=(
+            f'the unit "{t.lexeme}" is not part of the input vocabulary'))
 
 
 _ENV_RE = re.compile(r"\\(begin|end)\{([^{}]*)\}\Z")

@@ -21,15 +21,14 @@ yacc's ``$$ = f($1..$n)``).  :func:`build_ast` gets the AST of a parse
 tree from :func:`ozcheck.parser.parse` by driving the tree's frontier
 through :func:`parse_spec`, so the actions have one evaluator, the driver.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
 from .lexer import Position, Token, TokenKind, TokenStream
 from .parser import TraceStep, TraceWriter, TreeNode, _drive
+from .records import record
 
 OZ_GRAMMAR_TEXT = r"""
 # Object Z class specifications over LaTeX-level terminals.
@@ -145,12 +144,12 @@ def oz_parse_table() -> ParseTable:
 # AST
 
 
-@dataclass(frozen=True)
-class NameRef:
+@record("pos")
+class NameRef(NamedTuple):
     """An identifier occurrence with its source position."""
 
     name: str
-    pos: Position = field(compare=False)
+    pos: Position
 
 
 class BuiltinKind(Enum):
@@ -161,8 +160,8 @@ class BuiltinKind(Enum):
     SEQUENCE = "\\seq"
 
 
-@dataclass(frozen=True)
-class BuiltinType:
+@record()
+class BuiltinType(NamedTuple):
     """A builtin type; ``\\pset``, ``\\fset`` and ``\\seq`` take an argument.
 
     The only AST node that nests itself, as deep as the input says, so
@@ -174,7 +173,7 @@ class BuiltinType:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not BuiltinType:
-            return NotImplemented
+            return False
         a, b = self, other
         while a.__class__ is BuiltinType and b.__class__ is BuiltinType:
             if a.kind is not b.kind:
@@ -191,14 +190,14 @@ class BuiltinType:
         return hash((tuple(kinds), t))
 
 
-@dataclass(frozen=True)
-class NamedType:
+@record("pos")
+class NamedType(NamedTuple):
     name: str
-    pos: Position = field(compare=False)
+    pos: Position
 
 
-@dataclass(frozen=True)
-class ProductType:
+@record()
+class ProductType(NamedTuple):
     parts: tuple["TypeExpr", ...]
 
 
@@ -219,15 +218,15 @@ def named_leaves(t: TypeExpr):
             pending.extend(reversed(t.parts))
 
 
-@dataclass(frozen=True)
-class Declaration:
+@record("pos")
+class Declaration(NamedTuple):
     name: str
     type_expr: TypeExpr
-    pos: Position = field(compare=False)
+    pos: Position
 
 
-@dataclass(frozen=True)
-class PredicateLine:
+@record()
+class PredicateLine(NamedTuple):
     """An opaque, well-formed predicate as its token sequence."""
 
     tokens: tuple[Token, ...]
@@ -247,37 +246,37 @@ class PredicateLine:
         return hash(self.text)
 
 
-@dataclass(frozen=True)
-class SchemaBlock:
+@record()
+class SchemaBlock(NamedTuple):
     label: str  # "state" or "init"
     declarations: tuple[Declaration, ...]
     predicates: tuple[PredicateLine, ...]
 
 
-@dataclass(frozen=True)
-class DeltaList:
+@record()
+class DeltaList(NamedTuple):
     kind: str  # "Delta" or "Xi"
     names: tuple[NameRef, ...]
 
 
-@dataclass(frozen=True)
-class OperationSchema:
+@record("name_pos")
+class OperationSchema(NamedTuple):
     name: str
-    name_pos: Position = field(compare=False)
+    name_pos: Position
     delta: DeltaList | None = None
     declarations: tuple[Declaration, ...] = ()
     predicates: tuple[PredicateLine, ...] = ()
 
 
-@dataclass(frozen=True)
-class GivenTypeDecl:
+@record()
+class GivenTypeDecl(NamedTuple):
     names: tuple[NameRef, ...]
 
 
-@dataclass(frozen=True)
-class ClassDef:
+@record("name_pos")
+class ClassDef(NamedTuple):
     name: str
-    name_pos: Position = field(compare=False)
+    name_pos: Position
     generic_params: tuple[NameRef, ...] = ()
     visibility: tuple[NameRef, ...] | None = None
     inherits: tuple[NameRef, ...] = ()
@@ -287,8 +286,8 @@ class ClassDef:
     operations: tuple[OperationSchema, ...] = ()
 
 
-@dataclass(frozen=True)
-class Specification:
+@record()
+class Specification(NamedTuple):
     paragraphs: tuple[GivenTypeDecl | ClassDef, ...]
 
     @property

@@ -26,8 +26,6 @@ the error occurs.
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -130,15 +128,9 @@ class ParseError(Exception):
 
     def to_diagnostic(self) -> diag.Diagnostic:
         expected = ", ".join(f'"{name}"' for name in self.expected)
-        return diag.Diagnostic(
-            code=diag.SYNTAX_ERROR,
-            symbol=self.symbol,
-            line=self.offending.line,
-            column=self.offending.column,
-            class_name=self.enclosing_class,
-            block=self.enclosing_block,
-            detail=expected,
-        )
+        return diag.Diagnostic(diag.SYNTAX_ERROR, self.symbol, self.offending.line,
+                               self.offending.column, self.enclosing_class,
+                               self.enclosing_block, expected)
 
 
 class BlockTracker:

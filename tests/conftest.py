@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -79,20 +78,21 @@ def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
 
 def same_ast(a, b) -> bool:
     """``==`` that also compares what the AST's ``==`` ignores: the source
-    positions and the tokens of predicate lines.  Loops, never recurses."""
+    positions and the tokens of predicate lines, by walking every named
+    tuple through its own field names.  Loops, never recurses."""
     pending = [(a, b)]
     while pending:
         x, y = pending.pop()
         if x.__class__ is not y.__class__:
             return False
-        if is_dataclass(x):
-            pending.extend((getattr(x, f.name), getattr(y, f.name))
-                           for f in fields(x))
+        names = getattr(x, "_fields", None)  # AST nodes, tokens, positions
+        if names is not None:
+            pending.extend((getattr(x, f), getattr(y, f)) for f in names)
         elif x.__class__ is tuple:
             if len(x) != len(y):
                 return False
             pending.extend(zip(x, y))
-        elif x != y:  # tokens and positions are flat named tuples
+        elif x != y:
             return False
     return True
 

@@ -198,6 +198,22 @@ def test_lex_error_reported_as_diagnostic(tmp_path):
     assert out.startswith("OZ-LEX-001\t")
 
 
+def test_byte_order_mark_is_read_as_no_text(corpus, tmp_path, monkeypatch):
+    for name in sorted(p.name for p in corpus.glob("*.tex")):
+        text = (corpus / name).read_bytes()
+        for folder, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / folder).mkdir(exist_ok=True)
+            (tmp_path / folder / name).write_bytes(data)
+        runs = {}
+        for folder in ("plain", "bom"):
+            monkeypatch.chdir(tmp_path / folder)
+            runs[folder] = [
+                invoke(RunConfig(inputs=[name], format=fmt, trace=True))
+                for fmt in ("text", "machine")
+            ] + [ozcheck.check_file(name)]
+        assert runs["bom"] == runs["plain"], name
+
+
 def test_runs_are_byte_identical(corpus):
     cfg = RunConfig(
         inputs=sorted(str(p) for p in corpus.glob("*.tex")),

@@ -133,6 +133,17 @@ def test_multi_name_given_type_paragraph():
     assert [r.name for r in spec.paragraphs[0].names] == ["Message", "Frame"]
 
 
+def test_same_ast_compares_what_equality_ignores():
+    a, b = parse_spec(tokenize("[ Message ]")), parse_spec(tokenize("[  Message ]"))
+    assert a.paragraphs[0].names[0].pos != b.paragraphs[0].names[0].pos
+    assert a == b and hash(a) == hash(b)
+    assert same_ast(a, parse_spec(tokenize("[ Message ]")))
+    assert not same_ast(a, b)
+    init = "\\begin{class} { C } \\begin{init} x = %s 1 \\end{init} \\end{class}"
+    a, b = parse_spec(tokenize(init % "")), parse_spec(tokenize(init % " "))
+    assert a == b and not same_ast(a, b)  # the predicate's tokens moved
+
+
 def test_type_expressions():
     src = (
         "\\begin{class} { T }\n\\begin{state}\n"

@@ -1,11 +1,11 @@
 """Context-free grammars and SLR(1) parse table construction.
 
-The pipeline is the classical one: FIRST/FOLLOW fixpoints, LR(0) item set
-closure and goto, the canonical collection built breadth-first, then an
-ACTION/GOTO table with reduce actions gated by FOLLOW sets.  Construction is
-deterministic: states are numbered in breadth-first discovery order and
-symbols are visited in registration order, so the same grammar always yields
-the same table.
+The pipeline is the classical one: FIRST/FOLLOW fixpoints, closure and goto
+over int LR(0) items, the canonical collection built breadth-first, then one
+(state x symbol id) table, ACTION and GOTO alike, with reduce actions gated
+by FOLLOW sets.  Construction is deterministic: states are numbered in
+breadth-first discovery order and symbols are visited in registration
+order, so the same grammar always yields the same table.
 
 Everything here is a pure function of its inputs; grammars and tables are
 immutable once built and safe to share between concurrent parsers.
@@ -62,6 +62,14 @@ class Grammar:
     implicit: production 0 ``start' -> start`` is added here, and the end
     marker ``$`` is always registered, so callers never construct a
     malformed accept configuration themselves.
+
+    An LR(0) item is an int, laid out production by production as in
+    Bison's ``ritem``: item ``first_item[p] + dot`` has its dot before body
+    position ``dot`` of production ``p``, so int order is (production, dot)
+    order and item 0 is ``start' -> · start``.  ``item_symbol[i]`` is the id
+    of the symbol after the dot, or -1 at the end of the body;
+    ``item_production[i]`` is the item's production; ``head_items[s]`` are
+    the dot-0 items of the productions of symbol ``s`` (none for a terminal).
     """
 
     def __init__(
@@ -78,9 +86,15 @@ class Grammar:
         self.augmented_start = augmented_start
         self.end_marker = end_marker
         self._by_name = {s.name: s for s in symbols}
-        self._prods_for: dict[int, list[Production]] = {}
+        self.first_item: list[int] = []
+        self.item_symbol: list[int] = []
+        self.item_production: list[int] = []
+        self.head_items: list[list[int]] = [[] for _ in symbols]
         for p in productions:
-            self._prods_for.setdefault(p.head.id, []).append(p)
+            self.first_item.append(len(self.item_symbol))
+            self.head_items[p.head.id].append(len(self.item_symbol))
+            self.item_symbol += [s.id for s in p.body] + [-1]
+            self.item_production += [p.index] * (len(p.body) + 1)
 
     @classmethod
     def build(
@@ -147,32 +161,11 @@ class Grammar:
     def nonterminals(self) -> list[Symbol]:
         return [s for s in self.symbols if not s.is_terminal]
 
-    def productions_for(self, head: Symbol) -> list[Production]:
-        return self._prods_for.get(head.id, [])
-
     def __repr__(self) -> str:
         return (
             f"<Grammar start={self.start.name} "
             f"{len(self.productions)} productions>"
         )
-
-
-@record()
-class Item(NamedTuple):
-    """LR(0) item: a production index and a dot position in its body."""
-
-    production: int
-    dot: int
-
-    def next_symbol(self, g: Grammar) -> Symbol | None:
-        body = g.productions[self.production].body
-        return body[self.dot] if self.dot < len(body) else None
-
-    def render(self, g: Grammar) -> str:
-        p = g.productions[self.production]
-        names = [s.name for s in p.body]
-        names.insert(self.dot, "·")
-        return f"{p.head.name} -> {' '.join(names)}"
 
 
 class FirstSets:
@@ -254,39 +247,43 @@ def compute_follow(g: Grammar, first: FirstSets) -> dict[int, frozenset[int]]:
     return {i: frozenset(v) for i, v in follow.items()}
 
 
-def closure(items: Iterable[Item], g: Grammar) -> frozenset[Item]:
-    """Close an item set under nonterminal expansion at the dot."""
-    out: set[Item] = set(items)
-    work = deque(out)
+def render_item(item: int, g: Grammar) -> str:
+    """``A -> α · β`` for an LR(0) item of ``g``."""
+    p = g.productions[g.item_production[item]]
+    names = [s.name for s in p.body]
+    names.insert(item - g.first_item[p.index], "·")
+    return f"{p.head.name} -> {' '.join(names)}"
+
+
+def closure(items: Iterable[int], g: Grammar) -> frozenset[int]:
+    """Close a set of int LR(0) items (see :class:`Grammar`) under
+    nonterminal expansion at the dot: each symbol after a dot brings in its
+    dot-0 items once; -1, the dot at the end, brings in nothing."""
+    after, head_items = g.item_symbol, g.head_items
+    out = set(items)
+    work = list(out)
+    expanded = {-1}
     while work:
-        item = work.popleft()
-        sym = item.next_symbol(g)
-        if sym is None or sym.is_terminal:
-            continue
-        for p in g.productions_for(sym):
-            new = Item(p.index, 0)
-            if new not in out:
-                out.add(new)
-                work.append(new)
+        sym = after[work.pop()]
+        if sym not in expanded:
+            expanded.add(sym)
+            out.update(head_items[sym])
+            work += head_items[sym]
     return frozenset(out)
 
 
-def goto_set(items: Iterable[Item], x: Symbol, g: Grammar) -> frozenset[Item]:
+def goto_set(items: Iterable[int], x: Symbol, g: Grammar) -> frozenset[int]:
     """Advance every item whose dot precedes ``x`` and close the result."""
-    kernel = [
-        Item(i.production, i.dot + 1)
-        for i in items
-        if i.next_symbol(g) is x
-    ]
-    if not kernel:
-        return frozenset()
-    return closure(kernel, g)
+    after, sid = g.item_symbol, x.id
+    kernel = [item + 1 for item in items if after[item] == sid]
+    return closure(kernel, g) if kernel else frozenset()
 
 
 class ItemSetCollection:
-    """Canonical LR(0) collection: numbered states plus goto transitions."""
+    """Canonical LR(0) collection: numbered states, each a frozenset of int
+    items, plus the goto transitions keyed by (state, symbol id)."""
 
-    def __init__(self, states: list[frozenset[Item]],
+    def __init__(self, states: list[frozenset[int]],
                  transitions: dict[tuple[int, int], int]) -> None:
         self.states = states
         self.transitions = transitions
@@ -300,31 +297,33 @@ def canonical_collection(g: Grammar) -> ItemSetCollection:
     state in registration (id) order, which makes the numbering
     reproducible; no other symbol has a goto.
     """
-    start_state = closure([Item(0, 0)], g)
+    after = g.item_symbol
+    start_state = closure([0], g)
     states = [start_state]
-    index: dict[frozenset[Item], int] = {start_state: 0}
+    index: dict[frozenset[int], int] = {start_state: 0}
     transitions: dict[tuple[int, int], int] = {}
 
     queue = deque([0])
     while queue:
         i = queue.popleft()
         state = states[i]
-        dotted = {item.next_symbol(g) for item in state} - {None}
-        for sym in sorted(dotted, key=lambda s: s.id):
-            target = goto_set(state, sym, g)
+        dotted = {after[item] for item in state}
+        dotted.discard(-1)
+        for sid in sorted(dotted):
+            target = goto_set(state, g.symbols[sid], g)
             j = index.get(target)
             if j is None:
                 j = len(states)
                 states.append(target)
                 index[target] = j
                 queue.append(j)
-            transitions[(i, sym.id)] = j
+            transitions[(i, sid)] = j
     return ItemSetCollection(states, transitions)
 
 
-# An ACTION cell is an int: 0 is the error entry, ``target*4 + SHIFT`` a
-# shift to a state, ``production*4 + REDUCE`` a reduce by a production and
-# ``ACCEPT`` the accept.
+# A table cell is an int: 0 is the error entry, ``target*4 + SHIFT`` a
+# shift to a state (a goto in a nonterminal's column), ``production*4 +
+# REDUCE`` a reduce by a production and ``ACCEPT`` the accept.
 SHIFT, REDUCE, ACCEPT = 1, 2, 3
 
 
@@ -343,7 +342,7 @@ class Conflict(NamedTuple):
     state: int
     terminal: Symbol
     actions: tuple[int, ...]  # the distinct ACTION cells, in placement order
-    items: tuple[Item, ...]
+    items: tuple[int, ...]  # the LR(0) item behind each placement
 
 
 class ConflictReport:
@@ -364,20 +363,19 @@ class ConflictReport:
                 f"  state {c.state} on {c.terminal.name!r}: {acts}"
             )
             for item in c.items:
-                lines.append(f"    from {item.render(self.grammar)}")
+                lines.append(f"    from {render_item(item, self.grammar)}")
         return "\n".join(lines)
 
 
 class ParseTable:
-    """Dense ACTION/GOTO tables over (state x symbol) with error sentinels.
+    """One dense (state x symbol id) table of int cells, 0 for an error.
 
-    ``action[state][column]`` holds an int ACTION cell encoded with
-    ``SHIFT``/``REDUCE``/``ACCEPT``, 0 for an error entry; columns follow
-    terminal registration order (the end marker is the last terminal).  ``goto_map[state][column]`` holds a state
-    number or ``-1``, with columns over the non-augmented nonterminals.
-    ``body_len[p]`` and ``head_col[p]`` are the body length of production
-    ``p`` and the GOTO column of its head.  Immutable after construction and
-    safe for concurrent readers.
+    ``action[state][symbol.id]`` is the ACTION cell of a terminal and, as a
+    shift to the target state, the GOTO entry of a nonterminal.
+    ``term_columns`` (the end marker last) and ``nonterm_columns`` (without
+    the augmented start) order the dumps.  ``body_len[p]`` and
+    ``head_id[p]`` are the body length of production ``p`` and its head's
+    id.  Immutable after construction and safe for concurrent readers.
     """
 
     def __init__(self, grammar: Grammar, n_states: int):
@@ -387,18 +385,11 @@ class ParseTable:
         self.nonterm_columns = [
             nt for nt in grammar.nonterminals if nt is not grammar.augmented_start
         ]
-        self.term_index = {s.id: c for c, s in enumerate(self.term_columns)}
-        self.nonterm_index = {s.id: c for c, s in enumerate(self.nonterm_columns)}
         self.action: list[list[int]] = [
-            [0] * len(self.term_columns) for _ in range(n_states)
-        ]
-        self.goto_map: list[list[int]] = [
-            [-1] * len(self.nonterm_columns) for _ in range(n_states)
+            [0] * len(grammar.symbols) for _ in range(n_states)
         ]
         self.body_len = [len(p.body) for p in grammar.productions]
-        self.head_col = [
-            self.nonterm_index.get(p.head.id, -1) for p in grammar.productions
-        ]
+        self.head_id = [p.head.id for p in grammar.productions]
 
     def dimensions(self) -> tuple[int, int]:
         """(rows, columns) of the combined ACTION+GOTO table."""
@@ -407,7 +398,7 @@ class ParseTable:
     def expected_terminals(self, state: int) -> list[Symbol]:
         """Terminals with a non-error entry in ``state``, sorted by name."""
         row = self.action[state]
-        found = [sym for c, sym in enumerate(self.term_columns) if row[c]]
+        found = [sym for sym in self.term_columns if row[sym.id]]
         return sorted(found, key=lambda s: s.name)
 
     def dump_tsv(self) -> str:
@@ -427,10 +418,12 @@ class ParseTable:
         header += [s.name for s in self.term_columns]
         header += [s.name for s in self.nonterm_columns]
         out.append("\t".join(header))
-        for i in range(rows):
+        for i, row in enumerate(self.action):
             cells = [str(i)]
-            cells += [render_cell(a) if a else "." for a in self.action[i]]
-            cells += [str(t) if t >= 0 else "." for t in self.goto_map[i]]
+            cells += [render_cell(row[s.id]) if row[s.id] else "."
+                      for s in self.term_columns]
+            cells += [str(row[s.id] >> 2) if row[s.id] else "."
+                      for s in self.nonterm_columns]
             out.append("\t".join(cells))
         return "\n".join(out) + "\n"
 
@@ -438,36 +431,37 @@ class ParseTable:
 def build_table(g: Grammar) -> ParseTable | ConflictReport:
     """Fill the SLR(1) table, or report every conflicting cell.
 
-    Shift entries come from terminal transitions of the canonical
-    collection; a completed item ``A -> α ·`` puts a reduce in every
-    FOLLOW(A) column; the completed augmentation item puts the single
-    accept under the end marker.
+    Shift entries come from the transitions of the canonical collection
+    (on a nonterminal, the goto); a completed item ``A -> α ·`` puts a
+    reduce in every FOLLOW(A) column; the completed augmentation item puts
+    the single accept under the end marker.
     """
     collection = canonical_collection(g)
     first = compute_first(g)
     follow = compute_follow(g, first)
     table = ParseTable(g, len(collection.states))
+    symbols, after = g.symbols, g.item_symbol
 
     # (state, terminal id) -> list of (cell, responsible item), in placement
     # order
-    cells: dict[tuple[int, int], list[tuple[int, Item]]] = {}
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def place(state: int, terminal: Symbol, cell: int, item: Item) -> None:
-        cells.setdefault((state, terminal.id), []).append((cell, item))
+    def place(state: int, tid: int, cell: int, item: int) -> None:
+        cells.setdefault((state, tid), []).append((cell, item))
 
     for i, state in enumerate(collection.states):
-        for item in sorted(state, key=lambda it: (it.production, it.dot)):
-            sym = item.next_symbol(g)
-            if sym is not None:
-                if sym.is_terminal:
-                    target = collection.transitions[(i, sym.id)]
-                    place(i, sym, target * 4 + SHIFT, item)
-            elif item.production == 0:
-                place(i, g.end_marker, ACCEPT, item)
+        for item in sorted(state):  # (production, dot) order
+            sid = after[item]
+            p = g.item_production[item]
+            if sid >= 0:
+                if symbols[sid].is_terminal:
+                    target = collection.transitions[(i, sid)]
+                    place(i, sid, target * 4 + SHIFT, item)
+            elif p == 0:
+                place(i, g.end_marker.id, ACCEPT, item)
             else:
-                p = g.productions[item.production]
-                for tid in sorted(follow[p.head.id]):
-                    place(i, g.symbols[tid], p.index * 4 + REDUCE, item)
+                for tid in sorted(follow[table.head_id[p]]):
+                    place(i, tid, p * 4 + REDUCE, item)
 
     conflicts: list[Conflict] = []
     for (state, tid), placed in sorted(cells.items()):
@@ -476,21 +470,20 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
             conflicts.append(
                 Conflict(
                     state,
-                    g.symbols[tid],
+                    symbols[tid],
                     distinct,
                     tuple(item for _, item in placed),
                 )
             )
         else:
-            table.action[state][table.term_index[tid]] = distinct[0]
+            table.action[state][tid] = distinct[0]
 
     if conflicts:
         return ConflictReport(g, conflicts)
 
+    # Every transition is a shift cell; for a terminal it is already there.
     for (i, sid), j in collection.transitions.items():
-        sym = g.symbols[sid]
-        if not sym.is_terminal:
-            table.goto_map[i][table.nonterm_index[sid]] = j
+        table.action[i][sid] = j * 4 + SHIFT
     return table
 
 

@@ -1,15 +1,15 @@
 """Table-driven shift-reduce parser with step tracing and error localization.
 
-One driver runs the classical stack automaton over the int ACTION cells of
-``ParseTable.action``: on a shift it pushes the successor state and the
-token; on a reduce by ``A -> Y1..Yn`` it pops n states and n values, pushes
-the value the production's semantic action makes of them (yacc's ``$$ =
-f($1..$n)``), then consults the GOTO entry of the exposed state for ``A``
-and pushes the target.  :func:`parse` runs actions that build the
-derivation tree and ``ozgrammar.parse_spec`` actions that build the AST;
-there is no other evaluator of the actions.  A reduce is recorded as two
-trace steps (the reduction itself and the goto) so traces show the same row
-structure as a textbook run.  A token's terminal depends only on its
+One driver runs the classical stack automaton over the int cells of
+``ParseTable.action``, indexed by state and symbol id: on a shift it pushes
+the successor state and the token; on a reduce by ``A -> Y1..Yn`` it pops n
+states and n values, pushes the value the production's semantic action
+makes of them (yacc's ``$$ = f($1..$n)``), then pushes the goto target,
+which the exposed state's cell in ``A``'s column shifts to.  :func:`parse`
+runs actions that build the derivation tree and ``ozgrammar.parse_spec``
+actions that build the AST; there is no other evaluator of the actions.  A
+reduce is recorded as two trace steps (the reduction itself and the goto)
+so traces show the same row structure as a textbook run.  A token's terminal depends only on its
 lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes and
 trace rows are immutable named tuples.  The trace is built only when asked
 for, and its cost is linear in the bytes it renders: the driver keeps the
@@ -227,21 +227,18 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     value and append the trace rows to ``trace`` unless it is None.
 
     A shift pushes the token.  A reduce by ``p`` replaces the top n values,
-    ``kids``, with ``actions[p](kids, toks, pos)``, where ``toks`` is the
-    token tuple and ``pos`` the number of tokens shifted; a None action
-    keeps one value and makes None of any other number.
+    ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos`` is the
+    number of tokens shifted; a None action keeps one value and makes None
+    of any other number.
     """
-    action_rows, goto_rows = table.action, table.goto_map
-    body_len, head_col = table.body_len, table.head_col
-    term_index = table.term_index
-    toks = tokens.tokens
-    col_of: dict[str, int] = {}  # lexeme -> column of its terminal
-    cols = []
-    for token in toks:
-        col = col_of.get(token.lexeme)
-        if col is None:
-            col = col_of[token.lexeme] = term_index[terminal_of(token, g).id]
-        cols.append(col)
+    rows, body_len, head_id = table.action, table.body_len, table.head_id
+    id_of: dict[str, int] = {}  # lexeme -> id of its terminal
+    ids = []
+    for token in tokens:
+        sid = id_of.get(token.lexeme)
+        if sid is None:
+            sid = id_of[token.lexeme] = terminal_of(token, g).id
+        ids.append(sid)
     states = [0]
     values: list = []
     stack = remaining = ""
@@ -251,7 +248,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         # and a pop slices back to the exposed entry's end.  The remaining
         # input is joined once and sliced once per input position, by the
         # shift that reaches it, so the rows at one position share it.
-        productions, terminals = g.productions, table.term_columns
+        productions, symbols = g.productions, g.symbols
         stack = "$ [0]"
         ends = [len(stack)]
         reduce_texts: dict[int, str] = {}
@@ -261,17 +258,17 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             (len(t.lexeme) + 1 if t.lexeme else 0 for t in tokens), initial=0))
     pos = 0
     while True:
-        cell = action_rows[states[-1]][cols[pos]]
+        cell = rows[states[-1]][ids[pos]]
         op = cell & 3
         if op == 1:  # shift
             target = cell >> 2
             if trace is not None:
                 trace.append(TraceStep(stack, remaining, "shift",
                                        f"d{target}", state=target))
-                stack += f" {terminals[cols[pos]].name} [{target}]"
+                stack += f" {symbols[ids[pos]].name} [{target}]"
                 ends.append(len(stack))
             states.append(target)
-            values.append(toks[pos])
+            values.append(tokens[pos])
             pos += 1
             if trace is not None:
                 remaining = line[offsets[pos]:]
@@ -289,7 +286,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                 k = len(values) - n
                 kids = values[k:]
                 del values[k:]
-                values.append(act(kids, toks, pos))
+                values.append(act(kids, tokens, pos))
             elif n != 1:
                 del values[len(values) - n:]
                 values.append(None)
@@ -299,8 +296,8 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                     del ends[-n:]
                     stack = stack[:ends[-1]]
             exposed = states[-1]
-            target = goto_rows[exposed][head_col[p]]
-            if target < 0:  # unreachable on a well-formed table
+            target = rows[exposed][head_id[p]] >> 2
+            if not target:  # unreachable: no goto leads back to state 0
                 raise _syntax_error(tokens, pos, exposed, table, trace,
                                     stack, remaining)
             if trace is not None:
@@ -364,17 +361,19 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
     """Fast accept/reject for a raw terminal-id sequence (no end marker).
 
     Used by the property-test harness to replay many strings against one
-    table without building tokens, trees or traces.
+    table without building tokens, trees or traces.  Raises ``ValueError``
+    for an id that is not a terminal of the table's grammar.
     """
-    action_rows, goto_rows = table.action, table.goto_map
-    body_len, head_col = table.body_len, table.head_col
-    term_index = table.term_index
-    cols = [term_index[i] for i in terminal_ids]
-    cols.append(term_index[table.grammar.end_marker.id])
+    ids = [*terminal_ids, table.grammar.end_marker.id]
+    terminals = frozenset(s.id for s in table.term_columns)
+    if not terminals.issuperset(ids):
+        raise ValueError(f"not terminal ids of {table.grammar!r}: "
+                         f"{set(ids) - terminals}")
+    rows, body_len, head_id = table.action, table.body_len, table.head_id
     states = [0]
     i = 0
     while True:
-        cell = action_rows[states[-1]][cols[i]]
+        cell = rows[states[-1]][ids[i]]
         op = cell & 3
         if op == 1:  # shift
             states.append(cell >> 2)
@@ -384,8 +383,8 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
             n = body_len[p]
             if n:
                 del states[-n:]
-            target = goto_rows[states[-1]][head_col[p]]
-            if target < 0:
+            target = rows[states[-1]][head_id[p]] >> 2
+            if not target:
                 return False
             states.append(target)
         elif op == 3:

@@ -12,7 +12,6 @@ from ozcheck.grammar import (
     ConflictReport,
     Grammar,
     GrammarError,
-    Item,
     ParseTable,
     build_table,
     canonical_collection,
@@ -38,6 +37,11 @@ def names(g, ids):
 
 def first_names(g, fs, symbol_name: str):
     return names(g, fs.of(g.symbol(symbol_name)))
+
+
+def item(g, p, dot):
+    """The int LR(0) item of production ``p`` with its dot at ``dot``."""
+    return g.first_item[p] + dot
 
 
 def follow_names(g, symbol_name: str):
@@ -164,35 +168,34 @@ def test_closure_of_empty_is_empty():
 
 def test_closure_of_start_item_pulls_in_all_alternatives():
     g = Grammar.build(FRAGMENT)
-    state0 = closure([Item(0, 0)], g)
-    produced = {g.productions[i.production].index for i in state0 if i.dot == 0}
+    state0 = closure([item(g, 0, 0)], g)
+    produced = {p.index for p in g.productions if item(g, p.index, 0) in state0}
     # both ParagraphList productions and both Paragraph productions
     assert {0, 1, 2, 3, 4} <= produced
 
 
 def test_closure_with_dot_before_terminal_adds_nothing():
     g = Grammar.build(FRAGMENT)
-    item = Item(3, 0)  # dot before \begin{class}
-    assert closure([item], g) == frozenset({item})
+    at = item(g, 3, 0)  # dot before \begin{class}
+    assert closure([at], g) == frozenset({at})
 
 
 def test_goto_advances_kernel_items():
     g = Grammar.build(FRAGMENT)
-    state0 = closure([Item(0, 0)], g)
+    state0 = closure([item(g, 0, 0)], g)
     advanced = goto_set(state0, g.symbol("\\begin{class}"), g)
-    kernels = {(i.production, i.dot) for i in advanced}
-    assert (3, 1) in kernels and (4, 1) in kernels
+    assert item(g, 3, 1) in advanced and item(g, 4, 1) in advanced
 
 
 def test_goto_on_absent_symbol_is_empty():
     g = Grammar.build(S_TO_A)
-    state0 = closure([Item(0, 0)], g)
+    state0 = closure([item(g, 0, 0)], g)
     assert goto_set(state0, g.end_marker, g) == frozenset()
 
 
 def test_goto_result_is_already_closed():
     g = Grammar.build(FRAGMENT)
-    state0 = closure([Item(0, 0)], g)
+    state0 = closure([item(g, 0, 0)], g)
     advanced = goto_set(state0, g.symbol("Paragraph"), g)
     assert closure(advanced, g) == advanced
 
@@ -205,9 +208,9 @@ def test_collection_of_single_production_grammar():
     g = Grammar.build(S_TO_A)
     coll = canonical_collection(g)
     assert len(coll.states) == 3
-    assert coll.states[0] == closure([Item(0, 0)], g)
-    assert coll.states[1] == frozenset({Item(0, 1)})  # S' -> S ·
-    assert coll.states[2] == frozenset({Item(1, 1)})  # S -> a ·
+    assert coll.states[0] == closure([item(g, 0, 0)], g)
+    assert coll.states[1] == frozenset({item(g, 0, 1)})  # S' -> S ·
+    assert coll.states[2] == frozenset({item(g, 1, 1)})  # S -> a ·
 
 
 def test_collection_has_no_duplicate_states():
@@ -225,7 +228,7 @@ def test_fragment_heading_reduction_state_reachable_from_brace_successor():
     heading_to_word = next(
         p for p in g.productions if p.head.name == "ClassHeading"
     )
-    assert Item(heading_to_word.index, 1) in coll.states[s]
+    assert item(g, heading_to_word.index, 1) in coll.states[s]
 
 
 def test_collection_is_deterministic():
@@ -243,9 +246,10 @@ def test_table_for_single_production_grammar():
     g = Grammar.build(S_TO_A)
     table = build_table(g)
     assert isinstance(table, ParseTable)
-    a = table.term_index[g.symbol("a").id]
-    end = table.term_index[g.end_marker.id]
+    a = g.symbol("a").id
+    end = g.end_marker.id
     assert table.action[0][a] == 2 * 4 + SHIFT
+    assert table.action[0][g.start.id] == 1 * 4 + SHIFT  # the goto on S
     assert table.action[1][end] == ACCEPT
     assert table.action[2][end] == 1 * 4 + REDUCE
 
@@ -293,12 +297,11 @@ def replay_actions(table, terminal_names):
     """ACTION-cell sequence for a terminal string (gotos not recorded)."""
     g = table.grammar
     ids = [g.symbol(n).id for n in terminal_names] + [g.end_marker.id]
-    cols = [table.term_index[i] for i in ids]
     states = [0]
     log = []
     i = 0
     while True:
-        cell = table.action[states[-1]][cols[i]]
+        cell = table.action[states[-1]][ids[i]]
         assert cell, "replay hit an error cell"
         if cell & 3 == SHIFT:
             log.append("shift")
@@ -309,8 +312,9 @@ def replay_actions(table, terminal_names):
             log.append(("reduce", str(p)))
             if p.body:
                 del states[-len(p.body) :]
-            head = table.nonterm_index[p.head.id]
-            states.append(table.goto_map[states[-1]][head])
+            goto = table.action[states[-1]][p.head.id]
+            assert goto & 3 == SHIFT, "a goto is a shift cell"
+            states.append(goto >> 2)
         else:
             assert cell == ACCEPT
             log.append("accept")
@@ -343,7 +347,6 @@ def test_table_determinism():
     t1 = build_table(Grammar.build(FRAGMENT))
     t2 = build_table(Grammar.build(FRAGMENT))
     assert t1.action == t2.action
-    assert t1.goto_map == t2.goto_map
     assert t1.dimensions() == t2.dimensions()
 
 

@@ -282,3 +282,12 @@ def test_accepts_agrees_with_parse_on_toy_grammar():
     assert not accepts(table, [a])
     assert not accepts(table, [b, a])
     assert not accepts(table, [a, b, b])
+
+
+def test_accepts_refuses_ids_that_are_not_terminals():
+    g = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
+    table = build_table(g)
+    a, b = g.symbol("a").id, g.symbol("b").id
+    for bad in (g.start.id, g.augmented_start.id, -1, len(g.symbols)):
+        with pytest.raises(ValueError):
+            accepts(table, [a, bad, b])

@@ -11,7 +11,7 @@ import pytest
 
 import ozcheck
 from ozcheck.diagnostics import Diagnostic
-from ozcheck.grammar import TERMINAL, Item, Production, Symbol
+from ozcheck.grammar import TERMINAL, Production, Symbol
 from ozcheck.lexer import Position, TokenStream, tokenize
 from ozcheck.ozgrammar import (
     BuiltinKind,
@@ -75,12 +75,11 @@ MAKERS = {
     "Symbol": lambda at: Symbol(4, TERMINAL, "Word"),
     "Production": lambda at: Production(
         1, Symbol(0, "nonterminal", "S"), (Symbol(4, TERMINAL, "Word"),)),
-    "Item": lambda at: Item(1, 0),
     "TokenStream": lambda at: tokenize("x = 1"),
 }
 HERE, THERE = Position(0, 1, 1), Position(9, 4, 6)
 AST_NODES = [name for name in MAKERS if name not in
-             ("Diagnostic", "Symbol", "Production", "Item", "TokenStream")]
+             ("Diagnostic", "Symbol", "Production", "TokenStream")]
 
 
 def _values(r) -> tuple:

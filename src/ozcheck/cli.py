@@ -53,7 +53,7 @@ def check_source(
 
     Returns the diagnostics, sorted by position.  One drive of the
     automaton builds the AST on reduce, traced or not; no parse tree is
-    built.  Unless ``trace`` is None the drive appends its rows to it as it
+    built.  Unless ``trace`` is None the drive hands its rows to it as it
     makes them, so a :class:`TraceWriter` writes the trace before the
     diagnostics are known, and nothing if lexing fails or a token has no
     terminal.  The first lexical or syntax failure stops the pipeline for

@@ -176,11 +176,18 @@ def _render_human_fr(d: Diagnostic) -> str:
                            symbol=d.symbol, detail=d.detail)
 
 
+def _visible(text: str) -> str:
+    """``text`` with each character that ``str.isprintable`` rejects as its
+    ``\\xNN``, ``\\uNNNN`` or ``\\UNNNNNNNN`` escape: echoed input must not
+    reach a terminal as a control sequence."""
+    return text if text.isprintable() else "".join(
+        c if c.isprintable() else f"\\x{ord(c):02x}" if ord(c) < 0x100
+        else ascii(c)[1:-1] for c in text)
+
+
 def render_human(d: Diagnostic, locale: str = "en") -> str:
     """One human-readable line for a diagnostic."""
-    if locale == "fr":
-        return _render_human_fr(d)
-    return _render_human_en(d)
+    return _visible(_render_human_fr(d) if locale == "fr" else _render_human_en(d))
 
 
 def render_machine(diagnostics: list[Diagnostic], locale: str = "en") -> str:
@@ -195,14 +202,14 @@ def render_machine(diagnostics: list[Diagnostic], locale: str = "en") -> str:
         message = _render_human_fr(d) if locale == "fr" else _en_message(d)
         lines.append(
             "\t".join(
-                [
+                map(_visible, [
                     d.code,
                     d.class_name or "-",
                     d.block or "-",
                     d.symbol or "-",
                     f"{d.line}:{d.column}",
                     message,
-                ]
+                ])
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -40,6 +40,7 @@ class TokenKind(Enum):
     END_MARKER = "EndMarker"
 
 
+@record()
 class Position(NamedTuple):
     """Token index in the stream plus 1-based line and column."""
 
@@ -48,6 +49,7 @@ class Position(NamedTuple):
     column: int
 
 
+@record()
 class Token(NamedTuple):
     lexeme: str
     kind: TokenKind

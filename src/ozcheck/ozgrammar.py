@@ -441,7 +441,7 @@ def parse_spec(
     and table (the only ones the AST actions are indexed by).
 
     The AST actions run on reduce, so no parse tree is built.  Trace rows
-    are appended to ``trace`` unless it is None: a list keeps them, a
+    go to ``trace`` unless it is None: a list keeps them as steps, a
     :class:`~ozcheck.parser.TraceWriter` writes each out.  Raises what
     :func:`ozcheck.parser.parse` raises.
     """

@@ -9,19 +9,20 @@ which the exposed state's cell in ``A``'s column shifts to.  :func:`parse`
 runs actions that build the derivation tree and ``ozgrammar.parse_spec``
 actions that build the AST; there is no other evaluator of the actions.  A
 reduce is recorded as two trace steps (the reduction itself and the goto)
-so traces show the same row structure as a textbook run.  A token's terminal depends only on its
-lexeme, so each distinct lexeme is mapped once per parse.  Tree nodes and
-trace rows are immutable named tuples.  The trace is built only when asked
-for, and its cost is linear in the bytes it renders: the driver keeps the
-text of the current stack and one remaining-input string per input
-position, and hands each row to the trace's ``append``.  A list keeps the
-rows; a :class:`TraceWriter` writes each one out at once, so a streamed
-trace holds only the current stack text and one suffix of the input.  Its
-size grows with tokens times remaining input, because every row prints the
-rest of the input; it is quadratic in file length whatever the stack
-depth, and the ``entrée`` column is most of it.  The (class, block)
-localization of a syntax error is replayed from the shifted tokens when
-the error occurs.
+so traces show the same row structure as a textbook run.  A token's
+terminal depends only on its lexeme, so each distinct lexeme is mapped once
+per parse.  Tree nodes and trace rows are immutable named tuples.  The
+trace is built only when asked for, and its cost is linear in the bytes it
+renders: the driver keeps the text of the current stack and one
+remaining-input string per input position, and hands each row's fields to
+one callable taken before the loop: a list's appends a :class:`TraceStep`,
+and a :class:`TraceWriter`'s writes the row at once, so a streamed trace
+builds neither a row string nor a step and holds only the current stack
+text and one suffix of the input.  Its size grows with tokens times
+remaining input, because every row prints the rest of the input; it is
+quadratic in file length whatever the stack depth, and the ``entrée``
+column is most of it.  The (class, block) localization of a syntax error
+is replayed from the shifted tokens when the error occurs.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
@@ -33,6 +34,7 @@ from typing import NamedTuple
 from . import diagnostics as diag
 from .grammar import Grammar, ParseTable, Symbol
 from .lexer import Token, TokenKind, TokenStream, terminal_of
+from .records import record
 
 
 class TreeNode(NamedTuple):
@@ -56,6 +58,7 @@ class TreeNode(NamedTuple):
         return tuple(out)
 
 
+@record()
 class TraceStep(NamedTuple):
     """One row of the trace: stack and remaining input before the action.
 
@@ -73,19 +76,17 @@ class TraceStep(NamedTuple):
 _HEADER = "pile\tentrée\taction\n"
 
 
-def _row(step: TraceStep) -> str:
-    """A step's tab-separated pile, entrée and action columns."""
-    return f"{step.stack}\t{step.remaining}\t{step.text}\n"
-
-
 def render_trace(steps: list[TraceStep]) -> str:
     """Three tab-separated columns (pile, entrée, action), one row per step."""
-    return "".join([_HEADER, *map(_row, steps)])
+    return "".join([_HEADER, *(f"{s.stack}\t{s.remaining}\t{s.text}\n"
+                               for s in steps)])
 
 
 class TraceWriter:
-    """A trace that keeps no rows: ``append`` writes each row through
-    ``out.write`` as the driver makes it, in the layout of :func:`render_trace`.
+    """A trace that keeps no rows: the driver hands each row's fields to
+    ``row``, which writes it at once, in the layout of :func:`render_trace`,
+    as three ``out.write`` calls; the ``entrée`` cell is the shared
+    remaining-input string itself, never copied into a row string.
 
     ``title`` and the column header go out just before the first row, so a
     source that fails before the drive gets neither.
@@ -95,11 +96,15 @@ class TraceWriter:
         self._write = out.write
         self._head = title + _HEADER
 
-    def append(self, step: TraceStep) -> None:
+    def row(self, stack: str, remaining: str, kind: str, text: str,
+            production: int, state: int) -> None:
+        write = self._write
         if self._head:
-            self._write(self._head)
+            write(self._head)
             self._head = ""
-        self._write(_row(step))
+        write(f"{stack}\t")
+        write(remaining)
+        write(f"\t{text}\n")
 
 
 class ParseError(Exception):
@@ -207,7 +212,7 @@ class BlockTracker:
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
                   table: ParseTable,
                   trace: list[TraceStep] | TraceWriter | None,
-                  stack: str, remaining: str) -> ParseError:
+                  row, stack: str, remaining: str) -> ParseError:
     token = tokens[pos]
     expected = tuple(s.name for s in table.expected_terminals(state))
     # The location depends only on the shifted tokens, so it is replayed
@@ -216,15 +221,16 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
     for shifted in tokens[:pos]:
         tracker.feed(shifted)
     if trace is not None:
-        trace.append(TraceStep(stack, remaining, "error",
-                               f'ERROR: unexpected "{token.lexeme or "$"}"'))
+        row(stack, remaining, "error",
+            f'ERROR: unexpected "{token.lexeme or "$"}"', -1, -1)
     return ParseError(token, *tracker.location(), expected, trace)
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            actions: tuple, trace: list[TraceStep] | TraceWriter | None):
     """Run the automaton on the table's int cells; return the start symbol's
-    value and append the trace rows to ``trace`` unless it is None.
+    value and hand the trace rows to ``trace`` unless it is None: a list
+    keeps them as steps, a :class:`TraceWriter` writes them out.
 
     A shift pushes the token.  A reduce by ``p`` replaces the top n values,
     ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos`` is the
@@ -242,7 +248,14 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     states = [0]
     values: list = []
     stack = remaining = ""
+    row = None
     if trace is not None:
+        # one row callable: a TraceWriter writes the row, a list keeps a step
+        if isinstance(trace, TraceWriter):
+            row = trace.row
+        else:
+            keep, new = trace.append, tuple.__new__
+            row = lambda *fields: keep(new(TraceStep, fields))
         # The text of the current stack, with the end offset of each stack
         # entry's text in step with ``states``: a push appends one fragment
         # and a pop slices back to the exposed entry's end.  The remaining
@@ -263,8 +276,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         if op == 1:  # shift
             target = cell >> 2
             if trace is not None:
-                trace.append(TraceStep(stack, remaining, "shift",
-                                       f"d{target}", state=target))
+                row(stack, remaining, "shift", f"d{target}", -1, target)
                 stack += f" {symbols[ids[pos]].name} [{target}]"
                 ends.append(len(stack))
             states.append(target)
@@ -279,8 +291,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                 text = reduce_texts.get(p)
                 if text is None:
                     text = reduce_texts[p] = f"r{p}: {productions[p]}"
-                trace.append(TraceStep(stack, remaining, "reduce", text,
-                                       production=p))
+                row(stack, remaining, "reduce", text, p, -1)
             act = actions[p]
             if act is not None:
                 k = len(values) - n
@@ -298,24 +309,22 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             exposed = states[-1]
             target = rows[exposed][head_id[p]] >> 2
             if not target:  # unreachable: no goto leads back to state 0
-                raise _syntax_error(tokens, pos, exposed, table, trace,
+                raise _syntax_error(tokens, pos, exposed, table, trace, row,
                                     stack, remaining)
             if trace is not None:
                 head = productions[p].head.name
                 stack = f"{stack} {head}"
-                trace.append(TraceStep(
-                    stack, remaining, "goto",
-                    f"in {exposed} with {head}: go to {target}",
-                    state=target))
+                row(stack, remaining, "goto",
+                    f"in {exposed} with {head}: go to {target}", -1, target)
                 stack += f" [{target}]"
                 ends.append(len(stack))
             states.append(target)
         elif op == 3:  # accept
             if trace is not None:
-                trace.append(TraceStep(stack, remaining, "accept", "ACCEPT"))
+                row(stack, remaining, "accept", "ACCEPT", -1, -1)
             return values[-1]
         else:
-            raise _syntax_error(tokens, pos, states[-1], table, trace,
+            raise _syntax_error(tokens, pos, states[-1], table, trace, row,
                                 stack, remaining)
 
 

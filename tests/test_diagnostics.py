@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import io
+
+import pytest
 
 from ozcheck import check_text
+from ozcheck.cli import RunConfig, run
 from ozcheck.diagnostics import (
     CODE_CATALOG,
     Diagnostic,
@@ -11,6 +15,7 @@ from ozcheck.diagnostics import (
     render_human,
     render_machine,
 )
+from ozcheck.lexer import LexError, tokenize
 
 from conftest import corpus_text
 
@@ -179,3 +184,50 @@ def test_french_rendering_of_lexical_inheritance_and_top_level_errors():
     assert fr("OZ-SYN-001", None, "top-level", '"["') == (
         'Une erreur dans le niveau supérieur : la syntaxe est incorrecte et '
         'ceci est causé par la chaîne "Z".')
+
+
+# Unicode category Cc, and the right-to-left override as one format character
+NOT_PRINTABLE = [*map(chr, range(0x20)), *map(chr, range(0x7f, 0xa0)), "\u202e"]
+
+
+def escaped(ch: str) -> str:
+    return f"\\x{ord(ch):02x}" if ord(ch) < 0x100 else f"\\u{ord(ch):04x}"
+
+
+@pytest.mark.parametrize("ch", NOT_PRINTABLE, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_characters_that_are_not_printable_render_escaped(ch):
+    raw, shown = f"a{ch}]0;b", f"a{escaped(ch)}]0;b"
+    for d in [
+        Diagnostic("OZ-LEX-001", raw, 1, 1, detail="unsupported control character"),
+        Diagnostic("OZ-LEX-001", raw, 1, 1,
+                   detail=f'the unit "{raw}" is not part of the input vocabulary'),
+        Diagnostic("OZ-SEM-102", raw, 2, 3, "Queue", "operation(Join)"),
+    ]:
+        visible = d._replace(symbol=shown, detail=d.detail and d.detail.replace(raw, shown))
+        assert d.symbol == raw  # the record keeps the input's text
+        for locale in ("en", "fr"):
+            human, machine = render_human(d, locale), render_machine([d], locale)
+            assert human == render_human(visible, locale) and human.isprintable()
+            assert machine == render_machine([visible], locale)
+            fields = machine.removesuffix("\n").split("\t")
+            assert len(fields) == 6 and all(map(str.isprintable, fields))
+
+
+@pytest.mark.parametrize("ch", [ch for ch in NOT_PRINTABLE if not ch.isspace()],
+                         ids=lambda ch: f"U+{ord(ch):04X}")
+def test_cli_output_escapes_the_unit_that_failed_to_lex(ch, tmp_path):
+    unit = f"a\x1b]0;pwned{ch}b"
+    path = tmp_path / "spec.tex"
+    path.write_text(f"{unit}\n", encoding="utf-8")
+    with pytest.raises(LexError) as exc:
+        tokenize(unit)
+    assert exc.value.unit == unit  # the exception keeps the raw text
+    shown = unit.replace("\x1b", "\\x1b").replace(ch, escaped(ch))
+    for fmt in ("text", "machine"):
+        for locale in ("en", "fr"):
+            out = io.StringIO()
+            assert run(RunConfig(inputs=[str(path)], format=fmt, locale=locale),
+                       stdout=out) == 1
+            lines = out.getvalue().removesuffix("\n").split("\n")
+            assert len(lines) == 1 and shown in lines[0]
+            assert all(map(str.isprintable, lines[0].split("\t")))

@@ -12,6 +12,7 @@ from ozcheck import lexer
 from ozcheck.grammar import Grammar
 from ozcheck.lexer import (
     LexError,
+    Position,
     TokenKind,
     UnknownTokenError,
     terminal_of,
@@ -47,7 +48,7 @@ def test_class_line():
 def test_empty_text_yields_only_end_marker():
     ts = tokenize("")
     assert kinds(ts) == [TokenKind.END_MARKER]
-    assert ts[-1].position == (0, 1, 1)
+    assert ts[-1].position == Position(0, 1, 1)
 
 
 def test_declaration_line():

@@ -12,7 +12,7 @@ import pytest
 import ozcheck
 from ozcheck.diagnostics import Diagnostic
 from ozcheck.grammar import TERMINAL, Production, Symbol
-from ozcheck.lexer import Position, TokenStream, tokenize
+from ozcheck.lexer import Position, Token, TokenKind, TokenStream, tokenize
 from ozcheck.ozgrammar import (
     BuiltinKind,
     BuiltinType,
@@ -28,6 +28,7 @@ from ozcheck.ozgrammar import (
     SchemaBlock,
     Specification,
 )
+from ozcheck.parser import TraceStep
 
 from conftest import same_ast
 
@@ -50,7 +51,8 @@ def _predicate(at: Position) -> PredicateLine:
 
 
 # Each maker builds one record from a position; a record that has no
-# position field is built the same way from both positions.
+# position field, or whose equality counts it (Position, Token), is built
+# the same way from both positions.
 MAKERS = {
     "NameRef": lambda at: NameRef("x", at),
     "BuiltinType": lambda at: BuiltinType(BuiltinKind.POWER_SET, NamedType("T", at)),
@@ -76,10 +78,14 @@ MAKERS = {
     "Production": lambda at: Production(
         1, Symbol(0, "nonterminal", "S"), (Symbol(4, TERMINAL, "Word"),)),
     "TokenStream": lambda at: tokenize("x = 1"),
+    "Position": lambda at: Position(3, 2, 1),
+    "Token": lambda at: Token("x", TokenKind.WORD, Position(3, 2, 1)),
+    "TraceStep": lambda at: TraceStep("$ [0] x [4]", "= 1 $", "reduce", "r7: A -> x", 7),
 }
 HERE, THERE = Position(0, 1, 1), Position(9, 4, 6)
 AST_NODES = [name for name in MAKERS if name not in
-             ("Diagnostic", "Symbol", "Production", "TokenStream")]
+             ("Diagnostic", "Symbol", "Production", "TokenStream", "Position",
+              "Token", "TraceStep")]
 
 
 def _values(r) -> tuple:

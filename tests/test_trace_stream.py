@@ -211,3 +211,57 @@ def test_trace_memory_is_bounded_by_the_stack_text(tmp_path):
                            f"$ [0]\t{lexemes} $\t{small[0].text}"]
     assert got["last"] == render_trace(small[-1:]).split("\n")[1]
     assert small[-1].text == "ACCEPT"
+
+
+def traced_inputs(corpus, tmp_path) -> list[Path]:
+    """The corpus files, then the ``deep_sources`` written to ``tmp_path``."""
+    paths = sorted(corpus.glob("*.tex"))
+    for name, source in deep_sources().items():
+        paths.append(tmp_path / f"{name}.tex")
+        paths[-1].write_text(source, encoding="utf-8")
+    return paths
+
+
+def test_real_stdout_gets_the_bytes_of_the_in_memory_run(corpus, tmp_path):
+    paths = traced_inputs(corpus, tmp_path)
+    status, text = invoke(paths, trace=True)
+    command = [sys.executable, "-m", "ozcheck", "--trace", *map(str, paths)]
+    env = {**child_env(), "PYTHONIOENCODING": "utf-8"}
+    with open(tmp_path / "out.txt", "wb") as out:
+        to_file = subprocess.run(command, stdout=out, stderr=subprocess.PIPE,
+                                 env=env, timeout=120)
+    to_pipe = subprocess.run(command, capture_output=True, env=env, timeout=120)
+    assert (to_file.returncode, to_file.stderr) == (status, b"")
+    assert (to_pipe.returncode, to_pipe.stderr) == (status, b"")
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+    assert to_pipe.stdout == text.encode("utf-8")
+
+
+class Recorder:
+    """A sink that keeps every string passed to ``write``, as passed."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_stream_writes_each_row_in_three_pieces_with_the_shared_suffix(corpus, tmp_path):
+    for path in traced_inputs(corpus, tmp_path):
+        _, steps = library_trace(path.read_text(encoding="utf-8"))
+        sink = Recorder()
+        run(RunConfig(inputs=[str(path)], trace=True), stdout=sink)
+        title = f"# trace: {path}\n"
+        rows = sink.writes[1:1 + 3 * len(steps)]
+        assert "".join(sink.writes[:1 + len(rows)]) == title + render_trace(steps)
+        assert sink.writes[0] == title + render_trace([])
+        at_position: dict[int, str] = {}  # input position -> its suffix
+        pos = 0
+        for i, step in enumerate(steps):
+            stack, remaining, action = rows[3 * i:3 * i + 3]
+            assert (stack, action) == (f"{step.stack}\t", f"\t{step.text}\n")
+            assert remaining is at_position.setdefault(pos, remaining), path.name
+            pos += step.kind == "shift"
+        assert len({id(cell) for cell in rows[1::3]}) == len(at_position) == pos + 1

@@ -115,17 +115,18 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
 
     any_diagnostics = False
     for path in cfg.inputs:
+        shown = diag._visible(path)  # a path is echoed input too
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 source = fh.read()
         except OSError as e:
-            print(f"ozcheck: cannot read {path}: {e.strerror}", file=err)
+            print(f"ozcheck: cannot read {shown}: {e.strerror}", file=err)
             return EXIT_USAGE
         except UnicodeDecodeError:
-            print(f"ozcheck: cannot read {path}: not valid UTF-8", file=err)
+            print(f"ozcheck: cannot read {shown}: not valid UTF-8", file=err)
             return EXIT_USAGE
 
-        rows = TraceWriter(out, f"# trace: {path}\n") if cfg.trace else None
+        rows = TraceWriter(out, f"# trace: {shown}\n") if cfg.trace else None
         diagnostics = check_source(source, cfg.lenient_lexing, rows)
         if diagnostics:
             any_diagnostics = True
@@ -133,7 +134,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             out.write(render_machine(diagnostics, locale=cfg.locale))
         else:
             for d in diagnostics:
-                out.write(f"{path}: {render_human(d, locale=cfg.locale)}\n")
+                out.write(f"{shown}: {render_human(d, locale=cfg.locale)}\n")
 
     return EXIT_DIAGNOSTICS if any_diagnostics else EXIT_CLEAN
 

@@ -11,8 +11,11 @@ blank-separated unit.
 
 A unit's classification depends only on its text, so ``tokenize`` classifies
 each distinct unit once per call and reuses the result for its repetitions.
-Tokens are immutable named tuples.  Tokenizing is pure; independent sources
-may be processed concurrently.
+Tokens are immutable ``(lexeme, kind, position)`` named tuples: a word's
+decoration is ``lexeme[len(lexeme.rstrip("'?!")):]``, and the parser locates
+a syntax error from the shifted lexemes alone, assuming they form a prefix
+of some sentence, as an LR automaton guarantees.  Tokenizing is pure;
+independent sources may be processed concurrently.
 """
 import re
 from enum import Enum
@@ -54,10 +57,6 @@ class Token(NamedTuple):
     lexeme: str
     kind: TokenKind
     position: Position
-    # environment or command name for EnvBegin/EnvEnd/Command tokens
-    name: str | None = None
-    # trailing ' ? ! decoration of a Word, recorded for semantic use
-    decoration: str = ""
 
     @property
     def line(self) -> int:
@@ -120,21 +119,21 @@ _NUMBER_RE = re.compile(r"[0-9]+\Z")
 _WORD_RE = re.compile(r"[^\W\d]\w*['?!]*\Z")
 # Unicode category Cc is exactly these two ranges
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
-# (kind, name, decoration) of the lexemes whose text fixes their kind;
-# single backslashes appear in transcribed sources where \\ is meant
+# the kind of each lexeme whose text fixes it; single backslashes appear in
+# transcribed sources where \\ is meant
 _FIXED = {
-    "\\\\": (TokenKind.LINE_SEP, None, ""),
-    "\\": (TokenKind.LINE_SEP, None, ""),
-    "{": (TokenKind.LBRACE, None, ""),
-    "}": (TokenKind.RBRACE, None, ""),
-    "[": (TokenKind.LBRACKET, None, ""),
-    "]": (TokenKind.RBRACKET, None, ""),
-    **{op: (TokenKind.OPERATOR, None, "") for op in "=+,():"},
+    "\\\\": TokenKind.LINE_SEP,
+    "\\": TokenKind.LINE_SEP,
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+    **dict.fromkeys("=+,():", TokenKind.OPERATOR),
 }
 
 
-def _classify(unit: str, line: int, column: int) -> tuple[TokenKind, str | None, str]:
-    """Return (kind, env_or_command_name, decoration) for one unit."""
+def _classify(unit: str, line: int, column: int) -> TokenKind:
+    """Return the kind of one unit."""
     if _CONTROL_RE.search(unit):
         raise LexError("unsupported control character", unit, line, column)
     fixed = _FIXED.get(unit)
@@ -142,18 +141,16 @@ def _classify(unit: str, line: int, column: int) -> tuple[TokenKind, str | None,
         return fixed
     # the commonest kind first: a word never starts with \ or a digit
     if _WORD_RE.fullmatch(unit):
-        base = unit.rstrip("'?!")
-        return TokenKind.WORD, None, unit[len(base):]
+        return TokenKind.WORD
     if unit.startswith("\\begin{") or unit.startswith("\\end{"):
         m = _ENV_RE.fullmatch(unit)
         if not m or not m.group(2):
             raise LexError("malformed environment delimiter", unit, line, column)
-        kind = TokenKind.ENV_BEGIN if m.group(1) == "begin" else TokenKind.ENV_END
-        return kind, m.group(2), ""
+        return TokenKind.ENV_BEGIN if m.group(1) == "begin" else TokenKind.ENV_END
     if _COMMAND_RE.fullmatch(unit):
-        return TokenKind.COMMAND, unit[1:], ""
+        return TokenKind.COMMAND
     if _NUMBER_RE.fullmatch(unit):
-        return TokenKind.NUMBER, None, ""
+        return TokenKind.NUMBER
     raise LexError(
         "cannot classify unit; lexical units must be whitespace-separated",
         unit,
@@ -213,20 +210,19 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     # the NamedTuple constructors without their Python-level __new__ frame
     new = tuple.__new__
     finditer = (_PIECE_RE if lenient else _UNIT_RE).finditer
-    # piece -> (kind, name, decoration); a piece that fails raises at its
-    # first occurrence and is never stored
-    classes: dict[str, tuple[TokenKind, str | None, str]] = {}
+    # piece -> kind; a piece that fails raises at its first occurrence and
+    # is never stored
+    kinds: dict[str, TokenKind] = {}
     index = 0
     for line_no, line in _content_lines(source):
         for m in finditer(line):
             piece = m.group()
             column = m.start() + 1
-            found = classes.get(piece)
-            if found is None:
-                found = classes[piece] = _classify(piece, line_no, column)
-            append(new(Token, (piece, found[0],
-                               new(Position, (index, line_no, column)),
-                               found[1], found[2])))
+            kind = kinds.get(piece)
+            if kind is None:
+                kind = kinds[piece] = _classify(piece, line_no, column)
+            append(new(Token, (piece, kind,
+                               new(Position, (index, line_no, column)))))
             index += 1
 
     if tokens:

@@ -406,7 +406,8 @@ _AST_ACTIONS = {
         kids[2].lexeme, kids[2].position, *kids[4]),
     "OperationBody": lambda kids, toks, pos: (
         kids[0] if len(kids) > 1 else None, *kids[-1]),
-    "DeltaPart": lambda kids, toks, pos: DeltaList(kids[0].name, _name_refs(kids[2])),
+    "DeltaPart": lambda kids, toks, pos: DeltaList(
+        kids[0].lexeme[1:], _name_refs(kids[2])),
     "SchemaBody": _body,
     "InitBody": _body,
     "DeclarationList": _lines,

@@ -22,40 +22,53 @@ text and one suffix of the input.  Its size grows with tokens times
 remaining input, because every row prints the rest of the input; it is
 quadratic in file length whatever the stack depth, and the ``entrée``
 column is most of it.  The (class, block) localization of a syntax error
-is replayed from the shifted tokens when the error occurs.
+is read off the shifted lexemes when the error occurs; it assumes, as
+holds for an LR automaton, that they form a prefix of some sentence.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import NamedTuple
 
 from . import diagnostics as diag
 from .grammar import Grammar, ParseTable, Symbol
-from .lexer import Token, TokenKind, TokenStream, terminal_of
+from .lexer import Token, TokenStream, terminal_of
 from .records import record
 
 
+@record()
 class TreeNode(NamedTuple):
-    """Parse tree node; terminal leaves carry their originating token."""
+    """Parse tree node; terminal leaves carry their originating token.
+
+    Trees nest as deep as the input says, so equality and hashing walk the
+    nodes in preorder instead of recursing.
+    """
 
     symbol: Symbol
     production: int = -1
     children: tuple["TreeNode", ...] = ()
     token: Token | None = None
 
-    def frontier(self) -> tuple[Token, ...]:
-        """Terminal tokens of the subtree, left to right."""
-        out: list[Token] = []
+    def _preorder(self):
+        """Each node's fields, with its child count for its children."""
         pending = [self]  # explicit stack: nesting depth is input-controlled
         while pending:
             node = pending.pop()
-            if node.token is not None:
-                out.append(node.token)
-            else:
-                pending.extend(reversed(node.children))
-        return tuple(out)
+            yield node.symbol, node.production, len(node.children), node.token
+            pending.extend(reversed(node.children))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is TreeNode and all(
+            a == b for a, b in zip_longest(self._preorder(), other._preorder()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def frontier(self) -> tuple[Token, ...]:
+        """Terminal tokens of the subtree, left to right."""
+        return tuple(n[3] for n in self._preorder() if n[3] is not None)
 
 
 @record()
@@ -138,75 +151,50 @@ class ParseError(Exception):
                                self.enclosing_block, expected)
 
 
-class BlockTracker:
-    """Derives the (class, block) localization from consumed tokens.
+# The block each opener enters, and the closers that end only their own
+# block; any \\end{...} leaves the block it is in.
+_OPENERS = {
+    "\\begin{class}": diag.BLOCK_CLASS_HEADING,
+    "\\visibility": diag.BLOCK_VISIBILITY,
+    "\\inherit": diag.BLOCK_INHERITANCE,
+    "\\begin{axdef}": diag.BLOCK_LOCAL_DEFS,
+    "\\begin{state}": diag.BLOCK_STATE,
+    "\\begin{init}": diag.BLOCK_INIT,
+    "\\begin{op}": diag.operation_block(None),
+}
+_CLOSERS = {
+    "}": diag.BLOCK_CLASS_HEADING,
+    ")": diag.BLOCK_VISIBILITY,
+    "\\endinherit": diag.BLOCK_INHERITANCE,
+}
 
-    The block label follows the environment nesting at the most recently
-    shifted token: the heading braces of a class, a visibility list up to
-    its closing parenthesis, an inheritance list up to ``\\endinherit``,
-    and the state/init/op/axdef environments.
+
+def _location(shifted: tuple[Token, ...]) -> tuple[str | None, str | None]:
+    """The (class, block) of a syntax error after the ``shifted`` tokens.
+
+    An LR parser shifts only prefixes of sentences (the correct-prefix
+    property), so the shifted lexemes alone fix the location: the block is
+    the last one entered unless its closer or an ``\\end{...}`` came
+    since, and a class or operation is named by the word two tokens after
+    its ``\\begin``.  Outside a class the block is the top level.
     """
-
-    _ENV_BLOCKS = {
-        "state": diag.BLOCK_STATE,
-        "init": diag.BLOCK_INIT,
-        "axdef": diag.BLOCK_LOCAL_DEFS,
-    }
-
-    def __init__(self) -> None:
-        self.class_name: str | None = None
-        self.block: str | None = None
-        self._in_class = False
-        self._pending_class_name = False
-        self._pending_op_name = False
-
-    def feed(self, token: Token) -> None:
-        kind = token.kind
-        if kind is TokenKind.ENV_BEGIN:
-            if token.name == "class":
-                self._in_class = True
-                self.class_name = None
-                self._pending_class_name = True
-                self.block = diag.BLOCK_CLASS_HEADING
-            elif token.name == "op":
-                self.block = diag.operation_block(None)
-                self._pending_op_name = True
-            elif token.name in self._ENV_BLOCKS:
-                self.block = self._ENV_BLOCKS[token.name]
-        elif kind is TokenKind.ENV_END:
-            if token.name == "class":
-                self._in_class = False
-                self.class_name = None
-                self.block = None
-                self._pending_class_name = False
+    cls, block = None, diag.BLOCK_TOP_LEVEL
+    for i, token in enumerate(shifted):
+        lexeme = token.lexeme
+        opened = _OPENERS.get(lexeme)
+        if opened is not None:
+            name = shifted[i + 2].lexeme if i + 2 < len(shifted) else None
+            if lexeme == "\\begin{class}":
+                cls, block = name, opened
+            elif lexeme == "\\begin{op}":
+                block = diag.operation_block(name)
             else:
-                self.block = None
-            self._pending_op_name = False
-        elif kind is TokenKind.WORD:
-            if self._pending_class_name and self.class_name is None:
-                self.class_name = token.lexeme
-            elif self._pending_op_name:
-                self.block = diag.operation_block(token.lexeme)
-                self._pending_op_name = False
-        elif kind is TokenKind.RBRACE:
-            if self.block == diag.BLOCK_CLASS_HEADING:
-                self.block = None
-                self._pending_class_name = False
-        elif kind is TokenKind.COMMAND:
-            if token.name == "visibility":
-                self.block = diag.BLOCK_VISIBILITY
-            elif token.name == "inherit":
-                self.block = diag.BLOCK_INHERITANCE
-            elif token.name == "endinherit":
-                self.block = None
-        elif kind is TokenKind.OPERATOR:
-            if token.lexeme == ")" and self.block == diag.BLOCK_VISIBILITY:
-                self.block = None
-
-    def location(self) -> tuple[str | None, str | None]:
-        if not self._in_class:
-            return None, diag.BLOCK_TOP_LEVEL
-        return self.class_name, self.block
+                block = opened
+        elif lexeme == "\\end{class}":
+            cls, block = None, diag.BLOCK_TOP_LEVEL
+        elif lexeme.startswith("\\end{") or _CLOSERS.get(lexeme) == block:
+            block = None
+    return cls, block
 
 
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
@@ -215,15 +203,12 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
                   row, stack: str, remaining: str) -> ParseError:
     token = tokens[pos]
     expected = tuple(s.name for s in table.expected_terminals(state))
-    # The location depends only on the shifted tokens, so it is replayed
-    # here instead of being tracked on every shift.
-    tracker = BlockTracker()
-    for shifted in tokens[:pos]:
-        tracker.feed(shifted)
     if trace is not None:
         row(stack, remaining, "error",
             f'ERROR: unexpected "{token.lexeme or "$"}"', -1, -1)
-    return ParseError(token, *tracker.location(), expected, trace)
+    # the location depends only on the shifted tokens, so it is found here
+    # instead of being tracked on every shift
+    return ParseError(token, *_location(tokens[:pos]), expected, trace)
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,

@@ -289,29 +289,29 @@ def _is_word(unit: str) -> bool:
 
 
 def _naive_classify(unit: str):
-    """(kind value, name, decoration) of one unit, or (None, reason)."""
+    """(kind value, None) of one unit, or (None, reason)."""
     if any(unicodedata.category(ch) == "Cc" for ch in unit):
         return None, "unsupported control character"
     if unit in ("\\\\", "\\"):
-        return "LineSep", None, ""
+        return "LineSep", None
     for prefix, kind in (("\\begin{", "EnvBegin"), ("\\end{", "EnvEnd")):
         if unit.startswith(prefix):
             name = unit[len(prefix):-1]
             if unit.endswith("}") and name and not set(name) & set("{}"):
-                return kind, name, ""
+                return kind, None
             return None, "malformed environment delimiter"
     if (len(unit) > 1 and unit[0] == "\\"
             and all(ch.isascii() and ch.isalpha() for ch in unit[1:])):
-        return "Command", unit[1:], ""
+        return "Command", None
     braces = {"{": "LBrace", "}": "RBrace", "[": "LBracket", "]": "RBracket"}
     if unit in braces:
-        return braces[unit], None, ""
+        return braces[unit], None
     if unit in ("=", "+", ",", "(", ")", ":"):
-        return "Operator", None, ""
+        return "Operator", None
     if all(ch in "0123456789" for ch in unit):
-        return "Number", None, ""
+        return "Number", None
     if _is_word(unit):
-        return "Word", None, unit[len(unit.rstrip("'?!")):]
+        return "Word", None
     return None, "cannot classify unit; lexical units must be whitespace-separated"
 
 
@@ -319,9 +319,9 @@ def naive_tokenize(source: str, lenient: bool = False):
     """Tokens of ``source`` with every unit classified on its own.
 
     Returns ``(tokens, error)``.  Each token is ``(lexeme, kind value,
-    index, line, column, name, decoration)``, the end marker included.  On
-    the first unit that cannot be classified, ``error`` is ``(reason, unit,
-    line, column)`` and ``tokens`` is None.
+    index, line, column)``, the end marker included.  On the first unit that
+    cannot be classified, ``error`` is ``(reason, unit, line, column)`` and
+    ``tokens`` is None.
     """
     tokens = []
     for line_no, line in _naive_lines(source):
@@ -329,18 +329,16 @@ def naive_tokenize(source: str, lenient: bool = False):
             pieces = _naive_pieces(unit) if lenient else [(0, unit)]
             for start, piece in pieces:
                 column = offset + start + 1
-                found = _naive_classify(piece)
-                if found[0] is None:
-                    return None, (found[1], piece, line_no, column)
-                kind, name, decoration = found
-                tokens.append((piece, kind, len(tokens), line_no, column,
-                               name, decoration))
+                kind, reason = _naive_classify(piece)
+                if kind is None:
+                    return None, (reason, piece, line_no, column)
+                tokens.append((piece, kind, len(tokens), line_no, column))
     if tokens:
         last = tokens[-1]
         end = (len(tokens), last[3], last[4] + len(last[0]))
     else:
         end = (0, 1, 1)
-    tokens.append(("", "EndMarker", *end, None, ""))
+    tokens.append(("", "EndMarker", *end))
     return tokens, None
 
 

@@ -91,6 +91,25 @@ def test_undecodable_file_is_usage_error(tmp_path):
     assert err == f"ozcheck: cannot read {path}: not valid UTF-8\n"
 
 
+def test_control_characters_in_paths_are_escaped(tmp_path):
+    path = tmp_path / "x\x1b[31m.tex"
+    path.write_text("\\begin{class} { A } \\begin{state} x : T \\end{state}"
+                    " \\end{class}\n", encoding="utf-8")
+    missing = tmp_path / "gone\x1b.tex"
+    shown, missing_shown = (str(p).replace("\x1b", "\\x1b") for p in (path, missing))
+    runs = [
+        (RunConfig(inputs=[str(path)]), f"{shown}: error[OZ-SEM-102]", ""),
+        (RunConfig(inputs=[str(path)], trace=True), f"# trace: {shown}\n", ""),
+        (RunConfig(inputs=[str(missing)]), "",
+         f"ozcheck: cannot read {missing_shown}: "),
+    ]
+    for cfg, out_start, err_start in runs:
+        _, out, err = invoke(cfg)
+        assert "\x1b" not in out and "\x1b" not in err
+        assert out.startswith(out_start) and err.startswith(err_start)
+        assert "\\x1b" in out + err
+
+
 def test_no_inputs_without_dump_is_usage_error():
     code, out, err = invoke(RunConfig())
     assert code == 2 and "usage" in err

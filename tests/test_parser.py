@@ -257,6 +257,20 @@ def test_tree_nodes_are_immutable():
             node.extra = 1
 
 
+def test_deep_trees_compare_and_hash_without_recursion():
+    table, g = oz()
+    body = " \\\\\n".join(f"x{i} : \\nat" for i in range(5000))
+    source = (f"\\begin{{class}} {{ A }}\n\\begin{{state}}\n{body}\n"
+              "\\end{state}\n\\end{class}")
+    tokens = tokenize(source)
+    assert len(tokens) == 20_007
+    a, b = parse(tokens, table, g), parse(tokens, table, g)
+    assert a == b and not a != b and hash(a) == hash(b)
+    other = parse(tokenize(source.replace("x4999", "y4999")), table, g)
+    assert a != other and not a == other
+    assert a != tuple(a) and not a == tuple(a)
+
+
 def test_trace_rows_share_one_remaining_input_per_position(corpus):
     for path in sorted(corpus.glob("*.tex")):
         _, steps = corpus_trace(path.name)

@@ -28,7 +28,7 @@ from ozcheck.ozgrammar import (
     SchemaBlock,
     Specification,
 )
-from ozcheck.parser import TraceStep
+from ozcheck.parser import TraceStep, TreeNode
 
 from conftest import same_ast
 
@@ -81,11 +81,14 @@ MAKERS = {
     "Position": lambda at: Position(3, 2, 1),
     "Token": lambda at: Token("x", TokenKind.WORD, Position(3, 2, 1)),
     "TraceStep": lambda at: TraceStep("$ [0] x [4]", "= 1 $", "reduce", "r7: A -> x", 7),
+    "TreeNode": lambda at: TreeNode(Symbol(0, "nonterminal", "S"), 1, (
+        TreeNode(Symbol(4, TERMINAL, "Word"),
+                 token=Token("x", TokenKind.WORD, Position(3, 2, 1))),)),
 }
 HERE, THERE = Position(0, 1, 1), Position(9, 4, 6)
 AST_NODES = [name for name in MAKERS if name not in
              ("Diagnostic", "Symbol", "Production", "TokenStream", "Position",
-              "Token", "TraceStep")]
+              "Token", "TraceStep", "TreeNode")]
 
 
 def _values(r) -> tuple:

@@ -11,7 +11,8 @@ blank-separated unit.
 
 A unit's classification depends only on its text, so ``tokenize`` classifies
 each distinct unit once per call and reuses the result for its repetitions.
-Tokens are immutable ``(lexeme, kind, position)`` named tuples: a word's
+Each unit is one flat, immutable ``(lexeme, kind, index, line, column)``
+named tuple, and the AST keeps a name's token as its position.  A word's
 decoration is ``lexeme[len(lexeme.rstrip("'?!")):]``, and the parser locates
 a syntax error from the shifted lexemes alone, assuming they form a prefix
 of some sentence, as an LR automaton guarantees.  Tokenizing is pure;
@@ -44,30 +45,15 @@ class TokenKind(Enum):
 
 
 @record()
-class Position(NamedTuple):
-    """Token index in the stream plus 1-based line and column."""
+class Token(NamedTuple):
+    """A unit, its kind, its index in the stream and its 1-based line and
+    column."""
 
+    lexeme: str
+    kind: TokenKind
     index: int
     line: int
     column: int
-
-
-@record()
-class Token(NamedTuple):
-    lexeme: str
-    kind: TokenKind
-    position: Position
-
-    @property
-    def line(self) -> int:
-        return self.position.line
-
-    @property
-    def column(self) -> int:
-        return self.position.column
-
-    def __str__(self) -> str:
-        return self.lexeme
 
 
 @record()
@@ -207,7 +193,7 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     """
     tokens: list[Token] = []
     append = tokens.append
-    # the NamedTuple constructors without their Python-level __new__ frame
+    # the NamedTuple constructor without its Python-level __new__ frame
     new = tuple.__new__
     finditer = (_PIECE_RE if lenient else _UNIT_RE).finditer
     # piece -> kind; a piece that fails raises at its first occurrence and
@@ -221,17 +207,20 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
             kind = kinds.get(piece)
             if kind is None:
                 kind = kinds[piece] = _classify(piece, line_no, column)
-            append(new(Token, (piece, kind,
-                               new(Position, (index, line_no, column)))))
+            append(new(Token, (piece, kind, index, line_no, column)))
             index += 1
 
-    if tokens:
-        last = tokens[-1]
-        end_pos = Position(index, last.line, last.column + len(last.lexeme))
-    else:
-        end_pos = Position(0, 1, 1)
-    tokens.append(Token("", TokenKind.END_MARKER, end_pos))
+    tokens.append(end_token(tokens))
     return TokenStream(tuple(tokens))
+
+
+def end_token(tokens: "list[Token] | tuple[Token, ...]") -> Token:
+    """The EndMarker just past the last of ``tokens``, or at 1:1."""
+    if not tokens:
+        return Token("", TokenKind.END_MARKER, 0, 1, 1)
+    last = tokens[-1]
+    return Token("", TokenKind.END_MARKER, len(tokens), last.line,
+                 last.column + len(last.lexeme))
 
 
 def terminal_of(token: Token, g: "Grammar") -> "Symbol":

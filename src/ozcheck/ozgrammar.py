@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import Position, Token, TokenKind, TokenStream
+from .lexer import Token, TokenKind, TokenStream, end_token
 from .parser import TraceStep, TraceWriter, TreeNode, _drive
 from .records import record
 
@@ -141,15 +141,15 @@ def oz_parse_table() -> ParseTable:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: a ``pos``/``name_pos`` is the stream's own token, ignored by ``==``.
 
 
 @record("pos")
 class NameRef(NamedTuple):
-    """An identifier occurrence with its source position."""
+    """An identifier occurrence; ``pos`` is its token in the stream."""
 
     name: str
-    pos: Position
+    pos: Token
 
 
 class BuiltinKind(Enum):
@@ -193,7 +193,7 @@ class BuiltinType(NamedTuple):
 @record("pos")
 class NamedType(NamedTuple):
     name: str
-    pos: Position
+    pos: Token
 
 
 @record()
@@ -222,7 +222,7 @@ def named_leaves(t: TypeExpr):
 class Declaration(NamedTuple):
     name: str
     type_expr: TypeExpr
-    pos: Position
+    pos: Token
 
 
 @record()
@@ -230,10 +230,6 @@ class PredicateLine(NamedTuple):
     """An opaque, well-formed predicate as its token sequence."""
 
     tokens: tuple[Token, ...]
-
-    @property
-    def pos(self) -> Position:
-        return self.tokens[0].position
 
     @property
     def text(self) -> str:
@@ -262,7 +258,7 @@ class DeltaList(NamedTuple):
 @record("name_pos")
 class OperationSchema(NamedTuple):
     name: str
-    name_pos: Position
+    name_pos: Token
     delta: DeltaList | None = None
     declarations: tuple[Declaration, ...] = ()
     predicates: tuple[PredicateLine, ...] = ()
@@ -276,7 +272,7 @@ class GivenTypeDecl(NamedTuple):
 @record("name_pos")
 class ClassDef(NamedTuple):
     name: str
-    name_pos: Position
+    name_pos: Token
     generic_params: tuple[NameRef, ...] = ()
     visibility: tuple[NameRef, ...] | None = None
     inherits: tuple[NameRef, ...] = ()
@@ -322,14 +318,14 @@ def _reversed(items: list) -> tuple:
 
 
 def _name_refs(words: list) -> tuple[NameRef, ...]:
-    return tuple(NameRef(w.lexeme, w.position) for w in reversed(words))
+    return tuple(NameRef(w.lexeme, w) for w in reversed(words))
 
 
 def _lines(kids, toks, pos):
     if len(kids) == 1:
         return [(kids[0], pos)]
     rest = kids[2]
-    rest.append((kids[0], kids[1].position.index))
+    rest.append((kids[0], kids[1].index))
     return rest
 
 
@@ -343,7 +339,7 @@ def _body(kids, toks, pos):
         if value.__class__ is Declaration and not preds:
             decls.append(value)
         else:
-            start = value.pos if value.__class__ is Declaration else value.position
+            start = value.pos if value.__class__ is Declaration else value
             preds.append(PredicateLine(toks[start.index:end]))
     return tuple(decls), tuple(preds)
 
@@ -351,7 +347,7 @@ def _body(kids, toks, pos):
 def _declaration(kids, toks, pos):
     name, parts = kids[0], _reversed(kids[2])  # the \cross spine
     type_expr = parts[0] if len(parts) == 1 else ProductType(parts)
-    return Declaration(name.lexeme, type_expr, name.position)
+    return Declaration(name.lexeme, type_expr, name)
 
 
 _BUILTIN_BY_COMMAND = {k.value: k for k in BuiltinKind}
@@ -360,7 +356,7 @@ _BUILTIN_BY_COMMAND = {k.value: k for k in BuiltinKind}
 def _type_atom(kids, toks, pos):
     token = kids[0]
     if token.kind is TokenKind.WORD:
-        return NamedType(token.lexeme, token.position)
+        return NamedType(token.lexeme, token)
     argument = kids[1] if len(kids) > 1 else None
     return BuiltinType(_BUILTIN_BY_COMMAND[token.lexeme], argument)
 
@@ -380,7 +376,7 @@ def _paragraph(kids, toks, pos):
             fields[value[0]] = value[1]
         elif value.__class__ is OperationSchema:
             operations.append(value)
-    return ClassDef(name.lexeme, name.position, generic,
+    return ClassDef(name.lexeme, name, generic,
                     operations=tuple(operations), **fields)
 
 
@@ -403,7 +399,7 @@ _AST_ACTIONS = {
     "StateEnv": lambda kids, toks, pos: ("state", SchemaBlock("state", *kids[1])),
     "InitEnv": lambda kids, toks, pos: ("init", SchemaBlock("init", *kids[1])),
     "OperationEnv": lambda kids, toks, pos: OperationSchema(
-        kids[2].lexeme, kids[2].position, *kids[4]),
+        kids[2].lexeme, kids[2], *kids[4]),
     "OperationBody": lambda kids, toks, pos: (
         kids[0] if len(kids) > 1 else None, *kids[-1]),
     "DeltaPart": lambda kids, toks, pos: DeltaList(
@@ -456,6 +452,4 @@ def build_ast(tree: TreeNode) -> Specification:
     grammar is unambiguous, so the leaves fix the tree, and the AST is the
     one the tree's own tokens give."""
     toks = tree.frontier()
-    last = toks[-1]
-    end = Position(len(toks), last.line, last.column + len(last.lexeme))
-    return parse_spec(TokenStream(toks + (Token("", TokenKind.END_MARKER, end),)))
+    return parse_spec(TokenStream(toks + (end_token(toks),)))

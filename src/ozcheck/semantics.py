@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import diagnostics as diag
 from .diagnostics import Diagnostic
-from .lexer import Position
+from .lexer import Token
 from .ozgrammar import (
     ClassDef,
     Declaration,
@@ -106,9 +106,9 @@ def resolve_inheritance(
         path[-1][2].update(resolved)
 
 
-def _finding(code: str, symbol: str, pos: Position, class_name: str,
+def _finding(code: str, symbol: str, pos: Token, class_name: str,
              block: str, detail: str | None = None) -> Diagnostic:
-    """A finding about ``symbol`` at the line and column of ``pos``."""
+    """A finding about ``symbol`` at the line and column of its token."""
     return Diagnostic(code, symbol, pos.line, pos.column, class_name, block,
                       detail)
 

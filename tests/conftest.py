@@ -77,15 +77,16 @@ def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
 
 
 def same_ast(a, b) -> bool:
-    """``==`` that also compares what the AST's ``==`` ignores: the source
-    positions and the tokens of predicate lines, by walking every named
-    tuple through its own field names.  Loops, never recurses."""
+    """``==`` that also compares what the AST's ``==`` ignores: the tokens
+    that are the source positions and the tokens of predicate lines, by
+    walking every named tuple through its own field names.  Loops, never
+    recurses."""
     pending = [(a, b)]
     while pending:
         x, y = pending.pop()
         if x.__class__ is not y.__class__:
             return False
-        names = getattr(x, "_fields", None)  # AST nodes, tokens, positions
+        names = getattr(x, "_fields", None)  # AST nodes and tokens
         if names is not None:
             pending.extend((getattr(x, f), getattr(y, f)) for f in names)
         elif x.__class__ is tuple:

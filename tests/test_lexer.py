@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -12,7 +13,6 @@ from ozcheck import lexer
 from ozcheck.grammar import Grammar
 from ozcheck.lexer import (
     LexError,
-    Position,
     TokenKind,
     UnknownTokenError,
     terminal_of,
@@ -20,7 +20,7 @@ from ozcheck.lexer import (
 )
 from ozcheck.ozgrammar import object_z_grammar
 
-from conftest import CORPUS
+from conftest import CORPUS, corpus_text
 from oracles import naive_tokenize
 
 
@@ -48,7 +48,7 @@ def test_class_line():
 def test_empty_text_yields_only_end_marker():
     ts = tokenize("")
     assert kinds(ts) == [TokenKind.END_MARKER]
-    assert ts[-1].position == Position(0, 1, 1)
+    assert (ts[-1].index, ts[-1].line, ts[-1].column) == (0, 1, 1)
 
 
 def test_declaration_line():
@@ -108,7 +108,7 @@ def test_positions_point_at_units():
 
 def test_positions_strictly_increase():
     ts = tokenize("a b\nc d")
-    positions = [t.position for t in ts]
+    positions = [(t.index, t.line, t.column) for t in ts]
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
 
@@ -161,10 +161,25 @@ def test_fragment_without_markers_tokenizes_fully():
     assert len(ts) == 5
 
 
+def test_tokenize_holds_at_most_200_bytes_per_token():
+    # one flat five-field tuple per token: 172 B/token here, and 228 when
+    # each token held a separate position tuple
+    source = corpus_text("queue.tex") * 1200
+    tokenize(source[:1000])  # warm the module-level caches first
+    tracemalloc.start()
+    try:
+        ts = tokenize(source)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) >= 10**5
+    assert held / len(ts) <= 200
+
+
 def dump_tokens(stream) -> str:
     """One token per line: ``index<TAB>kind<TAB>lexeme<TAB>line:col``."""
     return "".join(
-        f"{t.position.index}\t{t.kind.value}\t{t.lexeme}\t{t.line}:{t.column}\n"
+        f"{t.index}\t{t.kind.value}\t{t.lexeme}\t{t.line}:{t.column}\n"
         for t in stream)
 
 
@@ -239,7 +254,7 @@ def test_tokenize_agrees_with_naive_oracle(lenient, data):
         assert (e.reason, e.unit, e.line, e.column) == error
         return
     assert error is None
-    assert [(t.lexeme, t.kind.value, *t.position) for t in ts] == expected
+    assert [(t.lexeme, t.kind.value, t.index, t.line, t.column) for t in ts] == expected
 
 
 def lexer_outcome(source: str, lenient: bool):
@@ -248,7 +263,7 @@ def lexer_outcome(source: str, lenient: bool):
         ts = tokenize(source, lenient=lenient)
     except LexError as e:
         return None, (e.reason, e.unit, e.line, e.column)
-    return [(t.lexeme, t.kind.value, *t.position) for t in ts], None
+    return [(t.lexeme, t.kind.value, t.index, t.line, t.column) for t in ts], None
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -284,10 +284,10 @@ def test_declaration_positions_monotone(queue_source):
     positions = []
     c = spec.classes[0]
     for block in (c.state, c.init):
-        positions.extend(d.pos for d in block.declarations)
+        positions.extend(d.pos.index for d in block.declarations)
     for op in c.operations:
-        positions.extend(r.pos for r in op.delta.names)
-        positions.extend(d.pos for d in op.declarations)
+        positions.extend(r.pos.index for r in op.delta.names)
+        positions.extend(d.pos.index for d in op.declarations)
     assert positions == sorted(positions)
 
 
@@ -439,12 +439,36 @@ def test_lowering_is_total_on_generated_specifications():
         for c in spec.classes:
             blocks = [b for b in (c.state, c.init) if b is not None]
             for block in blocks:
-                positions.extend(d.pos for d in block.declarations)
+                positions.extend(d.pos.index for d in block.declarations)
             for op in c.operations:
-                positions.extend(d.pos for d in op.declarations)
+                positions.extend(d.pos.index for d in op.declarations)
         assert positions == sorted(positions)
         # and the rendering round-trips structurally
         assert ast_of(render_tokens(spec)) == spec
+
+
+def ast_positions(spec) -> list:
+    """Every ``pos`` and ``name_pos`` value in ``spec``."""
+    found, pending = [], [spec]
+    while pending:
+        x = pending.pop()
+        if x.__class__ is tuple:
+            pending.extend(x)
+        for name in getattr(x, "_fields", ()):
+            value = getattr(x, name)
+            (found if name in ("pos", "name_pos") else pending).append(value)
+    return found
+
+
+def test_ast_positions_are_the_streams_own_tokens(queue_source):
+    rng = random.Random(20261019)
+    for source in [queue_source, *(random_specification(rng) for _ in range(50))]:
+        tokens = tokenize(source)
+        tree = parse(tokens, oz_parse_table(), object_z_grammar())
+        for spec in (parse_spec(tokens), build_ast(tree)):
+            positions = ast_positions(spec)
+            assert positions
+            assert all(p is tokens[p.index] for p in positions)
 
 
 # Units a mutation inserts or substitutes: every terminal of the shipped
@@ -515,8 +539,8 @@ def assert_predicate_lines_are_whole(spec, source):
     for c in spec.classes:
         blocks = [b for b in (c.state, c.init) if b is not None]
         for line in [p for b in blocks + list(c.operations) for p in b.predicates]:
-            first = line.tokens[0].position.index
-            last = line.tokens[-1].position.index
+            first = line.tokens[0].index
+            last = line.tokens[-1].index
             assert line.tokens == toks[first:last + 1]
             assert bounds(toks[first - 1], LINE_STARTS), line.text
             assert bounds(toks[last + 1], LINE_ENDS), line.text

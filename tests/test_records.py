@@ -12,7 +12,7 @@ import pytest
 import ozcheck
 from ozcheck.diagnostics import Diagnostic
 from ozcheck.grammar import TERMINAL, Production, Symbol
-from ozcheck.lexer import Position, Token, TokenKind, TokenStream, tokenize
+from ozcheck.lexer import Token, TokenKind, TokenStream, tokenize
 from ozcheck.ozgrammar import (
     BuiltinKind,
     BuiltinType,
@@ -44,14 +44,14 @@ def test_startup_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
-def _predicate(at: Position) -> PredicateLine:
+def _predicate(at: Token) -> PredicateLine:
     """``x = 1`` with its first token at ``at``."""
     lines = "\n" * (at.line - 1) + " " * (at.column - 1)
     return PredicateLine(tokenize(lines + "x = 1").tokens[:-1])
 
 
-# Each maker builds one record from a position; a record that has no
-# position field, or whose equality counts it (Position, Token), is built
+# Each maker builds one record from a position, which is a token; a record
+# that has no position field, or whose equality counts it (Token), is built
 # the same way from both positions.
 MAKERS = {
     "NameRef": lambda at: NameRef("x", at),
@@ -78,17 +78,16 @@ MAKERS = {
     "Production": lambda at: Production(
         1, Symbol(0, "nonterminal", "S"), (Symbol(4, TERMINAL, "Word"),)),
     "TokenStream": lambda at: tokenize("x = 1"),
-    "Position": lambda at: Position(3, 2, 1),
-    "Token": lambda at: Token("x", TokenKind.WORD, Position(3, 2, 1)),
+    "Token": lambda at: Token("x", TokenKind.WORD, 3, 2, 1),
     "TraceStep": lambda at: TraceStep("$ [0] x [4]", "= 1 $", "reduce", "r7: A -> x", 7),
     "TreeNode": lambda at: TreeNode(Symbol(0, "nonterminal", "S"), 1, (
         TreeNode(Symbol(4, TERMINAL, "Word"),
-                 token=Token("x", TokenKind.WORD, Position(3, 2, 1))),)),
+                 token=Token("x", TokenKind.WORD, 3, 2, 1)),)),
 }
-HERE, THERE = Position(0, 1, 1), Position(9, 4, 6)
+HERE, THERE = Token("x", TokenKind.WORD, 0, 1, 1), Token("x", TokenKind.WORD, 9, 4, 6)
 AST_NODES = [name for name in MAKERS if name not in
-             ("Diagnostic", "Symbol", "Production", "TokenStream", "Position",
-              "Token", "TraceStep", "TreeNode")]
+             ("Diagnostic", "Symbol", "Production", "TokenStream", "Token",
+              "TraceStep", "TreeNode")]
 
 
 def _values(r) -> tuple:

@@ -131,6 +131,7 @@ _FR_BLOCKS = {
     BLOCK_LOCAL_DEFS: ("les définitions locales", "définitions locales"),
     BLOCK_STATE: ("le schéma d'état", "schéma d'état"),
     BLOCK_INIT: ("le schéma d'état initial", "schéma d'état initial"),
+    operation_block(None): ("l'opération", "opération"),
     BLOCK_TOP_LEVEL: ("le niveau supérieur", "niveau supérieur"),
 }
 

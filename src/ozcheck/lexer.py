@@ -9,17 +9,19 @@ sources that do not follow the convention strictly; its pattern never spans
 a blank, so the pieces it finds on a line are exactly the pieces of each
 blank-separated unit.
 
-A unit's classification depends only on its text, so ``tokenize`` classifies
-each distinct unit once per call and reuses the result for its repetitions.
 Each unit is one flat, immutable ``(lexeme, kind, index, line, column)``
-named tuple, and the AST keeps a name's token as its position.  A word's
+named tuple, and the AST keeps a name's token as its position.  The kind is
+the name of the unit's terminal: ``Word``, ``Number``, ``\\\\`` for a line
+separator (a lone ``\\`` included), ``$`` for the end marker, and the lexeme
+itself for every other unit.  A unit's kind depends only on its text, so
+``tokenize`` classifies each distinct unit once per call, and its
+repetitions share the first occurrence's string and kind.  A word's
 decoration is ``lexeme[len(lexeme.rstrip("'?!")):]``, and the parser locates
 a syntax error from the shifted lexemes alone, assuming they form a prefix
 of some sentence, as an LR automaton guarantees.  Tokenizing is pure;
 independent sources may be processed concurrently.
 """
 import re
-from enum import Enum
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import diagnostics as diag
@@ -29,28 +31,19 @@ if TYPE_CHECKING:
     from .grammar import Grammar, Symbol
 
 
-class TokenKind(Enum):
-    ENV_BEGIN = "EnvBegin"
-    ENV_END = "EnvEnd"
-    COMMAND = "Command"
-    LBRACE = "LBrace"
-    RBRACE = "RBrace"
-    LBRACKET = "LBracket"
-    RBRACKET = "RBracket"
-    WORD = "Word"
-    NUMBER = "Number"
-    OPERATOR = "Operator"
-    LINE_SEP = "LineSep"
-    END_MARKER = "EndMarker"
+# the kinds that are not their unit's own lexeme: the generic terminals and
+# the end marker
+WORD, NUMBER, LINE_SEP, END_MARKER = "Word", "Number", "\\\\", "$"
 
 
 @record()
 class Token(NamedTuple):
     """A unit, its kind, its index in the stream and its 1-based line and
-    column."""
+    column.  The kind is the name of the unit's terminal in a grammar with
+    generic ``Word`` and ``Number`` terminals."""
 
     lexeme: str
-    kind: TokenKind
+    kind: str
     index: int
     line: int
     column: int
@@ -58,7 +51,7 @@ class Token(NamedTuple):
 
 @record()
 class TokenStream(tuple):
-    """The tokens of one source, as a tuple ending in exactly one EndMarker."""
+    """The tokens of one source, as a tuple ending in exactly one end marker."""
 
     __slots__ = ()
 
@@ -99,7 +92,7 @@ class UnknownTokenError(Exception):
             f'the unit "{t.lexeme}" is not part of the input vocabulary'))
 
 
-_ENV_RE = re.compile(r"\\(begin|end)\{([^{}]*)\}\Z")
+_ENV_RE = re.compile(r"\\(?:begin|end)\{([^{}]*)\}\Z")
 _COMMAND_RE = re.compile(r"\\[A-Za-z]+\Z")
 _NUMBER_RE = re.compile(r"[0-9]+\Z")
 _WORD_RE = re.compile(r"[^\W\d]\w*['?!]*\Z")
@@ -107,18 +100,10 @@ _WORD_RE = re.compile(r"[^\W\d]\w*['?!]*\Z")
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 # the kind of each lexeme whose text fixes it; single backslashes appear in
 # transcribed sources where \\ is meant
-_FIXED = {
-    "\\\\": TokenKind.LINE_SEP,
-    "\\": TokenKind.LINE_SEP,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    **dict.fromkeys("=+,():", TokenKind.OPERATOR),
-}
+_FIXED = {"\\\\": LINE_SEP, "\\": LINE_SEP, **{c: c for c in "{}[]=+,():"}}
 
 
-def _classify(unit: str, line: int, column: int) -> TokenKind:
+def _classify(unit: str, line: int, column: int) -> str:
     """Return the kind of one unit."""
     if _CONTROL_RE.search(unit):
         raise LexError("unsupported control character", unit, line, column)
@@ -127,16 +112,16 @@ def _classify(unit: str, line: int, column: int) -> TokenKind:
         return fixed
     # the commonest kind first: a word never starts with \ or a digit
     if _WORD_RE.fullmatch(unit):
-        return TokenKind.WORD
+        return WORD
     if unit.startswith("\\begin{") or unit.startswith("\\end{"):
         m = _ENV_RE.fullmatch(unit)
-        if not m or not m.group(2):
+        if not m or not m.group(1):
             raise LexError("malformed environment delimiter", unit, line, column)
-        return TokenKind.ENV_BEGIN if m.group(1) == "begin" else TokenKind.ENV_END
+        return unit
     if _COMMAND_RE.fullmatch(unit):
-        return TokenKind.COMMAND
+        return unit
     if _NUMBER_RE.fullmatch(unit):
-        return TokenKind.NUMBER
+        return NUMBER
     raise LexError(
         "cannot classify unit; lexical units must be whitespace-separated",
         unit,
@@ -188,7 +173,7 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     """Split ``source`` into a positioned token stream.
 
     Raises :class:`LexError` on units that cannot be classified.  The
-    stream always ends with a single EndMarker positioned just past the
+    stream always ends with a single end marker positioned just past the
     last unit.
     """
     tokens: list[Token] = []
@@ -196,18 +181,19 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     # the NamedTuple constructor without its Python-level __new__ frame
     new = tuple.__new__
     finditer = (_PIECE_RE if lenient else _UNIT_RE).finditer
-    # piece -> kind; a piece that fails raises at its first occurrence and
-    # is never stored
-    kinds: dict[str, TokenKind] = {}
+    # piece -> (its first occurrence, kind), so repeated pieces share one
+    # string; a piece that fails raises at its first occurrence and is never
+    # stored
+    seen: dict[str, tuple[str, str]] = {}
     index = 0
     for line_no, line in _content_lines(source):
         for m in finditer(line):
             piece = m.group()
             column = m.start() + 1
-            kind = kinds.get(piece)
-            if kind is None:
-                kind = kinds[piece] = _classify(piece, line_no, column)
-            append(new(Token, (piece, kind, index, line_no, column)))
+            first = seen.get(piece)
+            if first is None:
+                first = seen[piece] = (piece, _classify(piece, line_no, column))
+            append(new(Token, first + (index, line_no, column)))
             index += 1
 
     tokens.append(end_token(tokens))
@@ -215,44 +201,24 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
 
 
 def end_token(tokens: "list[Token] | tuple[Token, ...]") -> Token:
-    """The EndMarker just past the last of ``tokens``, or at 1:1."""
+    """The end marker just past the last of ``tokens``, or at 1:1."""
     if not tokens:
-        return Token("", TokenKind.END_MARKER, 0, 1, 1)
+        return Token("", END_MARKER, 0, 1, 1)
     last = tokens[-1]
-    return Token("", TokenKind.END_MARKER, len(tokens), last.line,
+    return Token("", END_MARKER, len(tokens), last.line,
                  last.column + len(last.lexeme))
 
 
 def terminal_of(token: Token, g: "Grammar") -> "Symbol":
-    """Map a token to its grammar terminal.
+    """Map a token to its grammar terminal: the one named by its kind.
 
-    Keyword-like tokens (environments, commands, operators, braces) map to
-    the terminal registered under their lexeme, and a lone ``\\`` to the
-    ``\\\\`` line separator.  Word and Number tokens map to the generic
-    ``Word``/``Number`` terminals when the grammar registers them, otherwise
-    their lexeme is looked up directly, which lets token streams drive
-    grammars over ad-hoc alphabets.
+    Where the grammar has no terminal of that name, a Word or Number token
+    maps to the terminal named by its lexeme, which lets token streams
+    drive grammars over ad-hoc alphabets.
     """
-    kind = token.kind
-    if kind is TokenKind.END_MARKER:
-        return g.end_marker
-
-    if kind is TokenKind.LINE_SEP:
-        name = "\\\\"
-    elif kind is TokenKind.WORD:
-        generic = g.try_symbol("Word")
-        if generic is not None and generic.is_terminal:
-            return generic
-        name = token.lexeme
-    elif kind is TokenKind.NUMBER:
-        generic = g.try_symbol("Number")
-        if generic is not None and generic.is_terminal:
-            return generic
-        name = token.lexeme
-    else:
-        name = token.lexeme
-
-    sym = g.try_symbol(name)
+    sym = g.try_symbol(token.kind)
+    if (sym is None or not sym.is_terminal) and token.kind in (WORD, NUMBER):
+        sym = g.try_symbol(token.lexeme)
     if sym is None or not sym.is_terminal:
         raise UnknownTokenError(token)
     return sym

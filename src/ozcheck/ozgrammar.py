@@ -21,12 +21,11 @@ yacc's ``$$ = f($1..$n)``).  :func:`build_ast` gets the AST of a parse
 tree from :func:`ozcheck.parser.parse` by driving the tree's frontier
 through :func:`parse_spec`, so the actions have one evaluator, the driver.
 """
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import Token, TokenKind, TokenStream, end_token
+from .lexer import WORD, Token, TokenStream, end_token
 from .parser import TraceStep, TraceWriter, TreeNode, _drive
 from .records import record
 
@@ -152,14 +151,6 @@ class NameRef(NamedTuple):
     pos: Token
 
 
-class BuiltinKind(Enum):
-    NATURALS = "\\nat"
-    INTEGERS = "\\num"
-    POWER_SET = "\\pset"
-    FINITE_SETS = "\\fset"
-    SEQUENCE = "\\seq"
-
-
 @record()
 class BuiltinType(NamedTuple):
     """A builtin type; ``\\pset``, ``\\fset`` and ``\\seq`` take an argument.
@@ -168,7 +159,7 @@ class BuiltinType(NamedTuple):
     equality and hashing loop down the chain instead of recursing.
     """
 
-    kind: BuiltinKind
+    kind: str  # its command: "\\nat", "\\num", "\\pset", "\\fset" or "\\seq"
     argument: "TypeExpr | None" = None
 
     def __eq__(self, other) -> bool:
@@ -176,7 +167,7 @@ class BuiltinType(NamedTuple):
             return False
         a, b = self, other
         while a.__class__ is BuiltinType and b.__class__ is BuiltinType:
-            if a.kind is not b.kind:
+            if a.kind != b.kind:
                 return False
             a, b = a.argument, b.argument
         return a == b
@@ -350,15 +341,12 @@ def _declaration(kids, toks, pos):
     return Declaration(name.lexeme, type_expr, name)
 
 
-_BUILTIN_BY_COMMAND = {k.value: k for k in BuiltinKind}
-
-
 def _type_atom(kids, toks, pos):
     token = kids[0]
-    if token.kind is TokenKind.WORD:
+    if token.kind == WORD:
         return NamedType(token.lexeme, token)
     argument = kids[1] if len(kids) > 1 else None
-    return BuiltinType(_BUILTIN_BY_COMMAND[token.lexeme], argument)
+    return BuiltinType(token.lexeme, argument)
 
 
 def _paragraph(kids, toks, pos):

@@ -289,25 +289,22 @@ def _is_word(unit: str) -> bool:
 
 
 def _naive_classify(unit: str):
-    """(kind value, None) of one unit, or (None, reason)."""
+    """(kind, None) of one unit, or (None, reason)."""
     if any(unicodedata.category(ch) == "Cc" for ch in unit):
         return None, "unsupported control character"
     if unit in ("\\\\", "\\"):
-        return "LineSep", None
-    for prefix, kind in (("\\begin{", "EnvBegin"), ("\\end{", "EnvEnd")):
+        return "\\\\", None
+    for prefix in ("\\begin{", "\\end{"):
         if unit.startswith(prefix):
             name = unit[len(prefix):-1]
             if unit.endswith("}") and name and not set(name) & set("{}"):
-                return kind, None
+                return unit, None
             return None, "malformed environment delimiter"
     if (len(unit) > 1 and unit[0] == "\\"
             and all(ch.isascii() and ch.isalpha() for ch in unit[1:])):
-        return "Command", None
-    braces = {"{": "LBrace", "}": "RBrace", "[": "LBracket", "]": "RBracket"}
-    if unit in braces:
-        return braces[unit], None
-    if unit in ("=", "+", ",", "(", ")", ":"):
-        return "Operator", None
+        return unit, None
+    if unit in ("{", "}", "[", "]", "=", "+", ",", "(", ")", ":"):
+        return unit, None
     if all(ch in "0123456789" for ch in unit):
         return "Number", None
     if _is_word(unit):
@@ -318,7 +315,7 @@ def _naive_classify(unit: str):
 def naive_tokenize(source: str, lenient: bool = False):
     """Tokens of ``source`` with every unit classified on its own.
 
-    Returns ``(tokens, error)``.  Each token is ``(lexeme, kind value,
+    Returns ``(tokens, error)``.  Each token is ``(lexeme, kind,
     index, line, column)``, the end marker included.  On the first unit that
     cannot be classified, ``error`` is ``(reason, unit, line, column)`` and
     ``tokens`` is None.
@@ -338,7 +335,7 @@ def naive_tokenize(source: str, lenient: bool = False):
         end = (len(tokens), last[3], last[4] + len(last[0]))
     else:
         end = (0, 1, 1)
-    tokens.append(("", "EndMarker", *end))
+    tokens.append(("", "$", *end))
     return tokens, None
 
 

@@ -62,12 +62,12 @@ def _render_decl(d: Declaration) -> str:
 def _render_type(t: TypeExpr) -> str:
     words = []  # loop, not recursion: constructor chains are input-controlled
     while isinstance(t, BuiltinType) and t.argument is not None:
-        words.append(t.kind.value)
+        words.append(t.kind)
         t = t.argument
     if isinstance(t, NamedType):
         words.append(t.name)
     elif isinstance(t, BuiltinType):
-        words.append(t.kind.value)
+        words.append(t.kind)
     else:
         words.append(" \\cross ".join(_render_type(p) for p in t.parts))
     return " ".join(words)

@@ -10,14 +10,16 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ozcheck
-from ozcheck import cli
+from ozcheck import cli, lexer, parser
 from ozcheck.cli import EXIT_INTERNAL, RunConfig, build_arg_parser, main, run
 from ozcheck.grammar import grammar_from_text
+from ozcheck.ozgrammar import parse_spec
 
-from conftest import TESTS_DIR
+from conftest import TESTS_DIR, corpus_text
 
 # SHA-256 over the exit status and stdout of ``run`` on each corpus file in
 # every combination of --format, --locale and --lenient (see
@@ -326,6 +328,31 @@ def test_names_the_benchmark_wraps_exist():
     for module, attribute, _ in wrapped:
         assert callable(getattr(importlib.import_module(module), attribute)), (
             module, attribute)
+
+
+def test_names_the_benchmark_reads_outside_wrapped_exist():
+    # perfbench/spans.py reads these directly and replaces parser.terminal_of
+    assert callable(lexer.terminal_of) and callable(parser.terminal_of)
+    assert callable(parser.accepts)
+    assert issubclass(lexer.UnknownTokenError, Exception)
+    assert issubclass(parser.ParseError, Exception)
+    assert lexer.tokenize("x").tokens == tuple(lexer.tokenize("x"))
+
+
+def test_parse_spec_maps_each_distinct_lexeme_once(monkeypatch):
+    # the benchmark's lexer.terminal_of.us_per_tok counts the calls made
+    # through parser.terminal_of
+    calls: Counter = Counter()
+
+    def counting(token, g):
+        calls[token.lexeme] += 1
+        return lexer.terminal_of(token, g)
+
+    monkeypatch.setattr(parser, "terminal_of", counting)
+    tokens = lexer.tokenize(corpus_text("queue.tex"))
+    parse_spec(tokens)
+    assert calls == Counter({t.lexeme for t in tokens})
+    assert sum(calls.values()) < len(tokens)
 
 
 def test_keywords_the_benchmark_passes_to_run_config_exist():

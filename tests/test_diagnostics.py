@@ -137,8 +137,10 @@ def test_french_rendering_of_other_codes():
 # SHA-256 over ``rendering_transcript``: render_human and render_machine, in
 # English and French, of one diagnostic per code for each localization and
 # detail below.  Recorded before the semantic checks shared one constructor
-# for their findings; the text must not change.
-RENDERING_DIGEST = "1893d2ca1ca88a7c445938c7b3c3678c35b8c6c460941de9ed385d3fa53c0e53"
+# for their findings; the text must not change.  Re-recorded once since, when
+# French output named an unnamed operation block "l'opération" instead of
+# leaving it as the English "operation".
+RENDERING_DIGEST = "f7aa79d9f65fbcf321b637d06b5b8e8f47ff8d2de34a4c41e6ce509a23218a89"
 
 LOCALIZATIONS = [
     (None, None),
@@ -167,6 +169,13 @@ def rendering_transcript() -> str:
 def test_rendering_of_every_code_in_both_locales_is_pinned():
     digest = hashlib.sha256(rendering_transcript().encode()).hexdigest()
     assert digest == RENDERING_DIGEST
+
+
+def test_french_rendering_leaves_no_english_block_name():
+    for code in sorted(CODE_CATALOG):
+        for class_name, block in LOCALIZATIONS:
+            d = Diagnostic(code, "x'", 3, 7, class_name, block)
+            assert " dans operation" not in render_human(d, locale="fr")
 
 
 def test_french_rendering_of_lexical_inheritance_and_top_level_errors():

@@ -12,8 +12,11 @@ from hypothesis import given, strategies as st
 from ozcheck import lexer
 from ozcheck.grammar import Grammar
 from ozcheck.lexer import (
+    END_MARKER,
+    LINE_SEP,
+    NUMBER,
+    WORD,
     LexError,
-    TokenKind,
     UnknownTokenError,
     terminal_of,
     tokenize,
@@ -22,6 +25,7 @@ from ozcheck.ozgrammar import object_z_grammar
 
 from conftest import CORPUS, corpus_text
 from oracles import naive_tokenize
+from randgrammars import generate_cases
 
 
 def kinds(stream):
@@ -35,58 +39,40 @@ def lexemes(stream):
 def test_class_line():
     ts = tokenize(r"\begin{class} { A } \end{class}")
     assert kinds(ts) == [
-        TokenKind.ENV_BEGIN,
-        TokenKind.LBRACE,
-        TokenKind.WORD,
-        TokenKind.RBRACE,
-        TokenKind.ENV_END,
-        TokenKind.END_MARKER,
-    ]
+        "\\begin{class}", "{", WORD, "}", "\\end{class}", END_MARKER]
     assert lexemes(ts)[0] == "\\begin{class}" and lexemes(ts)[4] == "\\end{class}"
 
 
 def test_empty_text_yields_only_end_marker():
     ts = tokenize("")
-    assert kinds(ts) == [TokenKind.END_MARKER]
+    assert kinds(ts) == [END_MARKER]
     assert (ts[-1].index, ts[-1].line, ts[-1].column) == (0, 1, 1)
 
 
 def test_declaration_line():
     ts = tokenize(r"items : \seq Item \\")
-    assert kinds(ts) == [
-        TokenKind.WORD,
-        TokenKind.OPERATOR,
-        TokenKind.COMMAND,
-        TokenKind.WORD,
-        TokenKind.LINE_SEP,
-        TokenKind.END_MARKER,
-    ]
+    assert kinds(ts) == [WORD, ":", "\\seq", WORD, LINE_SEP, END_MARKER]
     assert lexemes(ts)[2] == "\\seq"
 
 
 def test_decorated_words_are_single_tokens():
     ts = tokenize("items' item? item!")
-    assert kinds(ts)[:3] == [TokenKind.WORD] * 3
+    assert kinds(ts)[:3] == [WORD] * 3
     assert lexemes(ts)[:3] == ["items'", "item?", "item!"]
 
 
 def test_numbers_operators_brackets():
     ts = tokenize("0 42 = + , ( ) : [ ] { }")
-    assert kinds(ts)[:2] == [TokenKind.NUMBER, TokenKind.NUMBER]
-    assert kinds(ts)[2:8] == [TokenKind.OPERATOR] * 6
-    assert kinds(ts)[8:12] == [
-        TokenKind.LBRACKET,
-        TokenKind.RBRACKET,
-        TokenKind.LBRACE,
-        TokenKind.RBRACE,
-    ]
+    assert kinds(ts)[:2] == [NUMBER, NUMBER]
+    # every other unit is its own kind
+    assert kinds(ts)[2:12] == lexemes(ts)[2:12]
 
 
 def test_transcribed_separator_pair_gives_two_line_seps():
     # sources sometimes write "\ \" where "\\" is meant; each lone
-    # backslash is a LineSep and the grammar absorbs runs of them
+    # backslash is a line separator and the grammar absorbs runs of them
     ts = tokenize(r"count : \nat \ \hspace".replace(r"\hspace", "\\"))
-    seps = [t for t in ts if t.kind is TokenKind.LINE_SEP]
+    seps = [t for t in ts if t.kind == LINE_SEP]
     assert len(seps) == 2
 
 
@@ -100,7 +86,7 @@ def test_positions_point_at_units():
     ts = tokenize(src)
     lines = src.split("\n")
     for t in ts:
-        if t.kind is TokenKind.END_MARKER:
+        if t.kind == END_MARKER:
             continue
         line = lines[t.line - 1]
         assert line[t.column - 1 : t.column - 1 + len(t.lexeme)] == t.lexeme
@@ -176,10 +162,15 @@ def test_tokenize_holds_at_most_200_bytes_per_token():
     assert held / len(ts) <= 200
 
 
+def test_repeated_lexemes_share_one_string():
+    ts = tokenize(corpus_text("queue.tex") * 1200)
+    assert len({id(t.lexeme) for t in ts}) == len({t.lexeme for t in ts})
+
+
 def dump_tokens(stream) -> str:
     """One token per line: ``index<TAB>kind<TAB>lexeme<TAB>line:col``."""
     return "".join(
-        f"{t.index}\t{t.kind.value}\t{t.lexeme}\t{t.line}:{t.column}\n"
+        f"{t.index}\t{t.kind}\t{t.lexeme}\t{t.line}:{t.column}\n"
         for t in stream)
 
 
@@ -187,7 +178,7 @@ def test_dump_tokens_format():
     text = dump_tokens(tokenize("a : \\nat"))
     lines = text.strip().split("\n")
     assert lines[0] == "0\tWord\ta\t1:1"
-    assert lines[-1].startswith("3\tEndMarker")
+    assert lines[-1].startswith("3\t$")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,7 @@ def test_tokenize_agrees_with_naive_oracle(lenient, data):
         assert (e.reason, e.unit, e.line, e.column) == error
         return
     assert error is None
-    assert [(t.lexeme, t.kind.value, t.index, t.line, t.column) for t in ts] == expected
+    assert [(t.lexeme, t.kind, t.index, t.line, t.column) for t in ts] == expected
 
 
 def lexer_outcome(source: str, lenient: bool):
@@ -263,7 +254,7 @@ def lexer_outcome(source: str, lenient: bool):
         ts = tokenize(source, lenient=lenient)
     except LexError as e:
         return None, (e.reason, e.unit, e.line, e.column)
-    return [(t.lexeme, t.kind.value, t.index, t.line, t.column) for t in ts], None
+    return [(t.lexeme, t.kind, t.index, t.line, t.column) for t in ts], None
 
 
 @pytest.mark.parametrize("lenient", [False, True])
@@ -407,3 +398,39 @@ def test_word_lexeme_lookup_without_generic_terminal():
     assert terminal_of(ts[1], g).name == "b"
     with pytest.raises(UnknownTokenError):
         terminal_of(tokenize("c")[0], g)
+
+
+def _expected_terminal(lexeme: str, g: Grammar) -> str:
+    """The terminal a lexeme names in ``g``, from the lexeme alone: the
+    generic class when ``g`` has it as a terminal, else the lexeme."""
+    def terminal(name):
+        sym = g.try_symbol(name)
+        return sym is not None and sym.is_terminal
+
+    if lexeme == "":
+        return "$"
+    if lexeme in ("\\", "\\\\"):
+        return "\\\\"
+    generic = ("Number" if lexeme.isdigit() else
+               "Word" if lexeme[0].isalpha() else None)
+    return generic if generic and terminal(generic) else lexeme
+
+
+def test_terminal_of_on_random_grammars_maps_generic_then_lexeme():
+    # each random grammar over a..d as it is; with a generic Word and the
+    # terminals 42 and \ (which a lone backslash, a line separator, must not
+    # take); and with a generic Number but Word a nonterminal
+    units = "a b c d S A Word Number x 42 \\\\ \\ { : \\Delta \\begin{state}"
+    tokens = tokenize(units)
+    for case in generate_cases(seed=1719, count=20):
+        for extra in ([], [("S", ["Word"]), ("S", ["42", "\\"])],
+                      [("S", ["Number"]), ("Word", ["a"])]):
+            g = Grammar.build(case.productions + extra)
+            for t in tokens:
+                name = _expected_terminal(t.lexeme, g)
+                sym = g.try_symbol(name)
+                if sym is None or not sym.is_terminal:
+                    with pytest.raises(UnknownTokenError):
+                        terminal_of(t, g)
+                else:
+                    assert terminal_of(t, g) is sym, (t, extra)

@@ -9,13 +9,22 @@ import pytest
 from ozcheck import check_text
 from ozcheck.diagnostics import SYNTAX_ERROR
 from ozcheck.grammar import ParseTable, build_table, format_grammar, grammar_from_text
-from ozcheck.lexer import TokenKind, tokenize
+from ozcheck.lexer import (
+    END_MARKER,
+    LINE_SEP,
+    NUMBER,
+    WORD,
+    LexError,
+    UnknownTokenError,
+    terminal_of,
+    tokenize,
+)
 from ozcheck.ozgrammar import (
-    BuiltinKind,
     BuiltinType,
     GivenTypeDecl,
     NamedType,
     ProductType,
+    SchemaBlock,
     build_ast,
     named_leaves,
     object_z_grammar,
@@ -157,28 +166,16 @@ def test_type_expressions():
         "\\end{state}\n\\end{class}"
     )
     decls = ast_of(src).classes[0].state.declarations
-    assert decls[0].type_expr == BuiltinType(
-        BuiltinKind.FINITE_SETS, BuiltinType(BuiltinKind.NATURALS)
-    )
-    assert decls[1].type_expr == BuiltinType(
-        BuiltinKind.POWER_SET, NamedType("Message", None)
-    )
+    assert decls[0].type_expr == BuiltinType("\\fset", BuiltinType("\\nat"))
+    assert decls[1].type_expr == BuiltinType("\\pset", NamedType("Message", None))
     assert decls[2].type_expr == BuiltinType(
-        BuiltinKind.SEQUENCE,
-        BuiltinType(BuiltinKind.SEQUENCE, NamedType("Item", None)),
-    )
+        "\\seq", BuiltinType("\\seq", NamedType("Item", None)))
     assert decls[3].type_expr == ProductType(
-        (
-            BuiltinType(BuiltinKind.INTEGERS),
-            NamedType("Message", None),
-            BuiltinType(BuiltinKind.NATURALS),
-        )
-    )
+        (BuiltinType("\\num"), NamedType("Message", None), BuiltinType("\\nat")))
     assert decls[4].type_expr == ProductType((
-        BuiltinType(BuiltinKind.POWER_SET,
-                    BuiltinType(BuiltinKind.SEQUENCE, NamedType("T", None))),
-        BuiltinType(BuiltinKind.NATURALS),
-        BuiltinType(BuiltinKind.FINITE_SETS, NamedType("U", None)),
+        BuiltinType("\\pset", BuiltinType("\\seq", NamedType("T", None))),
+        BuiltinType("\\nat"),
+        BuiltinType("\\fset", NamedType("U", None)),
     ))
     assert [t.name for t in named_leaves(decls[4].type_expr)] == ["T", "U"]
 
@@ -533,7 +530,7 @@ def assert_predicate_lines_are_whole(spec, source):
     """Each predicate line holds exactly the tokens between two line
     boundaries of the source."""
     def bounds(t, others):
-        return t.kind is TokenKind.LINE_SEP or t.lexeme in others
+        return t.kind == LINE_SEP or t.lexeme in others
 
     toks = tokenize(source).tokens
     for c in spec.classes:
@@ -576,6 +573,28 @@ def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
     assert rejected > 0
 
 
+def test_a_tokens_kind_is_its_terminals_name(corpus):
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
+    rng = random.Random(20261019)
+    sources += [random_specification(rng) for _ in range(300)]
+    g = object_z_grammar()
+    checked = 0
+    for source in sources:
+        for lenient in (False, True):
+            try:
+                tokens = tokenize(source, lenient=lenient)
+            except LexError:
+                continue
+            for t in tokens:
+                assert t.kind in (WORD, NUMBER, LINE_SEP, END_MARKER) or t.kind == t.lexeme
+                try:
+                    assert terminal_of(t, g).name == t.kind
+                except UnknownTokenError:
+                    assert g.try_symbol(t.kind) is None
+                checked += 1
+    assert checked > 10**4
+
+
 def test_init_declaration_after_a_predicate_keeps_its_own_tokens():
     source = (
         "\\begin{class} { A } \\begin{init}\n"
@@ -589,6 +608,25 @@ def test_init_declaration_after_a_predicate_keeps_its_own_tokens():
         toks[9:14], toks[16:20], toks[21:24]]
     assert [p.text for p in init.predicates] == [
         "x = ( 0 )", "y : \\seq T", "z = 1"]
+
+
+@pytest.mark.parametrize("body, predicates, production", [
+    ("", [], "InitBody ->"),
+    ("\\ST x = 0 \\\\ y = 1", ["x = 0", "y = 1"], "InitBody -> \\ST PredicateList"),
+])
+def test_init_bodies_without_lines(body, predicates, production):
+    # two InitBody productions that random_specification never reaches
+    source = f"\\begin{{class}} {{ A }} \\begin{{init}} {body} \\end{{init}} \\end{{class}}"
+    init = ast_both_ways(source).classes[0].init
+    assert init.label == "init" and init.declarations == ()
+    assert [p.text for p in init.predicates] == predicates
+    if not predicates:
+        assert init == SchemaBlock("init", (), ())
+    g = object_z_grammar()
+    _, steps = parse_with_trace(tokenize(source), oz_parse_table(), g)
+    assert production in [
+        str(g.productions[s.production]) for s in steps if s.kind == "reduce"]
+    assert check_text(source) == []
 
 
 def test_deep_type_expressions_do_not_recurse():

@@ -12,9 +12,8 @@ import pytest
 import ozcheck
 from ozcheck.diagnostics import Diagnostic
 from ozcheck.grammar import TERMINAL, Production, Symbol
-from ozcheck.lexer import Token, TokenKind, TokenStream, tokenize
+from ozcheck.lexer import WORD, Token, TokenStream, tokenize
 from ozcheck.ozgrammar import (
-    BuiltinKind,
     BuiltinType,
     ClassDef,
     Declaration,
@@ -55,14 +54,14 @@ def _predicate(at: Token) -> PredicateLine:
 # the same way from both positions.
 MAKERS = {
     "NameRef": lambda at: NameRef("x", at),
-    "BuiltinType": lambda at: BuiltinType(BuiltinKind.POWER_SET, NamedType("T", at)),
+    "BuiltinType": lambda at: BuiltinType("\\pset", NamedType("T", at)),
     "NamedType": lambda at: NamedType("T", at),
     "ProductType": lambda at: ProductType(
-        (NamedType("T", at), BuiltinType(BuiltinKind.NATURALS))),
+        (NamedType("T", at), BuiltinType("\\nat"))),
     "Declaration": lambda at: Declaration("x", NamedType("T", at), at),
     "PredicateLine": _predicate,
     "SchemaBlock": lambda at: SchemaBlock(
-        "state", (Declaration("x", BuiltinType(BuiltinKind.NATURALS), at),),
+        "state", (Declaration("x", BuiltinType("\\nat"), at),),
         (_predicate(at),)),
     "DeltaList": lambda at: DeltaList("Delta", (NameRef("x", at),)),
     "OperationSchema": lambda at: OperationSchema(
@@ -78,13 +77,13 @@ MAKERS = {
     "Production": lambda at: Production(
         1, Symbol(0, "nonterminal", "S"), (Symbol(4, TERMINAL, "Word"),)),
     "TokenStream": lambda at: tokenize("x = 1"),
-    "Token": lambda at: Token("x", TokenKind.WORD, 3, 2, 1),
+    "Token": lambda at: Token("x", WORD, 3, 2, 1),
     "TraceStep": lambda at: TraceStep("$ [0] x [4]", "= 1 $", "reduce", "r7: A -> x", 7),
     "TreeNode": lambda at: TreeNode(Symbol(0, "nonterminal", "S"), 1, (
         TreeNode(Symbol(4, TERMINAL, "Word"),
-                 token=Token("x", TokenKind.WORD, 3, 2, 1)),)),
+                 token=Token("x", WORD, 3, 2, 1)),)),
 }
-HERE, THERE = Token("x", TokenKind.WORD, 0, 1, 1), Token("x", TokenKind.WORD, 9, 4, 6)
+HERE, THERE = Token("x", WORD, 0, 1, 1), Token("x", WORD, 9, 4, 6)
 AST_NODES = [name for name in MAKERS if name not in
              ("Diagnostic", "Symbol", "Production", "TokenStream", "Token",
               "TraceStep", "TreeNode")]

@@ -37,9 +37,6 @@ class Symbol(NamedTuple):
     def is_terminal(self) -> bool:
         return self.kind == TERMINAL
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @record()
 class Production(NamedTuple):

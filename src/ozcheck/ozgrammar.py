@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
 from .lexer import WORD, Token, TokenStream, end_token
-from .parser import TraceStep, TraceWriter, TreeNode, _drive
+from .parser import TraceWriter, TreeNode, _drive
 from .records import record
 
 OZ_GRAMMAR_TEXT = r"""
@@ -419,19 +419,18 @@ def ast_actions() -> tuple:
     )
 
 
-def parse_spec(
-    tokens: TokenStream, trace: list[TraceStep] | TraceWriter | None = None
-) -> Specification:
+def parse_spec(tokens: TokenStream,
+               trace: TraceWriter | None = None) -> Specification:
     """Parse a token stream straight into its AST with the shipped grammar
     and table (the only ones the AST actions are indexed by).
 
-    The AST actions run on reduce, so no parse tree is built.  Trace rows
-    go to ``trace`` unless it is None: a list keeps them as steps, a
-    :class:`~ozcheck.parser.TraceWriter` writes each out.  Raises what
+    The AST actions run on reduce, so no parse tree is built.  Unless it is
+    None, ``trace`` writes each trace row out as it is made.  Raises what
     :func:`ozcheck.parser.parse` raises.
     """
     return Specification(_reversed(_drive(
-        tokens, oz_parse_table(), object_z_grammar(), ast_actions(), trace)))
+        tokens, oz_parse_table(), object_z_grammar(), ast_actions(),
+        trace and trace.row)))
 
 
 def build_ast(tree: TreeNode) -> Specification:

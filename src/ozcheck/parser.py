@@ -15,10 +15,10 @@ per parse.  Tree nodes and trace rows are immutable named tuples.  The
 trace is built only when asked for, and its cost is linear in the bytes it
 renders: the driver keeps the text of the current stack and one
 remaining-input string per input position, and hands each row's fields to
-one callable taken before the loop: a list's appends a :class:`TraceStep`,
-and a :class:`TraceWriter`'s writes the row at once, so a streamed trace
-builds neither a row string nor a step and holds only the current stack
-text and one suffix of the input.  Its size grows with tokens times
+one callable: :func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
+:meth:`TraceWriter.row` writes the row at once, so a streamed trace builds
+neither a row string nor a step and holds only the current stack text and
+one suffix of the input.  Its size grows with tokens times
 remaining input, because every row prints the rest of the input; it is
 quadratic in file length whatever the stack depth, and the ``entrée``
 column is most of it.  The (class, block) localization of a syntax error
@@ -125,7 +125,10 @@ class ParseError(Exception):
 
     Carries the offending token, the enclosing class and block at that
     token, and the set of terminals the current state could have accepted.
+    ``trace`` is the step list when :func:`parse_with_trace` raised it.
     """
+
+    trace: list[TraceStep] | None = None
 
     def __init__(
         self,
@@ -133,13 +136,11 @@ class ParseError(Exception):
         enclosing_class: str | None,
         enclosing_block: str | None,
         expected: tuple[str, ...],
-        trace: list[TraceStep] | TraceWriter | None = None,
     ):
         self.offending = offending
         self.enclosing_class = enclosing_class
         self.enclosing_block = enclosing_block
         self.expected = expected
-        self.trace = trace
         self.symbol = offending.lexeme if offending.lexeme else "$"
         where = f'"{self.symbol}" at line {offending.line} col {offending.column}'
         super().__init__(f"syntax error caused by {where}")
@@ -198,24 +199,23 @@ def _location(shifted: tuple[Token, ...]) -> tuple[str | None, str | None]:
 
 
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
-                  table: ParseTable,
-                  trace: list[TraceStep] | TraceWriter | None,
-                  row, stack: str, remaining: str) -> ParseError:
+                  table: ParseTable, row, stack: str,
+                  remaining: str) -> ParseError:
     token = tokens[pos]
     expected = tuple(s.name for s in table.expected_terminals(state))
-    if trace is not None:
+    if row is not None:
         row(stack, remaining, "error",
             f'ERROR: unexpected "{token.lexeme or "$"}"', -1, -1)
     # the location depends only on the shifted tokens, so it is found here
     # instead of being tracked on every shift
-    return ParseError(token, *_location(tokens[:pos]), expected, trace)
+    return ParseError(token, *_location(tokens[:pos]), expected)
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
-           actions: tuple, trace: list[TraceStep] | TraceWriter | None):
+           actions: tuple, row):
     """Run the automaton on the table's int cells; return the start symbol's
-    value and hand the trace rows to ``trace`` unless it is None: a list
-    keeps them as steps, a :class:`TraceWriter` writes them out.
+    value and, unless ``row`` is None, call ``row(stack, remaining, kind,
+    text, production, state)`` with the fields of each trace row.
 
     A shift pushes the token.  A reduce by ``p`` replaces the top n values,
     ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos`` is the
@@ -233,14 +233,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     states = [0]
     values: list = []
     stack = remaining = ""
-    row = None
-    if trace is not None:
-        # one row callable: a TraceWriter writes the row, a list keeps a step
-        if isinstance(trace, TraceWriter):
-            row = trace.row
-        else:
-            keep, new = trace.append, tuple.__new__
-            row = lambda *fields: keep(new(TraceStep, fields))
+    if row is not None:
         # The text of the current stack, with the end offset of each stack
         # entry's text in step with ``states``: a push appends one fragment
         # and a pop slices back to the exposed entry's end.  The remaining
@@ -260,19 +253,19 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         op = cell & 3
         if op == 1:  # shift
             target = cell >> 2
-            if trace is not None:
+            if row is not None:
                 row(stack, remaining, "shift", f"d{target}", -1, target)
                 stack += f" {symbols[ids[pos]].name} [{target}]"
                 ends.append(len(stack))
             states.append(target)
             values.append(tokens[pos])
             pos += 1
-            if trace is not None:
+            if row is not None:
                 remaining = line[offsets[pos]:]
         elif op == 2:  # reduce
             p = cell >> 2
             n = body_len[p]
-            if trace is not None:
+            if row is not None:
                 text = reduce_texts.get(p)
                 if text is None:
                     text = reduce_texts[p] = f"r{p}: {productions[p]}"
@@ -288,15 +281,15 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                 values.append(None)
             if n:
                 del states[-n:]
-                if trace is not None:
+                if row is not None:
                     del ends[-n:]
                     stack = stack[:ends[-1]]
             exposed = states[-1]
             target = rows[exposed][head_id[p]] >> 2
             if not target:  # unreachable: no goto leads back to state 0
-                raise _syntax_error(tokens, pos, exposed, table, trace, row,
+                raise _syntax_error(tokens, pos, exposed, table, row,
                                     stack, remaining)
-            if trace is not None:
+            if row is not None:
                 head = productions[p].head.name
                 stack = f"{stack} {head}"
                 row(stack, remaining, "goto",
@@ -305,11 +298,11 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
                 ends.append(len(stack))
             states.append(target)
         elif op == 3:  # accept
-            if trace is not None:
+            if row is not None:
                 row(stack, remaining, "accept", "ACCEPT", -1, -1)
             return values[-1]
         else:
-            raise _syntax_error(tokens, pos, states[-1], table, trace, row,
+            raise _syntax_error(tokens, pos, states[-1], table, row,
                                 stack, remaining)
 
 
@@ -348,7 +341,13 @@ def parse_with_trace(
     ending at the error step.
     """
     trace: list[TraceStep] = []
-    return _drive(tokens, table, g, _tree_actions(g), trace), trace
+    keep, new = trace.append, tuple.__new__
+    try:
+        return _drive(tokens, table, g, _tree_actions(g),
+                      lambda *fields: keep(new(TraceStep, fields))), trace
+    except ParseError as e:
+        e.trace = trace
+        raise
 
 
 def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:

@@ -35,24 +35,6 @@ from .ozgrammar import (
 )
 
 
-class UnknownParentError(Exception):
-    code = diag.UNKNOWN_PARENT
-    detail = None
-
-    def __init__(self, child: str, ref: NameRef):
-        super().__init__(f"class {child}: unknown parent {ref.name}")
-        self.ref = ref
-
-
-class InheritanceCycleError(Exception):
-    code = diag.INHERITANCE_CYCLE
-
-    def __init__(self, cycle: tuple[str, ...], ref: NameRef):
-        self.detail = " -> ".join(cycle)
-        super().__init__(f"inheritance cycle: {self.detail}")
-        self.ref = ref
-
-
 def _state_names(c: ClassDef) -> set[str]:
     return {d.name for d in c.state.declarations} if c.state else set()
 
@@ -60,50 +42,59 @@ def _state_names(c: ClassDef) -> set[str]:
 def resolve_inheritance(
     c: ClassDef,
     env: dict[str, ClassDef],
-    _cache: dict[int, frozenset[str]] | None = None,
-) -> frozenset[str]:
-    """The state-variable names of ``c`` and of its ancestors.
+    _cache: dict[int, frozenset[str] | NameRef] | None = None,
+) -> tuple[frozenset[str], Diagnostic | None]:
+    """The state-variable names of ``c`` and of its ancestors, and None; or,
+    if resolution fails, ``c``'s own names and the OZ-INH finding of the
+    first failing parent edge.
 
     A parent name refers to the class ``env`` maps it to; ``c`` itself need
     not be that class (a later class of a repeated name is resolved with
     its own members).  Parents are resolved depth-first in declaration
     order, with an explicit stack because chain length is input-controlled.
-    Raises :class:`UnknownParentError` when an inherited class is not in
-    ``env`` and :class:`InheritanceCycleError` when a class is reachable
-    from itself; the cycle runs from ``c`` along the path being resolved.
-    ``_cache`` is keyed by the identity of the class.
+    An edge fails when the inherited class is not in ``env`` (OZ-INH-201)
+    or is on the path being resolved (OZ-INH-202, whose detail is the path
+    from ``c`` around the cycle).  ``_cache`` is keyed by the identity of
+    the class and holds its names, or the missing parent every class on
+    the failing path reaches first: the earlier edges of each resolved, and
+    a resolved class reaches no failing one.  Cycles are not cached, since
+    each class's detail starts at itself.
     """
     if _cache is None:
         _cache = {}
-    if id(c) in _cache:
-        return _cache[id(c)]
-
-    path = [(c, iter(c.inherits), _state_names(c))]
+    own = frozenset(_state_names(c))
+    hit = _cache.get(id(c))
+    path = [] if hit is not None else [(c, iter(c.inherits), set(own))]
     on_path = {id(c)}
-    while True:
+    while path:
         child, parents, names = path[-1]
         ref = next(parents, None)
-        if ref is not None:
-            parent_cls = env.get(ref.name)
-            if parent_cls is None:
-                raise UnknownParentError(child.name, ref)
-            if id(parent_cls) in on_path:
-                cycle = tuple(p[0].name for p in path) + (ref.name,)
-                raise InheritanceCycleError(cycle, ref)
-            parent = _cache.get(id(parent_cls))
-            if parent is None:
-                path.append((parent_cls, iter(parent_cls.inherits),
-                             _state_names(parent_cls)))
-                on_path.add(id(parent_cls))
-            else:
-                names.update(parent)
+        if ref is None:
+            hit = _cache[id(child)] = frozenset(names)
+            path.pop()
+            on_path.discard(id(child))
+            if path:
+                path[-1][2].update(hit)
             continue
-        resolved = _cache[id(child)] = frozenset(names)
-        path.pop()
-        on_path.discard(id(child))
-        if not path:
-            return resolved
-        path[-1][2].update(resolved)
+        parent = env.get(ref.name)
+        if parent is not None and id(parent) in on_path:
+            cycle = " -> ".join([p[0].name for p in path] + [ref.name])
+            return own, _finding(diag.INHERITANCE_CYCLE, ref.name, ref.pos,
+                                 c.name, diag.BLOCK_INHERITANCE, cycle)
+        hit = ref if parent is None else _cache.get(id(parent))
+        if isinstance(hit, NameRef):
+            for p in path:
+                _cache[id(p[0])] = hit
+            break
+        if hit is None:
+            path.append((parent, iter(parent.inherits), _state_names(parent)))
+            on_path.add(id(parent))
+        else:
+            names.update(hit)
+    if isinstance(hit, NameRef):
+        return own, _finding(diag.UNKNOWN_PARENT, hit.name, hit.pos, c.name,
+                             diag.BLOCK_INHERITANCE)
+    return hit, None
 
 
 def _finding(code: str, symbol: str, pos: Token, class_name: str,
@@ -162,16 +153,13 @@ def analyze(spec: Specification) -> list[Diagnostic]:
         else:
             types.add(para.name)
             classes.setdefault(para.name, para)  # a name refers to its first class
-    cache: dict[int, frozenset[str]] = {}
+    cache: dict[int, frozenset[str] | NameRef] = {}
     out: list[Diagnostic] = []
 
     for c in spec.classes:
-        try:
-            state = resolve_inheritance(c, classes, cache)
-        except (UnknownParentError, InheritanceCycleError) as e:
-            out.append(_finding(e.code, e.ref.name, e.ref.pos, c.name,
-                                diag.BLOCK_INHERITANCE, e.detail))
-            state = frozenset(_state_names(c))
+        state, finding = resolve_inheritance(c, classes, cache)
+        if finding is not None:
+            out.append(finding)
 
         generics = frozenset(r.name for r in c.generic_params)
         if c.local_defs:

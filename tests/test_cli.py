@@ -77,6 +77,13 @@ def test_text_format_prefixes_path(corpus):
     assert out.startswith(f"{path}: error[OZ-SEM-103]")
 
 
+def test_bad_format_or_locale_in_a_config_is_a_usage_error(corpus):
+    path = path_of(corpus, "queue.tex")
+    for cfg in (RunConfig(inputs=[path], format="json"),
+                RunConfig(inputs=[path], locale="de")):
+        assert invoke(cfg) == (2, "", "usage: bad --format or --locale value\n")
+
+
 def test_nonexistent_path_exits_2(corpus):
     code, out, err = invoke(RunConfig(inputs=["/no/such/file.tex"]))
     assert code == 2

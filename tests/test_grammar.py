@@ -24,6 +24,7 @@ from ozcheck.grammar import (
     grammar_from_text,
     parse_grammar_text,
 )
+from ozcheck.parser import accepts
 
 from conftest import FRAGMENT
 from oracles import first_oracle, follow_oracle
@@ -71,6 +72,19 @@ def test_build_rejects_empty_and_reserved():
         Grammar.build([("S", ["$"])])
     with pytest.raises(GrammarError):
         Grammar.build([("S", ["a"])], start="T")
+    with pytest.raises(GrammarError):
+        Grammar.build([("S", [""])])
+    with pytest.raises(GrammarError):
+        Grammar.build(S_TO_A).symbol("zz")
+
+
+def test_augmented_start_takes_a_free_name():
+    g = Grammar.build([("S", ["b", "S'"]), ("S'", ["a"])])
+    assert g.augmented_start.name == "S''"
+    assert g.productions[0].body == (g.symbol("S"),)
+    table = build_table(g)
+    assert accepts(table, [g.symbol("b").id, g.symbol("a").id])
+    assert not accepts(table, [g.symbol("a").id])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -31,7 +32,8 @@ from ozcheck.ozgrammar import (
     oz_parse_table,
     parse_spec,
 )
-from ozcheck.parser import ParseError, parse, parse_with_trace
+from ozcheck.parser import (ParseError, TraceWriter, parse, parse_with_trace,
+                            render_trace)
 
 from conftest import ast_both_ways, corpus_text, same_ast
 from render import render_tokens
@@ -565,8 +567,12 @@ def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
             tokens = tokenize(source)
             assert rejection(lambda: parse_spec(tokens)) == rejection(
                 lambda: parse(tokens, table, g))
-            assert rejection(lambda: parse_spec(tokens, [])) == rejection(
-                lambda: parse_with_trace(tokens, table, g))
+            out = io.StringIO()
+            *streamed, no_steps = rejection(
+                lambda: parse_spec(tokens, TraceWriter(out, "")))
+            *kept, steps = rejection(lambda: parse_with_trace(tokens, table, g))
+            assert streamed == kept and no_steps is None
+            assert out.getvalue() == render_trace(steps)
             rejected += 1
             continue
         assert_predicate_lines_are_whole(spec, source)

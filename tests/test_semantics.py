@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
-
-import pytest
+import subprocess
+import sys
 
 from ozcheck import check_text
 from ozcheck.diagnostics import (
@@ -19,15 +20,11 @@ from ozcheck.diagnostics import (
 from ozcheck.lexer import tokenize
 from ozcheck.ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
 from ozcheck.parser import parse
-from ozcheck.semantics import (
-    InheritanceCycleError,
-    UnknownParentError,
-    analyze,
-    resolve_inheritance,
-)
+from ozcheck.semantics import analyze, resolve_inheritance
 
 from conftest import corpus_text
 from oracles import naive_state_names
+from test_trace_stream import child_env
 
 
 def ast_of(source: str):
@@ -236,7 +233,7 @@ def make_classes(source: str):
 
 def test_resolve_without_parents_is_identity(queue_source):
     spec, classes = make_classes(queue_source)
-    assert resolve_inheritance(spec.classes[0], classes) == {"items", "count"}
+    assert resolve_inheritance(spec.classes[0], classes) == ({"items", "count"}, None)
 
 
 INHERIT_SRC = (
@@ -257,7 +254,7 @@ INHERIT_SRC = (
 
 def test_child_merges_parent_state_variables():
     spec, classes = make_classes(INHERIT_SRC)
-    assert resolve_inheritance(classes["B"], classes) == {"x", "y"}
+    assert resolve_inheritance(classes["B"], classes) == ({"x", "y"}, None)
 
 
 def test_visibility_is_never_inherited():
@@ -273,7 +270,7 @@ def test_child_redefinition_wins():
         "\\begin{state}\nx : \\nat\n\\end{state}\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    assert resolve_inheritance(classes["B"], classes) == {"x"}
+    assert resolve_inheritance(classes["B"], classes) == ({"x"}, None)
     assert analyze(spec) == []  # an override is not a duplicate
 
 
@@ -286,16 +283,17 @@ def test_transitive_inheritance():
         "\\begin{op} { Touch }\n\\Delta ( a )\n\\end{op}\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    assert resolve_inheritance(classes["C"], classes) == {"a"}
+    assert resolve_inheritance(classes["C"], classes) == ({"a"}, None)
     assert analyze(spec) == []
 
 
-def test_unknown_parent_raises_and_surfaces_as_diagnostic():
+def test_unknown_parent_is_returned_and_surfaces_as_diagnostic():
     src = "\\begin{class} { B }\n\\inherit Ghost \\endinherit\n\\end{class}"
     spec, classes = make_classes(src)
-    with pytest.raises(UnknownParentError):
-        resolve_inheritance(classes["B"], classes)
+    names, finding = resolve_inheritance(classes["B"], classes)
+    assert names == set()
     ds = analyze(spec)
+    assert ds == [finding]
     assert codes(ds) == [UNKNOWN_PARENT]
     assert ds[0].symbol == "Ghost"
     assert ds[0].block == "inheritance"
@@ -307,8 +305,8 @@ def test_inheritance_cycle_detected():
         "\\begin{class} { B }\n\\inherit A \\endinherit\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    with pytest.raises(InheritanceCycleError):
-        resolve_inheritance(classes["A"], classes)
+    names, finding = resolve_inheritance(classes["A"], classes)
+    assert names == set() and finding.code == INHERITANCE_CYCLE
     ds = analyze(spec)
     assert codes(ds) == [INHERITANCE_CYCLE, INHERITANCE_CYCLE]
     assert {d.class_name for d in ds} == {"A", "B"}
@@ -380,6 +378,40 @@ def test_long_inheritance_chain_declared_child_first_does_not_recurse():
     ds = check_text("\n".join([broken] + paragraphs[1:]))
     assert codes(ds) == [DELTA_NOT_STATE_VAR]
     assert (ds[0].class_name, ds[0].symbol) == ("C0", "y")
+
+
+# Checks the source on stdin in a child whose address space is capped at
+# 400 MB, and prints the diagnostics and the seconds check_text took.
+CHECK_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from ozcheck import check_text
+source = sys.stdin.read()
+start = time.perf_counter()
+ds = check_text(source)
+print(json.dumps({"seconds": time.perf_counter() - start,
+                  "found": [[d.code, d.symbol, d.line, d.class_name]
+                            for d in ds]}))
+"""
+
+
+def test_long_chain_ending_in_a_missing_parent_checks_in_linear_time():
+    # C0 inherits C1, ..., C9999 inherits the undefined Ghost: every class
+    # fails on Ghost, and each must not walk the rest of the chain again
+    n = 10_000
+    parents = [f"C{i}" for i in range(1, n)] + ["Ghost"]
+    source = "\n".join(
+        f"\\begin{{class}} {{ C{i} }} \\inherit {p} \\endinherit \\end{{class}}"
+        for i, p in enumerate(parents))
+    result = subprocess.run(
+        [sys.executable, "-c", CHECK_CHILD], input=source, capture_output=True,
+        text=True, env=child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    assert sorted(got["found"]) == sorted(
+        [UNKNOWN_PARENT, "Ghost", n, f"C{i}"] for i in range(n))
+    assert got["seconds"] < 5
 
 
 def test_repeated_class_name_checks_each_class_once():
@@ -503,21 +535,28 @@ def test_random_inheritance_graphs_output_is_pinned():
 
 
 def test_resolver_agrees_with_brute_force_oracle():
+    # each order shares one cache, so a class is often resolved from what
+    # the resolution of another class left there; a failure must read the
+    # same with and without the cache
     failing = resolved = 0
     for seed in range(300):
         spec = parse_spec(tokenize(random_inheritance_spec(random.Random(seed))))
         classes = {}
         for c in spec.classes:
             classes.setdefault(c.name, c)
-        cache = {}
-        for c in spec.classes:
-            expected = naive_state_names(c, classes)
-            for memo in (cache, None):
-                try:
-                    got = resolve_inheritance(c, classes, memo)
-                except (UnknownParentError, InheritanceCycleError):
-                    got = None
-                assert got == expected, (seed, c.name)
-            failing += expected is None
-            resolved += 1
+        expected = [naive_state_names(c, classes) for c in spec.classes]
+        shuffled = list(range(len(expected)))
+        random.Random(seed).shuffle(shuffled)
+        for order in (range(len(expected)), range(len(expected))[::-1], shuffled):
+            cache = {}
+            for i in order:
+                c = spec.classes[i]
+                cached, fresh = (resolve_inheritance(c, classes, memo)
+                                 for memo in (cache, None))
+                assert cached == fresh, (seed, c.name)
+                names, finding = cached
+                assert (names if finding is None else None) == expected[i], (
+                    seed, c.name)
+        failing += sum(e is None for e in expected)
+        resolved += len(expected)
     assert resolved > 500 and 0.1 * resolved < failing < 0.9 * resolved

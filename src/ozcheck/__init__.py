@@ -9,23 +9,15 @@ derivation tree is built only on request (:func:`parse`), and
 """
 from __future__ import annotations
 
-from . import cli
-from .diagnostics import Diagnostic, render_human, render_machine
+from .cli import check_text
+from .diagnostics import (Diagnostic, DiagnosticError, render_human,
+                          render_machine)
 from .lexer import LexError, UnknownTokenError, tokenize
 from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
 from .parser import ParseError, parse, parse_with_trace
 from .semantics import analyze
 
 __version__ = "0.1.0"
-
-
-def check_text(source: str, lenient: bool = False) -> list[Diagnostic]:
-    """Check one source text and return its diagnostics.
-
-    Lexical and syntax failures yield a single diagnostic; otherwise the
-    parsed specification is analyzed semantically.
-    """
-    return cli.check_source(source, lenient)
 
 
 def check_file(path: str, lenient: bool = False) -> list[Diagnostic]:
@@ -36,6 +28,7 @@ def check_file(path: str, lenient: bool = False) -> list[Diagnostic]:
 
 __all__ = [
     "Diagnostic",
+    "DiagnosticError",
     "LexError",
     "ParseError",
     "UnknownTokenError",

@@ -16,13 +16,12 @@ import sys
 from . import diagnostics as diag
 from .diagnostics import Diagnostic, render_human, render_machine
 from .grammar import dump_first_follow, format_grammar
-from .lexer import LexError, UnknownTokenError, tokenize
+from .lexer import tokenize
 # perfbench/spans.py wraps parse, parse_with_trace, render_trace and
 # build_ast here by name; the CLI calls none of them: parse_spec builds the
 # AST in its one drive, and a TraceWriter streams the trace rows.
 from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
-from .parser import (ParseError, TraceWriter, parse, parse_with_trace,
-                     render_trace)
+from .parser import TraceWriter, parse, parse_with_trace, render_trace
 from .semantics import analyze
 
 EXIT_CLEAN = 0
@@ -46,7 +45,7 @@ class RunConfig:
         self.lenient_lexing = lenient_lexing
 
 
-def check_source(
+def check_text(
     source: str, lenient: bool = False, trace: TraceWriter | None = None
 ) -> list[Diagnostic]:
     """Run the full pipeline over one source text.
@@ -57,14 +56,15 @@ def check_source(
     makes them, so a :class:`TraceWriter` writes the trace before the
     diagnostics are known, and nothing if lexing fails or a token has no
     terminal.  The first lexical or syntax failure stops the pipeline for
-    that source with one diagnostic; semantic checks run only on parsed
-    specifications.
+    that source with the one diagnostic it is raised as (a
+    :class:`~ozcheck.diagnostics.DiagnosticError`); semantic checks run
+    only on parsed specifications.
     """
     try:
         tokens = tokenize(source, lenient=lenient)
         spec = parse_spec(tokens, trace)
-    except (LexError, UnknownTokenError, ParseError) as e:
-        return [e.to_diagnostic()]
+    except diag.DiagnosticError as e:
+        return [e.diagnostic]
     return analyze(spec)
 
 
@@ -127,7 +127,7 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
             return EXIT_USAGE
 
         rows = TraceWriter(out, f"# trace: {shown}\n") if cfg.trace else None
-        diagnostics = check_source(source, cfg.lenient_lexing, rows)
+        diagnostics = check_text(source, cfg.lenient_lexing, rows)
         if diagnostics:
             any_diagnostics = True
         if cfg.format == "machine":

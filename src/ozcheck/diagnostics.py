@@ -68,6 +68,15 @@ class Diagnostic(NamedTuple):
         return (self.line, self.column, self.code, self.symbol)
 
 
+class DiagnosticError(Exception):
+    """A failure that ends the check of a source, raised as the one
+    :class:`Diagnostic` it reports."""
+
+    def __init__(self, message: str, diagnostic: Diagnostic):
+        super().__init__(message)
+        self.diagnostic = diagnostic
+
+
 _EN_MESSAGES = {
     LEX_ERROR: "{detail}",
     SYNTAX_ERROR: "the syntax is incorrect; expected one of: {detail}",
@@ -146,8 +155,7 @@ def _fr_block(block: str | None) -> tuple[str, str]:
 
 
 def _en_message(d: Diagnostic) -> str:
-    template = _EN_MESSAGES.get(d.code, "{detail}")
-    return template.format(symbol=d.symbol, detail=d.detail or "")
+    return _EN_MESSAGES[d.code].format(symbol=d.symbol, detail=d.detail or "")
 
 
 def _render_human_en(d: Diagnostic) -> str:
@@ -166,15 +174,12 @@ def _render_human_en(d: Diagnostic) -> str:
 
 
 def _render_human_fr(d: Diagnostic) -> str:
-    template = _FR_MESSAGES.get(d.code)
-    if template is None:
-        return _render_human_en(d)
     cls = d.class_name
     article, bare = _fr_block(d.block)
     where = (f'Classe "{cls}", une erreur dans {article}' if cls
              else f"Une erreur dans {article}")
-    return template.format(where=where, cls=cls, bare=bare,
-                           symbol=d.symbol, detail=d.detail)
+    return _FR_MESSAGES[d.code].format(where=where, cls=cls, bare=bare,
+                                       symbol=d.symbol, detail=d.detail)
 
 
 def _visible(text: str) -> str:

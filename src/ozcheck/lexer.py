@@ -63,33 +63,12 @@ class TokenStream(tuple):
         return tuple(self)
 
 
-class LexError(Exception):
-    def __init__(self, message: str, unit: str, line: int, column: int):
-        super().__init__(f"{message} (line {line} col {column})")
-        self.reason = message
-        self.unit = unit
-        self.line = line
-        self.column = column
-
-    def to_diagnostic(self) -> diag.Diagnostic:
-        return diag.Diagnostic(diag.LEX_ERROR, self.unit, self.line, self.column,
-                               detail=self.reason)
+class LexError(diag.DiagnosticError):
+    """A unit that cannot be classified."""
 
 
-class UnknownTokenError(Exception):
+class UnknownTokenError(diag.DiagnosticError):
     """A token has no dedicated terminal and no generic class in the grammar."""
-
-    def __init__(self, token: Token):
-        super().__init__(
-            f"no grammar terminal for {token.lexeme!r} "
-            f"(line {token.line} col {token.column})"
-        )
-        self.token = token
-
-    def to_diagnostic(self) -> diag.Diagnostic:
-        t = self.token
-        return diag.Diagnostic(diag.LEX_ERROR, t.lexeme, t.line, t.column, detail=(
-            f'the unit "{t.lexeme}" is not part of the input vocabulary'))
 
 
 _ENV_RE = re.compile(r"\\(?:begin|end)\{([^{}]*)\}\Z")
@@ -106,28 +85,26 @@ _FIXED = {"\\\\": LINE_SEP, "\\": LINE_SEP, **{c: c for c in "{}[]=+,():"}}
 def _classify(unit: str, line: int, column: int) -> str:
     """Return the kind of one unit."""
     if _CONTROL_RE.search(unit):
-        raise LexError("unsupported control character", unit, line, column)
-    fixed = _FIXED.get(unit)
-    if fixed is not None:
+        reason = "unsupported control character"
+    elif (fixed := _FIXED.get(unit)) is not None:
         return fixed
     # the commonest kind first: a word never starts with \ or a digit
-    if _WORD_RE.fullmatch(unit):
+    elif _WORD_RE.fullmatch(unit):
         return WORD
-    if unit.startswith("\\begin{") or unit.startswith("\\end{"):
+    elif unit.startswith("\\begin{") or unit.startswith("\\end{"):
         m = _ENV_RE.fullmatch(unit)
-        if not m or not m.group(1):
-            raise LexError("malformed environment delimiter", unit, line, column)
+        if m and m.group(1):
+            return unit
+        reason = "malformed environment delimiter"
+    elif _COMMAND_RE.fullmatch(unit):
         return unit
-    if _COMMAND_RE.fullmatch(unit):
-        return unit
-    if _NUMBER_RE.fullmatch(unit):
+    elif _NUMBER_RE.fullmatch(unit):
         return NUMBER
-    raise LexError(
-        "cannot classify unit; lexical units must be whitespace-separated",
-        unit,
-        line,
-        column,
-    )
+    else:
+        reason = ("cannot classify unit; lexical units must be "
+                  "whitespace-separated")
+    raise LexError(f"{reason} (line {line} col {column})", diag.Diagnostic(
+        diag.LEX_ERROR, unit, line, column, detail=reason))
 
 
 _PREAMBLE_MARKS = ("\\documentclass", "\\usepackage", "\\begin{document}")
@@ -220,5 +197,9 @@ def terminal_of(token: Token, g: "Grammar") -> "Symbol":
     if (sym is None or not sym.is_terminal) and token.kind in (WORD, NUMBER):
         sym = g.try_symbol(token.lexeme)
     if sym is None or not sym.is_terminal:
-        raise UnknownTokenError(token)
+        lexeme, line, column = token.lexeme, token.line, token.column
+        raise UnknownTokenError(
+            f"no grammar terminal for {lexeme!r} (line {line} col {column})",
+            diag.Diagnostic(diag.LEX_ERROR, lexeme, line, column, detail=(
+                f'the unit "{lexeme}" is not part of the input vocabulary')))
     return sym

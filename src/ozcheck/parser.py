@@ -120,36 +120,15 @@ class TraceWriter:
         write(f"\t{text}\n")
 
 
-class ParseError(Exception):
+class ParseError(diag.DiagnosticError):
     """Syntax error: the automaton consulted an error cell.
 
-    Carries the offending token, the enclosing class and block at that
-    token, and the set of terminals the current state could have accepted.
+    Its diagnostic names the offending token, the enclosing class and block
+    at that token, and the terminals the current state could have accepted.
     ``trace`` is the step list when :func:`parse_with_trace` raised it.
     """
 
     trace: list[TraceStep] | None = None
-
-    def __init__(
-        self,
-        offending: Token,
-        enclosing_class: str | None,
-        enclosing_block: str | None,
-        expected: tuple[str, ...],
-    ):
-        self.offending = offending
-        self.enclosing_class = enclosing_class
-        self.enclosing_block = enclosing_block
-        self.expected = expected
-        self.symbol = offending.lexeme if offending.lexeme else "$"
-        where = f'"{self.symbol}" at line {offending.line} col {offending.column}'
-        super().__init__(f"syntax error caused by {where}")
-
-    def to_diagnostic(self) -> diag.Diagnostic:
-        expected = ", ".join(f'"{name}"' for name in self.expected)
-        return diag.Diagnostic(diag.SYNTAX_ERROR, self.symbol, self.offending.line,
-                               self.offending.column, self.enclosing_class,
-                               self.enclosing_block, expected)
 
 
 # The block each opener enters, and the closers that end only their own
@@ -202,13 +181,17 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
                   table: ParseTable, row, stack: str,
                   remaining: str) -> ParseError:
     token = tokens[pos]
-    expected = tuple(s.name for s in table.expected_terminals(state))
+    symbol, line, column = token.lexeme or "$", token.line, token.column
     if row is not None:
-        row(stack, remaining, "error",
-            f'ERROR: unexpected "{token.lexeme or "$"}"', -1, -1)
+        row(stack, remaining, "error", f'ERROR: unexpected "{symbol}"', -1, -1)
+    expected = ", ".join(
+        f'"{s.name}"' for s in table.expected_terminals(state))
     # the location depends only on the shifted tokens, so it is found here
     # instead of being tracked on every shift
-    return ParseError(token, *_location(tokens[:pos]), expected)
+    return ParseError(
+        f'syntax error caused by "{symbol}" at line {line} col {column}',
+        diag.Diagnostic(diag.SYNTAX_ERROR, symbol, line, column,
+                        *_location(tokens[:pos]), expected))
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
@@ -325,8 +308,8 @@ def _tree_actions(g: Grammar) -> tuple:
 def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
     """Parse a token stream into its derivation tree.
 
-    Raises :class:`ParseError` carrying the offending token, the enclosing
-    class/block, and the terminals that would have been accepted.  Raises
+    Raises :class:`ParseError`, whose diagnostic names the offending token,
+    the enclosing class/block and the expected terminals, or
     :class:`UnknownTokenError` if a token maps to no terminal of ``g``.
     """
     return _drive(tokens, table, g, _tree_actions(g), None)

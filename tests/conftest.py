@@ -99,7 +99,7 @@ def same_ast(a, b) -> bool:
 
 
 def ast_both_ways(source: str):
-    """The AST built on reduce, as ``check_source`` builds it, after checking
+    """The AST built on reduce, as ``check_text`` builds it, after checking
     that ``build_ast`` gives the same one from the parse tree, whose
     frontier it drives again."""
     tokens = tokenize(source)

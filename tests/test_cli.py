@@ -13,9 +13,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import ozcheck
 from ozcheck import cli, lexer, parser
-from ozcheck.cli import EXIT_INTERNAL, RunConfig, build_arg_parser, main, run
+from ozcheck.cli import (EXIT_INTERNAL, RunConfig, build_arg_parser,
+                         check_text, main, run)
+from ozcheck.diagnostics import DiagnosticError
 from ozcheck.grammar import grammar_from_text
 from ozcheck.ozgrammar import parse_spec
 
@@ -273,11 +277,24 @@ def test_corpus_output_digests_are_pinned(corpus, monkeypatch):
         assert output_digest(name) == digest, name
 
 
-def test_internal_error_is_not_a_finding(corpus, monkeypatch, capsys):
-    def crash(spec):
+@pytest.mark.parametrize("source, kind", [
+    ("a \x07 b", lexer.LexError),
+    ("\\foo", lexer.UnknownTokenError),
+    (corpus_text("queue_syntax_error.tex"), parser.ParseError),
+], ids=["control-character", "unknown-command", "syntax-error"])
+def test_a_failure_is_raised_as_the_diagnostic_check_text_returns(source, kind):
+    with pytest.raises(kind) as raised:
+        parse_spec(lexer.tokenize(source))
+    assert isinstance(raised.value, DiagnosticError)
+    assert check_text(source) == [raised.value.diagnostic]
+
+
+@pytest.mark.parametrize("stage", ["tokenize", "parse_spec", "analyze"])
+def test_internal_error_is_not_a_finding(stage, corpus, monkeypatch, capsys):
+    def crash(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "analyze", crash)
+    monkeypatch.setattr(cli, stage, crash)
     assert main([path_of(corpus, "queue.tex")]) == EXIT_INTERNAL == 3
     captured = capsys.readouterr()
     assert captured.err == "ozcheck: internal error: ValueError: boom\n"

@@ -10,6 +10,8 @@ from ozcheck import check_text
 from ozcheck.cli import RunConfig, run
 from ozcheck.diagnostics import (
     CODE_CATALOG,
+    _EN_MESSAGES,
+    _FR_MESSAGES,
     Diagnostic,
     _en_message,
     render_human,
@@ -25,6 +27,11 @@ def test_catalog_covers_every_emitted_code():
         "OZ-LEX-001", "OZ-SYN-001", "OZ-SEM-101", "OZ-SEM-102", "OZ-SEM-103",
         "OZ-SEM-104", "OZ-SEM-105", "OZ-INH-201", "OZ-INH-202",
     }
+
+
+def test_every_code_has_a_message_in_each_locale():
+    # rendering looks each code up with no fallback
+    assert set(CODE_CATALOG) == set(_EN_MESSAGES) == set(_FR_MESSAGES)
 
 
 def test_human_rendering_of_syntax_error():
@@ -230,7 +237,7 @@ def test_cli_output_escapes_the_unit_that_failed_to_lex(ch, tmp_path):
     path.write_text(f"{unit}\n", encoding="utf-8")
     with pytest.raises(LexError) as exc:
         tokenize(unit)
-    assert exc.value.unit == unit  # the exception keeps the raw text
+    assert exc.value.diagnostic.symbol == unit  # the raw text is kept
     shown = unit.replace("\x1b", "\\x1b").replace(ch, escaped(ch))
     for fmt in ("text", "machine"):
         for locale in ("en", "fr"):

@@ -116,7 +116,7 @@ def test_control_character_raises():
 def test_glued_unit_rejected_in_strict_mode():
     with pytest.raises(LexError) as exc:
         tokenize("count:\\nat")
-    d = exc.value.to_diagnostic()
+    d = exc.value.diagnostic
     assert d.code == "OZ-LEX-001"
     assert d.line == 1 and d.column == 1
 
@@ -242,7 +242,8 @@ def test_tokenize_agrees_with_naive_oracle(lenient, data):
     try:
         ts = tokenize(source, lenient=lenient)
     except LexError as e:
-        assert (e.reason, e.unit, e.line, e.column) == error
+        d = e.diagnostic
+        assert (d.detail, d.symbol, d.line, d.column) == error
         return
     assert error is None
     assert [(t.lexeme, t.kind, t.index, t.line, t.column) for t in ts] == expected
@@ -253,7 +254,8 @@ def lexer_outcome(source: str, lenient: bool):
     try:
         ts = tokenize(source, lenient=lenient)
     except LexError as e:
-        return None, (e.reason, e.unit, e.line, e.column)
+        d = e.diagnostic
+        return None, (d.detail, d.symbol, d.line, d.column)
     return [(t.lexeme, t.kind, t.index, t.line, t.column) for t in ts], None
 
 
@@ -286,8 +288,8 @@ def test_each_control_character_is_rejected_at_its_unit(ch, lenient):
     unit = f"ab{ch}cd"
     with pytest.raises(LexError) as exc:
         tokenize(f"ok\n  ok {unit} ok", lenient=lenient)
-    e = exc.value
-    assert (e.reason, e.unit, e.line, e.column) == (
+    d = exc.value.diagnostic
+    assert (d.detail, d.symbol, d.line, d.column) == (
         "unsupported control character", unit, 2, 6)
 
 
@@ -297,7 +299,7 @@ def test_format_characters_are_not_control_characters(ch, lenient):
     source = f"ok ab{ch}cd"
     with pytest.raises(LexError) as exc:
         tokenize(source, lenient=lenient)
-    assert exc.value.reason != "unsupported control character"
+    assert exc.value.diagnostic.detail != "unsupported control character"
     assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
 
 
@@ -327,7 +329,7 @@ def test_each_distinct_piece_is_classified_once_per_call(monkeypatch, lenient):
     with pytest.raises(LexError) as exc:
         tokenize("ok 9x \nok 9x", lenient=lenient)
     assert calls == Counter({"ok": 1, "9x": 1})
-    assert (exc.value.line, exc.value.column) == (1, 4)
+    assert (exc.value.diagnostic.line, exc.value.diagnostic.column) == (1, 4)
 
 
 @pytest.mark.parametrize("lenient", [False, True])
@@ -341,7 +343,8 @@ def test_repeated_failing_unit_reports_its_first_occurrence():
     for lenient in (False, True):
         with pytest.raises(LexError) as exc:
             tokenize("ok 9x \nok 9x", lenient=lenient)
-        assert (exc.value.line, exc.value.column) == (1, 4)
+        d = exc.value.diagnostic
+        assert (d.line, d.column) == (1, 4)
 
 
 def test_token_is_immutable():
@@ -387,7 +390,7 @@ def test_unknown_command_raises():
     ts = tokenize(r"\unknowncommand")
     with pytest.raises(UnknownTokenError) as exc:
         terminal_of(ts[0], g)
-    assert exc.value.to_diagnostic().code == "OZ-LEX-001"
+    assert exc.value.diagnostic.code == "OZ-LEX-001"
 
 
 def test_word_lexeme_lookup_without_generic_terminal():

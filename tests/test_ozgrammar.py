@@ -92,7 +92,7 @@ def test_state_declarations_reject_equals():
             "\\begin{class} { Q }\n\\begin{state}\ncount = \\nat\n"
             "\\end{state}\n\\end{class}"
         )
-    assert exc.value.symbol == "="
+    assert exc.value.diagnostic.symbol == "="
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +550,7 @@ def rejection(parse_fn):
     """What the ParseError raised by ``parse_fn()`` reports."""
     with pytest.raises(ParseError) as raised:
         parse_fn()
-    e = raised.value
-    return e.offending, e.enclosing_class, e.enclosing_block, e.expected, e.trace
+    return raised.value.diagnostic, raised.value.trace
 
 
 def test_ast_built_on_reduce_equals_the_tree_fold(corpus):

@@ -157,15 +157,13 @@ def test_state_equals_mutation_error_location():
     tokens = tokenize(corpus_text("queue_syntax_error.tex"))
     with pytest.raises(ParseError) as exc:
         parse(tokens, table, g)
-    e = exc.value
-    assert e.symbol == "="
-    assert e.offending.line == 5 and e.offending.column == 7
-    assert e.enclosing_class == "Queue"
-    assert e.enclosing_block == "state-schema"
-    assert e.expected == (":",)
-    d = e.to_diagnostic()
+    d = exc.value.diagnostic
+    assert d.symbol == "="
+    assert d.line == 5 and d.column == 7
+    assert d.class_name == "Queue"
+    assert d.block == "state-schema"
+    assert d.detail == '":"'
     assert d.code == "OZ-SYN-001"
-    assert (d.class_name, d.block, d.symbol) == ("Queue", "state-schema", "=")
 
 
 def test_error_trace_ends_at_offending_token():
@@ -182,12 +180,11 @@ def test_empty_stream_errors_at_end_marker_top_level():
     table, g = oz()
     with pytest.raises(ParseError) as exc:
         parse(tokenize(""), table, g)
-    e = exc.value
-    assert e.offending.kind == "$"
-    assert e.symbol == "$"
-    assert e.enclosing_class is None
-    assert e.enclosing_block == "top-level"
-    assert set(e.expected) == {"\\begin{class}", "["}
+    d = exc.value.diagnostic
+    assert d.symbol == "$"  # the end marker
+    assert d.class_name is None
+    assert d.block == "top-level"
+    assert set(d.detail.split(", ")) == {'"\\begin{class}"', '"["'}
 
 
 def test_error_block_labels_track_environments():
@@ -212,8 +209,8 @@ def test_error_block_labels_track_environments():
     for source, block, cls in cases:
         with pytest.raises(ParseError) as exc:
             parse(tokenize(source), table, g)
-        assert exc.value.enclosing_block == block, source
-        assert exc.value.enclosing_class == cls, source
+        assert exc.value.diagnostic.block == block, source
+        assert exc.value.diagnostic.class_name == cls, source
 
 
 def test_corpus_trace_digests_are_pinned(corpus):

@@ -76,6 +76,9 @@ class DiagnosticError(Exception):
         super().__init__(message)
         self.diagnostic = diagnostic
 
+    def __reduce__(self):
+        return self.__class__, (self.args[0], self.diagnostic), self.__dict__
+
 
 _EN_MESSAGES = {
     LEX_ERROR: "{detail}",

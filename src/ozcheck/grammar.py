@@ -83,6 +83,7 @@ class Grammar:
         self.augmented_start = augmented_start
         self.end_marker = end_marker
         self._by_name = {s.name: s for s in symbols}
+        self.terminal_ids = {s.name: s.id for s in symbols if s.is_terminal}
         self.first_item: list[int] = []
         self.item_symbol: list[int] = []
         self.item_production: list[int] = []

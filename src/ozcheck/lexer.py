@@ -14,12 +14,13 @@ named tuple, and the AST keeps a name's token as its position.  The kind is
 the name of the unit's terminal: ``Word``, ``Number``, ``\\\\`` for a line
 separator (a lone ``\\`` included), ``$`` for the end marker, and the lexeme
 itself for every other unit.  A unit's kind depends only on its text, so
-``tokenize`` classifies each distinct unit once per call, and its
-repetitions share the first occurrence's string and kind.  A word's
-decoration is ``lexeme[len(lexeme.rstrip("'?!")):]``, and the parser locates
-a syntax error from the shifted lexemes alone, assuming they form a prefix
-of some sentence, as an LR automaton guarantees.  Tokenizing is pure;
-independent sources may be processed concurrently.
+``tokenize`` classifies each distinct unit once per process, in a bounded
+vocabulary shared by every call, and its repetitions share the first
+occurrence's string and kind.  A word's decoration is
+``lexeme[len(lexeme.rstrip("'?!")):]``, and the parser locates a syntax
+error from the shifted lexemes alone, assuming they form a prefix of some
+sentence, as an LR automaton guarantees.  Tokenizing is pure but for that
+cache; independent sources may be processed concurrently.
 """
 import re
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -54,9 +55,6 @@ class TokenStream(tuple):
     """The tokens of one source, as a tuple ending in exactly one end marker."""
 
     __slots__ = ()
-
-    def __new__(cls, tokens: tuple[Token, ...]) -> "TokenStream":
-        return tuple.__new__(cls, tokens)
 
     @property
     def tokens(self) -> tuple[Token, ...]:
@@ -144,6 +142,10 @@ _UNIT_RE = re.compile(r"\S+")
 _PIECE_RE = re.compile(
     r"\\(?:begin|end)\{[^{}\s]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+"
 )
+# piece -> (its first sight, kind) for every call, cleared at _VOCABULARY_CAP
+# (+1 per other concurrent call); a piece that fails is never stored
+_VOCABULARY: dict[str, tuple[str, str]] = {}
+_VOCABULARY_CAP = 1 << 14
 
 
 def tokenize(source: str, lenient: bool = False) -> TokenStream:
@@ -158,23 +160,23 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     # the NamedTuple constructor without its Python-level __new__ frame
     new = tuple.__new__
     finditer = (_PIECE_RE if lenient else _UNIT_RE).finditer
-    # piece -> (its first occurrence, kind), so repeated pieces share one
-    # string; a piece that fails raises at its first occurrence and is never
-    # stored
-    seen: dict[str, tuple[str, str]] = {}
+    vocabulary = _VOCABULARY
     index = 0
     for line_no, line in _content_lines(source):
         for m in finditer(line):
             piece = m.group()
             column = m.start() + 1
-            first = seen.get(piece)
+            first = vocabulary.get(piece)
             if first is None:
-                first = seen[piece] = (piece, _classify(piece, line_no, column))
+                first = piece, _classify(piece, line_no, column)
+                if len(vocabulary) >= _VOCABULARY_CAP:
+                    vocabulary.clear()
+                vocabulary[piece] = first
             append(new(Token, first + (index, line_no, column)))
             index += 1
 
     tokens.append(end_token(tokens))
-    return TokenStream(tuple(tokens))
+    return TokenStream(tokens)
 
 
 def end_token(tokens: "list[Token] | tuple[Token, ...]") -> Token:

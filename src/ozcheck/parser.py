@@ -9,27 +9,29 @@ which the exposed state's cell in ``A``'s column shifts to.  :func:`parse`
 runs actions that build the derivation tree and ``ozgrammar.parse_spec``
 actions that build the AST; there is no other evaluator of the actions.  A
 reduce is recorded as two trace steps (the reduction itself and the goto)
-so traces show the same row structure as a textbook run.  A token's
-terminal depends only on its lexeme, so each distinct lexeme is mapped once
-per parse.  Tree nodes and trace rows are immutable named tuples.  The
-trace is built only when asked for, and its cost is linear in the bytes it
-renders: the driver keeps the text of the current stack and one
-remaining-input string per input position, and hands each row's fields to
-one callable: :func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
+so traces show the same row structure as a textbook run.  A token's kind
+names its terminal, so the stream maps to ids in one pass over
+``Grammar.terminal_ids``, and ``terminal_of`` sees only kinds it lacks.
+Tree nodes and trace rows are immutable named tuples.  The trace is built
+only when asked for, and its cost is linear in the bytes it renders: the
+driver keeps the text of the current stack and one remaining-input string
+per input position, and hands each row's fields to one callable:
+:func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
 :meth:`TraceWriter.row` writes the row at once, so a streamed trace builds
 neither a row string nor a step and holds only the current stack text and
-one suffix of the input.  Its size grows with tokens times
-remaining input, because every row prints the rest of the input; it is
-quadratic in file length whatever the stack depth, and the ``entrée``
-column is most of it.  The (class, block) localization of a syntax error
-is read off the shifted lexemes when the error occurs; it assumes, as
-holds for an LR automaton, that they form a prefix of some sentence.
+one suffix of the input.  Its size grows with tokens times remaining input,
+because every row prints the rest of the input; it is quadratic in file
+length whatever the stack depth, and the ``entrée`` column is most of it.
+The (class, block) localization of a syntax error is read off the shifted
+lexemes when the error occurs; it assumes, as holds for an LR automaton,
+that they form a prefix of some sentence.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
 from itertools import accumulate, zip_longest
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import diagnostics as diag
@@ -206,13 +208,10 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     of any other number.
     """
     rows, body_len, head_id = table.action, table.body_len, table.head_id
-    id_of: dict[str, int] = {}  # lexeme -> id of its terminal
-    ids = []
-    for token in tokens:
-        sid = id_of.get(token.lexeme)
-        if sid is None:
-            sid = id_of[token.lexeme] = terminal_of(token, g).id
-        ids.append(sid)
+    ids = list(map(g.terminal_ids.get, map(itemgetter(1), tokens)))
+    if None in ids:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
+        ids = [terminal_of(t, g).id if i is None else i
+               for t, i in zip(tokens, ids)]
     states = [0]
     values: list = []
     stack = remaining = ""

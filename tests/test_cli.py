@@ -10,7 +10,6 @@ import itertools
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ from ozcheck import cli, lexer, parser
 from ozcheck.cli import (EXIT_INTERNAL, RunConfig, build_arg_parser,
                          check_text, main, run)
 from ozcheck.diagnostics import DiagnosticError
-from ozcheck.grammar import grammar_from_text
+from ozcheck.grammar import Grammar, build_table, grammar_from_text
 from ozcheck.ozgrammar import parse_spec
 
 from conftest import TESTS_DIR, corpus_text
@@ -363,20 +362,32 @@ def test_names_the_benchmark_reads_outside_wrapped_exist():
     assert lexer.tokenize("x").tokens == tuple(lexer.tokenize("x"))
 
 
-def test_parse_spec_maps_each_distinct_lexeme_once(monkeypatch):
+def test_terminal_of_maps_only_the_kinds_a_grammar_lacks(monkeypatch):
     # the benchmark's lexer.terminal_of.us_per_tok counts the calls made
     # through parser.terminal_of
-    calls: Counter = Counter()
+    calls: list = []
 
     def counting(token, g):
-        calls[token.lexeme] += 1
+        calls.append(token)
         return lexer.terminal_of(token, g)
 
     monkeypatch.setattr(parser, "terminal_of", counting)
-    tokens = lexer.tokenize(corpus_text("queue.tex"))
-    parse_spec(tokens)
-    assert calls == Counter({t.lexeme for t in tokens})
-    assert sum(calls.values()) < len(tokens)
+    parse_spec(lexer.tokenize(corpus_text("queue.tex")))
+    assert calls == []
+
+    # an ad-hoc alphabet without Word or Number: only those tokens are mapped
+    g = Grammar.build([("S", ["{", "L", "}"]), ("L", ["a", "L"]),
+                       ("L", ["7", "L"]), ("L", ["b"])])
+    tokens = lexer.tokenize("{ a 7 a b }")
+    tree = parser.parse(tokens, build_table(g), g)
+    assert [leaf.lexeme for leaf in tree.frontier()] == "{ a 7 a b }".split()
+    assert calls == [t for t in tokens if t.kind in (lexer.WORD, lexer.NUMBER)]
+
+    calls.clear()
+    with pytest.raises(lexer.UnknownTokenError) as exc:
+        parse_spec(lexer.tokenize("\\foo \\bar"))
+    assert exc.value.diagnostic.symbol == "\\foo"
+    assert [t.lexeme for t in calls] == ["\\foo"]
 
 
 def test_keywords_the_benchmark_passes_to_run_config_exist():

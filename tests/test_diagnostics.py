@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import pickle
 
 import pytest
 
@@ -17,7 +18,9 @@ from ozcheck.diagnostics import (
     render_human,
     render_machine,
 )
-from ozcheck.lexer import LexError, tokenize
+from ozcheck.lexer import LexError, UnknownTokenError, tokenize
+from ozcheck.ozgrammar import object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.parser import ParseError, parse_with_trace
 
 from conftest import corpus_text
 
@@ -247,3 +250,31 @@ def test_cli_output_escapes_the_unit_that_failed_to_lex(ch, tmp_path):
             lines = out.getvalue().removesuffix("\n").split("\n")
             assert len(lines) == 1 and shown in lines[0]
             assert all(map(str.isprintable, lines[0].split("\t")))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:
+        return e
+    raise AssertionError(f"{fn.__name__} did not raise")
+
+
+def test_raised_diagnostics_survive_pickling():
+    # an error raised in a worker process comes back as itself
+    g, table = object_z_grammar(), oz_parse_table()
+    broken = tokenize("\\begin{class} { Q = } \\end{class}")
+    errors = [
+        _raised(tokenize, "a \x07 b"),
+        _raised(parse_spec, tokenize("\\foo")),
+        _raised(parse_spec, broken),
+        _raised(parse_with_trace, broken, table, g),
+    ]
+    assert [type(e) for e in errors] == [
+        LexError, UnknownTokenError, ParseError, ParseError]
+    assert errors[2].trace is None and errors[3].trace
+    for e in errors:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e) and str(back) == str(e)
+        assert back.args == e.args and back.diagnostic == e.diagnostic
+        assert getattr(back, "trace", None) == getattr(e, "trace", None)

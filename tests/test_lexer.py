@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 import tracemalloc
 import unicodedata
 from collections import Counter
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from ozcheck import lexer
+from ozcheck import check_text, lexer
 from ozcheck.grammar import Grammar
 from ozcheck.lexer import (
     END_MARKER,
@@ -309,8 +310,8 @@ _MEMO_SOURCES = {
 }
 
 
-@pytest.mark.parametrize("lenient", [False, True])
-def test_each_distinct_piece_is_classified_once_per_call(monkeypatch, lenient):
+def counting_classify(monkeypatch) -> Counter:
+    """Count the pieces ``tokenize`` classifies, from an empty vocabulary."""
     calls: Counter = Counter()
     classify = lexer._classify
 
@@ -318,18 +319,94 @@ def test_each_distinct_piece_is_classified_once_per_call(monkeypatch, lenient):
         calls[piece] += 1
         return classify(piece, line, column)
 
+    monkeypatch.setattr(lexer, "_VOCABULARY", {})
     monkeypatch.setattr(lexer, "_classify", counting)
-    for _ in range(2):  # the memo lives for one call only
-        calls.clear()
-        ts = tokenize(_MEMO_SOURCES[lenient], lenient=lenient)
-        assert len(ts) == 16
-        assert calls == Counter({t.lexeme for t in ts if t.lexeme})
+    return calls
 
-    calls.clear()
-    with pytest.raises(LexError) as exc:
-        tokenize("ok 9x \nok 9x", lenient=lenient)
-    assert calls == Counter({"ok": 1, "9x": 1})
-    assert (exc.value.diagnostic.line, exc.value.diagnostic.column) == (1, 4)
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_each_distinct_piece_is_classified_once_per_process(monkeypatch, lenient):
+    calls = counting_classify(monkeypatch)
+    first = tokenize(_MEMO_SOURCES[lenient], lenient=lenient)
+    assert len(first) == 16
+    assert calls == Counter({t.lexeme for t in first if t.lexeme})
+
+    calls.clear()  # the vocabulary outlives the call
+    second = tokenize(_MEMO_SOURCES[lenient], lenient=lenient)
+    assert second == first and not calls
+    assert all(a.lexeme is b.lexeme for a, b in zip(first, second))
+
+    for _ in range(2):  # a piece that fails is never stored
+        with pytest.raises(LexError) as exc:
+            tokenize("ok 9x \nok 9x", lenient=lenient)
+        assert (exc.value.diagnostic.line, exc.value.diagnostic.column) == (1, 4)
+        assert "ok" in lexer._VOCABULARY and "9x" not in lexer._VOCABULARY
+    assert calls == Counter({"ok": 1, "9x": 2})
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_vocabulary_stays_within_its_cap(monkeypatch, lenient):
+    calls = counting_classify(monkeypatch)
+    cap = lexer._VOCABULARY_CAP
+    sizes = []
+    classify = lexer._classify
+
+    def sizing(piece, line, column):
+        sizes.append(len(lexer._VOCABULARY))
+        return classify(piece, line, column)
+
+    monkeypatch.setattr(lexer, "_classify", sizing)
+    words = [f"w{i}" for i in range(cap + cap // 2)]
+    # one source with more distinct pieces than the cap, whose last line
+    # repeats pieces from before and after the clear; then sources of a
+    # quarter cap each, two of them repeating earlier ones
+    lines = [" ".join(words[i:i + 64]) for i in range(0, len(words), 64)]
+    sources = ["\n".join(lines + [f"{words[0]} ( {words[-1]} ) {words[cap]}"])]
+    sources += [" ".join(f"v{k}x{i}" for i in range(cap // 4)) for k in range(6)]
+    sources += [sources[1], sources[-1]]
+    for source in sources:
+        assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
+        assert len(lexer._VOCABULARY) <= cap
+    # a store only follows a classification, which sees the size it left
+    assert max(sizes) <= cap and min(sizes[cap:]) <= 1  # cleared when full
+    # each piece classified once until a clear: no piece more than twice
+    assert calls.most_common(1)[0][1] <= 2
+
+
+@pytest.mark.parametrize("cap", [lexer._VOCABULARY_CAP, 8])
+def test_concurrent_checks_share_the_vocabulary(monkeypatch, cap):
+    # a cap of 8 clears the vocabulary while the other threads read it
+    paths = sorted(CORPUS.iterdir())
+    jobs = [[(p.read_text(encoding="utf-8"), lenient) for p in paths[k::4]
+             for lenient in (False, True)] for k in range(4)]
+    monkeypatch.setattr(lexer, "_VOCABULARY_CAP", cap)
+    monkeypatch.setattr(lexer, "_VOCABULARY", {})
+    expected = [[check_text(source, lenient) for source, lenient in job]
+                for job in jobs]
+    monkeypatch.setattr(lexer, "_VOCABULARY", {})
+    start = threading.Barrier(4)
+    results: list = [None] * 4
+
+    def worker(k):
+        try:
+            start.wait(timeout=60)
+            results[k] = [[check_text(source, lenient)
+                           for source, lenient in jobs[k]] for _ in range(20)]
+        except Exception as e:  # reported by the assertion below
+            results[k] = e
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[e] * 20 for e in expected]
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -291,10 +291,6 @@ class Specification(NamedTuple):
 # sections are (ClassDef field, value) pairs, operations or chains of them.
 
 
-def _first(kids, toks, pos):
-    return kids[0]
-
-
 def _spine(kids, toks, pos):
     """``X -> item [separator] X``, ``X -> item`` or ``X ->``."""
     items = kids[-1] if len(kids) > 1 else []
@@ -368,8 +364,8 @@ def _paragraph(kids, toks, pos):
                     operations=tuple(operations), **fields)
 
 
-# By head; a head not named here, and ``_first`` on one value, leave the
-# driver's None action, which keeps one value and makes None of any other.
+# By head; a head not named here gets the driver's None action, which keeps
+# the first value (a predicate's is its first token), None for an empty body.
 _AST_ACTIONS = {
     "ParagraphList": _spine,
     "Paragraph": _paragraph,
@@ -397,26 +393,18 @@ _AST_ACTIONS = {
     "DeclarationList": _lines,
     "LineList": _lines,
     "PredicateList": _lines,
-    "Separator": _first,
     "Declaration": _declaration,
     "NameList": _spine,
     "TypeExpr": _spine,
     "TypeAtom": _type_atom,
-    "Predicate": _first,  # a predicate's value is its first token
-    "Sum": _first,
-    "CatExpr": _first,
-    "Atom": _first,
 }
 
 
 @lru_cache(maxsize=1)
 def ast_actions() -> tuple:
     """The AST action of each production of the shipped grammar, by index."""
-    return tuple(
-        None if act is _first and len(p.body) == 1 else act
-        for p in object_z_grammar().productions
-        for act in [_AST_ACTIONS.get(p.head.name)]
-    )
+    return tuple(_AST_ACTIONS.get(p.head.name)
+                 for p in object_z_grammar().productions)
 
 
 def parse_spec(tokens: TokenStream,

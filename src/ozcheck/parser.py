@@ -12,26 +12,25 @@ reduce is recorded as two trace steps (the reduction itself and the goto)
 so traces show the same row structure as a textbook run.  A token's kind
 names its terminal, so the stream maps to ids in one pass over
 ``Grammar.terminal_ids``, and ``terminal_of`` sees only kinds it lacks.
-Tree nodes and trace rows are immutable named tuples.  The trace is built
-only when asked for, and its cost is linear in the bytes it renders: the
-driver keeps the text of the current stack and one remaining-input string
-per input position, and hands each row's fields to one callable:
+
+The trace is built only when asked for, and its cost is linear in the bytes
+it renders.  The texts of a row that depend only on the table (the action
+texts and the ``pile`` fragment each push appends) are made once per table.
+The driver keeps the current stack text and one remaining-input string per
+input position, and hands each row's fields to one callable:
 :func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
-:meth:`TraceWriter.row` writes the row at once, so a streamed trace builds
-neither a row string nor a step and holds only the current stack text and
-one suffix of the input.  Its size grows with tokens times remaining input,
-because every row prints the rest of the input; it is quadratic in file
-length whatever the stack depth, and the ``entrée`` column is most of it.
-The (class, block) localization of a syntax error is read off the shifted
-lexemes when the error occurs; it assumes, as holds for an LR automaton,
-that they form a prefix of some sentence.
+:meth:`TraceWriter.row` writes the row at once.  Every row prints the rest
+of the input, so a trace is quadratic in file length whatever the stack
+depth.  The (class, block) localization of a syntax error is read off the
+shifted lexemes when the error occurs; it assumes, as holds for an LR
+automaton, that they form a prefix of some sentence.
 
 The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import diagnostics as diag
@@ -196,6 +195,27 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
                         *_location(tokens[:pos]), expected))
 
 
+@lru_cache(maxsize=8)
+def _trace_texts(table: ParseTable) -> tuple:
+    """The trace texts that depend only on ``table``: by state, the shift
+    text and the ``pile`` fragment a push of it appends (a state but 0 has
+    one accessing symbol); by production, the reduce text and the `` head``
+    its goto row shows; by (exposed state, head id), the goto text."""
+    g, states = table.grammar, range(table.n_states)
+    pushes, gotos = [""] * len(states), {}  # state 0 is never pushed
+    for state, cells in enumerate(table.action):
+        for sym, cell in zip(g.symbols, cells):
+            if cell & 3 == 1:
+                target = cell >> 2
+                pushes[target] = f" {sym.name} [{target}]"
+                if not sym.is_terminal:
+                    gotos[state, sym.id] = (
+                        f"in {state} with {sym.name}: go to {target}")
+    return ([f"d{s}" for s in states], pushes,
+            [f"r{i}: {p}" for i, p in enumerate(g.productions)],
+            [f" {p.head.name}" for p in g.productions], gotos)
+
+
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            actions: tuple, row):
     """Run the automaton on the table's int cells; return the start symbol's
@@ -204,8 +224,8 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
 
     A shift pushes the token.  A reduce by ``p`` replaces the top n values,
     ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos`` is the
-    number of tokens shifted; a None action keeps one value and makes None
-    of any other number.
+    number of tokens shifted; a None action keeps the first of them, or
+    pushes None for an empty body.
     """
     rows, body_len, head_id = table.action, table.body_len, table.head_id
     ids = list(map(g.terminal_ids.get, map(itemgetter(1), tokens)))
@@ -216,68 +236,60 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     values: list = []
     stack = remaining = ""
     if row is not None:
-        # The text of the current stack, with the end offset of each stack
-        # entry's text in step with ``states``: a push appends one fragment
-        # and a pop slices back to the exposed entry's end.  The remaining
-        # input is joined once and sliced once per input position, by the
-        # shift that reaches it, so the rows at one position share it.
-        productions, symbols = g.productions, g.symbols
+        # ``ends`` holds each stack entry's end in the stack text, in step
+        # with ``states``.  The input is joined once; the shift that reaches
+        # a position slices its suffix, which the rows there share.  The end
+        # marker's empty lexeme takes no room in the line.
+        shift_texts, pushes, reduce_texts, heads, goto_texts = _trace_texts(
+            table)
         stack = "$ [0]"
         ends = [len(stack)]
-        reduce_texts: dict[int, str] = {}
-        remaining = line = " ".join(
-            [t.lexeme for t in tokens if t.lexeme] + ["$"])
+        lexemes = list(map(itemgetter(0), tokens))
+        remaining = line = " ".join([*filter(None, lexemes), "$"])
         offsets = list(accumulate(
-            (len(t.lexeme) + 1 if t.lexeme else 0 for t in tokens), initial=0))
+            map(add, map(len, lexemes), map(bool, lexemes)), initial=0))
     pos = 0
     while True:
         cell = rows[states[-1]][ids[pos]]
         op = cell & 3
         if op == 1:  # shift
             target = cell >> 2
-            if row is not None:
-                row(stack, remaining, "shift", f"d{target}", -1, target)
-                stack += f" {symbols[ids[pos]].name} [{target}]"
-                ends.append(len(stack))
             states.append(target)
             values.append(tokens[pos])
             pos += 1
             if row is not None:
+                row(stack, remaining, "shift", shift_texts[target], -1, target)
+                stack += pushes[target]
+                ends.append(len(stack))
                 remaining = line[offsets[pos]:]
         elif op == 2:  # reduce
             p = cell >> 2
             n = body_len[p]
-            if row is not None:
-                text = reduce_texts.get(p)
-                if text is None:
-                    text = reduce_texts[p] = f"r{p}: {productions[p]}"
-                row(stack, remaining, "reduce", text, p, -1)
             act = actions[p]
             if act is not None:
                 k = len(values) - n
                 kids = values[k:]
                 del values[k:]
                 values.append(act(kids, tokens, pos))
-            elif n != 1:
-                del values[len(values) - n:]
+            elif n > 1:
+                del values[1 - n:]
+            elif not n:
                 values.append(None)
-            if n:
-                del states[-n:]
-                if row is not None:
-                    del ends[-n:]
-                    stack = stack[:ends[-1]]
-            exposed = states[-1]
-            target = rows[exposed][head_id[p]] >> 2
+            del states[len(states) - n:]
+            exposed, head = states[-1], head_id[p]
+            target = rows[exposed][head] >> 2
+            if row is not None:
+                row(stack, remaining, "reduce", reduce_texts[p], p, -1)
+                del ends[len(ends) - n:]
+                stack = stack[:ends[-1]]  # the same string if n is 0
+                if target:
+                    row(stack + heads[p], remaining, "goto",
+                        goto_texts[exposed, head], -1, target)
+                    stack += pushes[target]
+                    ends.append(len(stack))
             if not target:  # unreachable: no goto leads back to state 0
                 raise _syntax_error(tokens, pos, exposed, table, row,
                                     stack, remaining)
-            if row is not None:
-                head = productions[p].head.name
-                stack = f"{stack} {head}"
-                row(stack, remaining, "goto",
-                    f"in {exposed} with {head}: go to {target}", -1, target)
-                stack += f" [{target}]"
-                ends.append(len(stack))
             states.append(target)
         elif op == 3:  # accept
             if row is not None:
@@ -355,9 +367,7 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
             i += 1
         elif op == 2:  # reduce
             p = cell >> 2
-            n = body_len[p]
-            if n:
-                del states[-n:]
+            del states[len(states) - body_len[p]:]
             target = rows[states[-1]][head_id[p]] >> 2
             if not target:
                 return False

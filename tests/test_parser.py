@@ -7,11 +7,12 @@ import re
 import pytest
 
 from ozcheck import check_text
-from ozcheck.grammar import Grammar, build_table
-from ozcheck.lexer import tokenize
-from ozcheck.ozgrammar import object_z_grammar, oz_parse_table
+from ozcheck.grammar import Grammar, ParseTable, build_table
+from ozcheck.lexer import terminal_of, tokenize
+from ozcheck.ozgrammar import object_z_grammar, oz_parse_table, parse_spec
 from ozcheck.parser import (
     ParseError,
+    _trace_texts,
     accepts,
     parse,
     parse_with_trace,
@@ -19,6 +20,8 @@ from ozcheck.parser import (
 )
 
 from conftest import ast_both_ways, corpus_text, naive_trace_rows
+from oracles import all_strings, language_upto
+from randgrammars import generate_cases
 
 # SHA-256 of the rendered trace of each corpus file, recorded from the
 # per-row rendering that ``trace_oracle`` keeps as the reference; the
@@ -40,14 +43,18 @@ def oz():
     return oz_parse_table(), object_z_grammar()
 
 
+def traced(tokens, table, g):
+    """The trace steps of a parse, or of its syntax error."""
+    try:
+        return parse_with_trace(tokens, table, g)[1]
+    except ParseError as e:
+        return e.trace
+
+
 def corpus_trace(name: str):
     """Tokens and trace of a corpus file; the error trace if it fails."""
-    table, g = oz()
     tokens = tokenize(corpus_text(name))
-    try:
-        return tokens, parse_with_trace(tokens, table, g)[1]
-    except ParseError as e:
-        return tokens, e.trace
+    return tokens, traced(tokens, *oz())
 
 
 def test_single_production_trace():
@@ -304,3 +311,98 @@ def test_accepts_refuses_ids_that_are_not_terminals():
     for bad in (g.start.id, g.augmented_start.id, -1, len(g.symbols)):
         with pytest.raises(ValueError):
             accepts(table, [a, bad, b])
+
+
+def assert_rows_follow_the_table(steps, tokens, table, g):
+    """Each row's stack and input from the naive oracle, and its action
+    text, production and state spelled out here from the table's cells."""
+    assert [(s.stack, s.remaining) for s in steps] == naive_trace_rows(
+        steps, tokens, g)
+    ids = [terminal_of(t, g).id for t in tokens]
+    op_of = {"shift": 1, "reduce": 2, "goto": 1, "accept": 3, "error": 0}
+    states, pos, head = [0], 0, None
+    for step in steps:
+        cell = table.action[states[-1]][
+            head.id if step.kind == "goto" else ids[pos]]
+        assert cell & 3 == op_of[step.kind] and (cell or step.kind == "error")
+        target = cell >> 2
+        if step.kind == "shift":
+            expected = (f"d{target}", -1, target)
+            states.append(target)
+            pos += 1
+        elif step.kind == "reduce":
+            p = g.productions[target]
+            body = "".join(f" {s.name}" for s in p.body)
+            expected = (f"r{target}: {p.head.name} ->{body}", target, -1)
+            del states[len(states) - len(p.body):]
+            head = p.head
+        elif step.kind == "goto":
+            expected = (f"in {states[-1]} with {head.name}: go to {target}",
+                        -1, target)
+            states.append(target)
+        elif step.kind == "accept":
+            expected = ("ACCEPT", -1, -1)
+        else:
+            expected = (f'ERROR: unexpected "{tokens[pos].lexeme or "$"}"',
+                        -1, -1)
+        assert (step.text, step.production, step.state) == expected
+
+
+def test_traces_over_interleaved_and_rebuilt_tables_follow_each_table():
+    cases, sources = [], []  # sources: (productions, texts in and out)
+    for case in generate_cases(seed=2101, count=10):
+        language = language_upto(case.productions, "S", 5)
+        words = sorted(language)[:6]
+        others = [w for w in all_strings(case.terminals, 4) if w not in language]
+        if len(words) >= 3 and len(cases) < 2:
+            cases.append(case)
+            sources.append((case.productions,
+                            [" ".join(w) for w in words + others[:4]]))
+    assert len(cases) == 2
+    oz_sources = [corpus_text("queue.tex"), corpus_text("queue_syntax_error.tex"),
+                  corpus_text("empty_class.tex")]
+    for i in range(3):  # one table after another, each drive checked
+        for table, g, text in [(cases[0].table, cases[0].grammar, sources[0][1][i]),
+                               (*oz(), oz_sources[i]),
+                               (cases[1].table, cases[1].grammar, sources[1][1][i])]:
+            tokens = tokenize(text)
+            assert_rows_follow_the_table(traced(tokens, table, g), tokens, table, g)
+    # Tables built and dropped in turn, far more than the texts are kept
+    # for: each new table object is made just after the last one is
+    # dropped, so it may take the freed block, and with it the id.
+    table = None
+    for i in range(40):
+        productions, texts = sources[i % 2]
+        g = Grammar.build(productions, start="S")
+        built = build_table(g)
+        del table
+        table = ParseTable(g, built.n_states)
+        table.action = built.action
+        for text in texts:
+            tokens = tokenize(text)
+            assert_rows_follow_the_table(traced(tokens, table, g), tokens, table, g)
+
+
+def test_trace_texts_are_made_once_per_table_and_never_without_a_trace(corpus):
+    _trace_texts.cache_clear()
+    table, g = oz()
+    for path in sorted(corpus.glob("*.tex")):
+        source = path.read_text(encoding="utf-8")
+        check_text(source)
+        check_text(source, lenient=True)
+        try:
+            parse(tokenize(source), table, g)
+        except ParseError:
+            pass
+    assert _trace_texts.cache_info().currsize == 0
+    tokens = tokenize(corpus_text("queue.tex"))
+    first, second = traced(tokens, table, g), traced(tokens, table, g)
+    assert first == second
+    shared: dict[str, str] = {}  # an action text -> its first object
+    for step in first + second:
+        if step.kind in ("shift", "reduce", "goto"):
+            assert shared.setdefault(step.text, step.text) is step.text
+    assert len(shared) < len(first) / 2
+    assert _trace_texts.cache_info().currsize == 1
+    parse_spec(tokens)
+    assert _trace_texts.cache_info().currsize == 1

@@ -17,15 +17,17 @@ well-formedness but kept as opaque token sequences in the AST.
 The AST is built on reduce: each production has one AST action, and
 :func:`parse_spec` drives the automaton with them, so no parse tree is
 built on the way (the bottom-up evaluation of an S-attributed definition,
-yacc's ``$$ = f($1..$n)``).  :func:`build_ast` gets the AST of a parse
-tree from :func:`ozcheck.parser.parse` by driving the tree's frontier
-through :func:`parse_spec`, so the actions have one evaluator, the driver.
+yacc's ``$$ = f($1..$n)``) and read the stream's ``lexemes`` and ``kinds``
+columns: a node keeps its name's index and the stream, whose token its
+``pos`` reads.  :func:`build_ast` gets the AST of a parse tree from
+:func:`ozcheck.parser.parse` by driving the tree's frontier through
+:func:`parse_spec`, so the actions have one evaluator, the driver.
 """
 from functools import lru_cache
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import WORD, Token, TokenStream, end_token
+from .lexer import END_MARKER, WORD, TokenStream
 from .parser import TraceWriter, TreeNode, _drive
 from .records import record
 
@@ -140,15 +142,20 @@ def oz_parse_table() -> ParseTable:
 
 
 # ---------------------------------------------------------------------------
-# AST: a ``pos``/``name_pos`` is the stream's own token, ignored by ``==``.
+# AST: a node's ``index`` in its ``stream`` is ignored by ``==``; its
+# ``pos`` (``name_pos``) is the stream's own token there.
+
+_pos = property(lambda node: node.stream[node.index])
 
 
-@record("pos")
+@record("index", "stream")
 class NameRef(NamedTuple):
     """An identifier occurrence; ``pos`` is its token in the stream."""
 
     name: str
-    pos: Token
+    index: int
+    stream: TokenStream
+    pos = _pos
 
 
 @record()
@@ -181,10 +188,12 @@ class BuiltinType(NamedTuple):
         return hash((tuple(kinds), t))
 
 
-@record("pos")
+@record("index", "stream")
 class NamedType(NamedTuple):
     name: str
-    pos: Token
+    index: int
+    stream: TokenStream
+    pos = _pos
 
 
 @record()
@@ -209,22 +218,26 @@ def named_leaves(t: TypeExpr):
             pending.extend(reversed(t.parts))
 
 
-@record("pos")
+@record("index", "stream")
 class Declaration(NamedTuple):
     name: str
     type_expr: TypeExpr
-    pos: Token
+    index: int
+    stream: TokenStream
+    pos = _pos
 
 
 @record()
 class PredicateLine(NamedTuple):
-    """An opaque, well-formed predicate as its token sequence."""
+    """An opaque, well-formed predicate: the tokens ``start`` to ``end`` of
+    ``stream``."""
 
-    tokens: tuple[Token, ...]
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.lexeme for t in self.tokens)
+    start: int
+    end: int
+    stream: TokenStream
+    tokens = property(lambda line: line.stream[line.start:line.end])
+    text = property(
+        lambda line: " ".join(line.stream.lexemes[line.start:line.end]))
 
     def __eq__(self, other) -> bool:  # structural: compare rendered text
         return isinstance(other, PredicateLine) and self.text == other.text
@@ -246,13 +259,15 @@ class DeltaList(NamedTuple):
     names: tuple[NameRef, ...]
 
 
-@record("name_pos")
+@record("index", "stream")
 class OperationSchema(NamedTuple):
     name: str
-    name_pos: Token
+    index: int
+    stream: TokenStream
     delta: DeltaList | None = None
     declarations: tuple[Declaration, ...] = ()
     predicates: tuple[PredicateLine, ...] = ()
+    name_pos = _pos
 
 
 @record()
@@ -260,10 +275,11 @@ class GivenTypeDecl(NamedTuple):
     names: tuple[NameRef, ...]
 
 
-@record("name_pos")
+@record("index", "stream")
 class ClassDef(NamedTuple):
     name: str
-    name_pos: Token
+    index: int
+    stream: TokenStream
     generic_params: tuple[NameRef, ...] = ()
     visibility: tuple[NameRef, ...] | None = None
     inherits: tuple[NameRef, ...] = ()
@@ -271,6 +287,7 @@ class ClassDef(NamedTuple):
     state: SchemaBlock | None = None
     init: SchemaBlock | None = None
     operations: tuple[OperationSchema, ...] = ()
+    name_pos = _pos
 
 
 @record()
@@ -284,11 +301,11 @@ class Specification(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # AST actions, run on reduce by ``parser._drive`` (``kids`` are the values of
-# the body symbols; a shifted token is its own value).  Right-recursive
-# lists are Python lists, last item first, reversed once by their owner.  A
-# schema line is a (declaration or first token of a predicate, end) pair:
-# it ends at the separator after it, or where the list is reduced.  Class
-# sections are (ClassDef field, value) pairs, operations or chains of them.
+# the body symbols; a shifted token's is its index).  Right-recursive lists
+# are Python lists, last item first, reversed once by their owner.  A schema
+# line is a (declaration or first token of a predicate, end) pair: it ends
+# at the separator after it, or where the list is reduced.  Class sections
+# are (ClassDef field, value) pairs, operations or chains of them.
 
 
 def _spine(kids, toks, pos):
@@ -304,15 +321,15 @@ def _reversed(items: list) -> tuple:
     return tuple(items)
 
 
-def _name_refs(words: list) -> tuple[NameRef, ...]:
-    return tuple(NameRef(w.lexeme, w) for w in reversed(words))
+def _name_refs(words: list, toks: TokenStream) -> tuple[NameRef, ...]:
+    return tuple(NameRef(toks.lexemes[w], w, toks) for w in reversed(words))
 
 
 def _lines(kids, toks, pos):
     if len(kids) == 1:
         return [(kids[0], pos)]
     rest = kids[2]
-    rest.append((kids[0], kids[1].index))
+    rest.append((kids[0], kids[1]))
     return rest
 
 
@@ -326,28 +343,28 @@ def _body(kids, toks, pos):
         if value.__class__ is Declaration and not preds:
             decls.append(value)
         else:
-            start = value.pos if value.__class__ is Declaration else value
-            preds.append(PredicateLine(toks[start.index:end]))
+            start = value.index if value.__class__ is Declaration else value
+            preds.append(PredicateLine(start, end, toks))
     return tuple(decls), tuple(preds)
 
 
 def _declaration(kids, toks, pos):
     name, parts = kids[0], _reversed(kids[2])  # the \cross spine
     type_expr = parts[0] if len(parts) == 1 else ProductType(parts)
-    return Declaration(name.lexeme, type_expr, name)
+    return Declaration(toks.lexemes[name], type_expr, name, toks)
 
 
 def _type_atom(kids, toks, pos):
-    token = kids[0]
-    if token.kind == WORD:
-        return NamedType(token.lexeme, token)
+    i = kids[0]
+    if toks.kinds[i] == WORD:
+        return NamedType(toks.lexemes[i], i, toks)
     argument = kids[1] if len(kids) > 1 else None
-    return BuiltinType(token.lexeme, argument)
+    return BuiltinType(toks.lexemes[i], argument)
 
 
 def _paragraph(kids, toks, pos):
-    if kids[0].lexeme == "[":
-        return GivenTypeDecl(_name_refs(kids[1]))
+    if toks.lexemes[kids[0]] == "[":
+        return GivenTypeDecl(_name_refs(kids[1], toks))
     name, generic = kids[2]
     fields: dict = {}
     operations: list[OperationSchema] = []
@@ -360,7 +377,7 @@ def _paragraph(kids, toks, pos):
             fields[value[0]] = value[1]
         elif value.__class__ is OperationSchema:
             operations.append(value)
-    return ClassDef(name.lexeme, name, generic,
+    return ClassDef(toks.lexemes[name], name, toks, generic,
                     operations=tuple(operations), **fields)
 
 
@@ -370,9 +387,9 @@ _AST_ACTIONS = {
     "ParagraphList": _spine,
     "Paragraph": _paragraph,
     "ClassHeading": lambda kids, toks, pos: (
-        kids[0], _name_refs(kids[2]) if len(kids) > 1 else ()),
-    "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2])),
-    "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0])),
+        kids[0], _name_refs(kids[2], toks) if len(kids) > 1 else ()),
+    "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2], toks)),
+    "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0], toks)),
     "SectionsAfterVisibility": _spine,
     "SectionsAfterLocals": _spine,
     "SectionsAfterState": _spine,
@@ -383,11 +400,11 @@ _AST_ACTIONS = {
     "StateEnv": lambda kids, toks, pos: ("state", SchemaBlock("state", *kids[1])),
     "InitEnv": lambda kids, toks, pos: ("init", SchemaBlock("init", *kids[1])),
     "OperationEnv": lambda kids, toks, pos: OperationSchema(
-        kids[2].lexeme, kids[2], *kids[4]),
+        toks.lexemes[kids[2]], kids[2], toks, *kids[4]),
     "OperationBody": lambda kids, toks, pos: (
         kids[0] if len(kids) > 1 else None, *kids[-1]),
     "DeltaPart": lambda kids, toks, pos: DeltaList(
-        kids[0].lexeme[1:], _name_refs(kids[2])),
+        toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks)),
     "SchemaBody": _body,
     "InitBody": _body,
     "DeclarationList": _lines,
@@ -427,4 +444,6 @@ def build_ast(tree: TreeNode) -> Specification:
     grammar is unambiguous, so the leaves fix the tree, and the AST is the
     one the tree's own tokens give."""
     toks = tree.frontier()
-    return parse_spec(TokenStream(toks + (end_token(toks),)))
+    return parse_spec(TokenStream(
+        [*(t.lexeme for t in toks), ""], [*(t.kind for t in toks), END_MARKER],
+        dict(enumerate(toks))))

@@ -2,16 +2,18 @@
 
 One driver runs the classical stack automaton over the int cells of
 ``ParseTable.action``, indexed by state and symbol id: on a shift it pushes
-the successor state and the token; on a reduce by ``A -> Y1..Yn`` it pops n
-states and n values, pushes the value the production's semantic action
-makes of them (yacc's ``$$ = f($1..$n)``), then pushes the goto target,
-which the exposed state's cell in ``A``'s column shifts to.  :func:`parse`
-runs actions that build the derivation tree and ``ozgrammar.parse_spec``
-actions that build the AST; there is no other evaluator of the actions.  A
-reduce is recorded as two trace steps (the reduction itself and the goto)
-so traces show the same row structure as a textbook run.  A token's kind
-names its terminal, so the stream maps to ids in one pass over
-``Grammar.terminal_ids``, and ``terminal_of`` sees only kinds it lacks.
+the successor state and the token's stream index; on a reduce by
+``A -> Y1..Yn`` it pops n states and n values, pushes the value the
+production's semantic action makes of them (yacc's ``$$ = f($1..$n)``),
+then pushes the goto target, which the exposed state's cell in ``A``'s
+column shifts to.  :func:`parse` runs actions that build the derivation
+tree and ``ozgrammar.parse_spec`` actions that build the AST; there is no
+other evaluator of the actions.  A reduce is recorded as two trace steps
+(the reduction itself and the goto) so traces show the same row structure
+as a textbook run.  The drive reads the stream's columns and builds a
+``Token`` only for an error: a kind names its terminal, so the ``kinds``
+map to ids in one pass over ``Grammar.terminal_ids``, and ``terminal_of``
+sees only kinds it lacks.
 
 The trace is built only when asked for, and its cost is linear in the bytes
 it renders.  The texts of a row that depend only on the table (the action
@@ -30,7 +32,7 @@ share one immutable table concurrently.
 """
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 from . import diagnostics as diag
@@ -150,8 +152,8 @@ _CLOSERS = {
 }
 
 
-def _location(shifted: tuple[Token, ...]) -> tuple[str | None, str | None]:
-    """The (class, block) of a syntax error after the ``shifted`` tokens.
+def _location(shifted: list[str]) -> tuple[str | None, str | None]:
+    """The (class, block) of a syntax error after the ``shifted`` lexemes.
 
     An LR parser shifts only prefixes of sentences (the correct-prefix
     property), so the shifted lexemes alone fix the location: the block is
@@ -160,11 +162,10 @@ def _location(shifted: tuple[Token, ...]) -> tuple[str | None, str | None]:
     its ``\\begin``.  Outside a class the block is the top level.
     """
     cls, block = None, diag.BLOCK_TOP_LEVEL
-    for i, token in enumerate(shifted):
-        lexeme = token.lexeme
+    for i, lexeme in enumerate(shifted):
         opened = _OPENERS.get(lexeme)
         if opened is not None:
-            name = shifted[i + 2].lexeme if i + 2 < len(shifted) else None
+            name = shifted[i + 2] if i + 2 < len(shifted) else None
             if lexeme == "\\begin{class}":
                 cls, block = name, opened
             elif lexeme == "\\begin{op}":
@@ -187,12 +188,12 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
         row(stack, remaining, "error", f'ERROR: unexpected "{symbol}"', -1, -1)
     expected = ", ".join(
         f'"{s.name}"' for s in table.expected_terminals(state))
-    # the location depends only on the shifted tokens, so it is found here
+    # the location depends only on the shifted lexemes, so it is found here
     # instead of being tracked on every shift
     return ParseError(
         f'syntax error caused by "{symbol}" at line {line} col {column}',
         diag.Diagnostic(diag.SYNTAX_ERROR, symbol, line, column,
-                        *_location(tokens[:pos]), expected))
+                        *_location(tokens.lexemes[:pos]), expected))
 
 
 @lru_cache(maxsize=8)
@@ -222,16 +223,16 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     value and, unless ``row`` is None, call ``row(stack, remaining, kind,
     text, production, state)`` with the fields of each trace row.
 
-    A shift pushes the token.  A reduce by ``p`` replaces the top n values,
-    ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos`` is the
-    number of tokens shifted; a None action keeps the first of them, or
-    pushes None for an empty body.
+    A shift pushes the token's index.  A reduce by ``p`` replaces the top n
+    values, ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos``
+    is the number of tokens shifted; a None action keeps the first of them,
+    or pushes None for an empty body.
     """
     rows, body_len, head_id = table.action, table.body_len, table.head_id
-    ids = list(map(g.terminal_ids.get, map(itemgetter(1), tokens)))
+    ids = list(map(g.terminal_ids.get, tokens.kinds))
     if None in ids:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
-        ids = [terminal_of(t, g).id if i is None else i
-               for t, i in zip(tokens, ids)]
+        ids = [terminal_of(tokens[k], g).id if i is None else i
+               for k, i in enumerate(ids)]
     states = [0]
     values: list = []
     stack = remaining = ""
@@ -244,7 +245,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             table)
         stack = "$ [0]"
         ends = [len(stack)]
-        lexemes = list(map(itemgetter(0), tokens))
+        lexemes = tokens.lexemes
         remaining = line = " ".join([*filter(None, lexemes), "$"])
         offsets = list(accumulate(
             map(add, map(len, lexemes), map(bool, lexemes)), initial=0))
@@ -255,7 +256,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         if op == 1:  # shift
             target = cell >> 2
             states.append(target)
-            values.append(tokens[pos])
+            values.append(pos)
             pos += 1
             if row is not None:
                 row(stack, remaining, "shift", shift_texts[target], -1, target)
@@ -302,7 +303,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
 
 @lru_cache(maxsize=8)
 def _tree_actions(g: Grammar) -> tuple:
-    """Actions that build the derivation tree; a body terminal's value is
+    """Actions that build the derivation tree; a body terminal's leaf holds
     the token shifted for it."""
     def node(p):
         head, index = p.head, p.index
@@ -310,7 +311,7 @@ def _tree_actions(g: Grammar) -> tuple:
 
         def act(kids, toks, pos):
             for i, s in leaves:
-                kids[i] = TreeNode(s, -1, (), kids[i])
+                kids[i] = TreeNode(s, -1, (), toks[kids[i]])
             return TreeNode(head, index, tuple(kids))
         return act
     return tuple(node(p) for p in g.productions)

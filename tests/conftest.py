@@ -79,8 +79,8 @@ def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
 def same_ast(a, b) -> bool:
     """``==`` that also compares what the AST's ``==`` ignores: the tokens
     that are the source positions and the tokens of predicate lines, by
-    walking every named tuple through its own field names.  Loops, never
-    recurses."""
+    walking every named tuple through its own field names, a node's stream
+    through the tokens it reads there.  Loops, never recurses."""
     pending = [(a, b)]
     while pending:
         x, y = pending.pop()
@@ -88,6 +88,9 @@ def same_ast(a, b) -> bool:
             return False
         names = getattr(x, "_fields", None)  # AST nodes and tokens
         if names is not None:
+            if "stream" in names:
+                names = [f for f in (*names, "pos", "name_pos", "tokens")
+                         if f != "stream" and hasattr(x, f)]
             pending.extend((getattr(x, f), getattr(y, f)) for f in names)
         elif x.__class__ is tuple:
             if len(x) != len(y):

@@ -1,6 +1,9 @@
 """Tokenizer: unit classification, positions, modes, and terminal mapping."""
 from __future__ import annotations
 
+import json
+import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -22,11 +25,13 @@ from ozcheck.lexer import (
     terminal_of,
     tokenize,
 )
-from ozcheck.ozgrammar import object_z_grammar
+from ozcheck.ozgrammar import object_z_grammar, parse_spec
+from ozcheck.parser import ParseError
 
 from conftest import CORPUS, corpus_text
 from oracles import naive_tokenize
 from randgrammars import generate_cases
+from test_trace_stream import child_env
 
 
 def kinds(stream):
@@ -148,10 +153,8 @@ def test_fragment_without_markers_tokenizes_fully():
     assert len(ts) == 5
 
 
-def test_tokenize_holds_at_most_200_bytes_per_token():
-    # one flat five-field tuple per token: 172 B/token here, and 228 when
-    # each token held a separate position tuple
-    source = corpus_text("queue.tex") * 1200
+def held_per_token(source: str) -> float:
+    """Bytes that the stream of ``source`` holds per token, traced."""
     tokenize(source[:1000])  # warm the module-level caches first
     tracemalloc.start()
     try:
@@ -160,7 +163,49 @@ def test_tokenize_holds_at_most_200_bytes_per_token():
     finally:
         tracemalloc.stop()
     assert len(ts) >= 10**5
-    assert held / len(ts) <= 200
+    return held / len(ts)
+
+
+def test_tokenize_holds_at_most_200_bytes_per_token():
+    # 136 B/token when each token was one flat five-field tuple, and 228
+    # when each token held a separate position tuple
+    assert held_per_token(corpus_text("queue.tex") * 1200) <= 200
+
+
+def test_tokenize_holds_at_most_90_bytes_per_token():
+    # columns of lexemes, kinds and offsets, with no token built: 58
+    # B/token, most of it one int object per offset
+    assert held_per_token(corpus_text("queue.tex") * 1200) <= 90
+
+
+# a child process checks a clean source of over 5 * 10**5 tokens in 400 MB
+# of address space and reports what its resident peak grew by per token:
+# 83 B/token with a columnar stream, 141 with one token record per unit
+BIG_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from ozcheck import check_text, tokenize
+source = sys.stdin.read()
+check_text(source[:2000])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+found = check_text(source)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+tokens = len(tokenize(source)) - 1
+print(json.dumps({"found": found, "tokens": tokens,
+                  "bytes_per_token": grown * 1024 / tokens}))
+"""
+
+
+def test_a_clean_source_of_half_a_million_tokens_checks_in_bounded_memory():
+    source = corpus_text("queue.tex") * 6000
+    result = subprocess.run(
+        [sys.executable, "-c", BIG_CHILD], input=source, capture_output=True,
+        text=True, env=child_env(), timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    assert got["found"] == [] and got["tokens"] >= 5 * 10**5
+    assert got["bytes_per_token"] <= 120
 
 
 def test_repeated_lexemes_share_one_string():
@@ -221,8 +266,11 @@ _odd = st.one_of(
                      "٣", "9x", "a\x07", "\x00", "\x7f", "\x1f", "%",
                      "\\begin{a", "b}"]),
 )
+# blanks that are not line breaks, and a comment line after blanks, are
+# where a split of the whole text could part from a scan of each line
 _blank = st.sampled_from([" ", "  ", "\t", "\n", "\n% note\n", "\n  ",
-                          "\x85", "\xa0", "\u2028", "\r"])
+                          "\x85", "\xa0", "\u2028", "\r", "\x0b", "\x0c",
+                          "\x1c", "\x1f", "\u3000", "\r\n", "\n \t% c\n"])
 
 
 @pytest.mark.parametrize("lenient", [False, True])
@@ -416,12 +464,78 @@ def test_corpus_tokenizes_as_naive_oracle(path, lenient):
     assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
 
 
+def test_a_unit_past_column_two_to_the_twentieth_keeps_its_column():
+    # no packed line/column encoding: 1.1 M blanks before the unit
+    source = "a\n" + " " * 1_100_000 + "x y"
+    for lenient in (False, True):
+        outcome = lexer_outcome(source, lenient)
+        assert outcome == naive_tokenize(source, lenient)
+        assert outcome[0][1:3] == [("x", WORD, 1, 2, 1_100_001),
+                                   ("y", WORD, 2, 2, 1_100_003)]
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_a_wrapped_source_with_no_unit_ends_in_the_end_marker_at_1_1(lenient):
+    # a preamble and no class: the region stops at \end{document} before
+    # any unit
+    source = ("% title\n  \n\\end{document}\n\\documentclass{article}\n"
+              "\\usepackage{oz}\n")
+    assert lexer_outcome(source, lenient) == naive_tokenize(source, lenient)
+    assert lexer_outcome(source, lenient) == ([("", END_MARKER, 0, 1, 1)], None)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_end_document_in_a_comment_does_not_stop_the_lexer(lenient):
+    source = ("\\documentclass{article}\n\\begin{document}\n"
+              "\\begin{class} { A }\n  % \\end{document}\n\\end{class}\n"
+              "\\end{document}\n\\begin{class} { B } \\end{class}\n")
+    outcome = lexer_outcome(source, lenient)
+    assert outcome == naive_tokenize(source, lenient)
+    assert [t[0] for t in outcome[0]] == [
+        "\\begin{class}", "{", "A", "}", "\\end{class}", ""]
+    assert outcome[0][4][3] == 5
+
+
 def test_repeated_failing_unit_reports_its_first_occurrence():
     for lenient in (False, True):
         with pytest.raises(LexError) as exc:
             tokenize("ok 9x \nok 9x", lenient=lenient)
         d = exc.value.diagnostic
         assert (d.line, d.column) == (1, 4)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("path", sorted(CORPUS.iterdir()), ids=lambda p: p.name)
+def test_a_stream_builds_each_token_once_and_agrees_with_its_columns(
+        path, lenient):
+    source = path.read_text(encoding="utf-8")
+    stream = tokenize(source, lenient=lenient)
+    n = len(stream)
+    for i in (0, n // 2, n - 1, -1, -n):
+        assert stream[i] is stream[i] and stream[i] is stream[i % n]
+    for a, b in [(0, n), (3, 9), (n - 2, n + 5), (-4, -1), (5, 2)]:
+        assert stream[a:b] == tuple(stream[i] for i in range(n)[a:b])
+    with pytest.raises(IndexError):
+        stream[n]
+    with pytest.raises(IndexError):
+        stream[-n - 1]
+    expected, error = naive_tokenize(source, lenient)
+    assert error is None
+    assert stream.tokens == tuple(tokenize(source, lenient=lenient)) == tuple(
+        lexer.Token(*t) for t in expected)
+    assert all(a is b for a, b in zip(stream.tokens, stream))
+    assert stream.lexemes == [t.lexeme for t in stream.tokens]
+    assert stream.kinds == [t.kind for t in stream.tokens]
+
+
+def test_a_parse_error_from_a_read_stream_still_pickles():
+    stream = tokenize("\\begin{class} { Q = } \\end{class}")
+    stream.tokens  # every token built and kept by the stream
+    with pytest.raises(ParseError) as raised:
+        parse_spec(stream)
+    back = pickle.loads(pickle.dumps(raised.value))
+    assert back.diagnostic == raised.value.diagnostic
+    assert (back.diagnostic.symbol, back.diagnostic.column) == ("=", 19)
 
 
 def test_token_is_immutable():

@@ -169,15 +169,15 @@ def test_type_expressions():
     )
     decls = ast_of(src).classes[0].state.declarations
     assert decls[0].type_expr == BuiltinType("\\fset", BuiltinType("\\nat"))
-    assert decls[1].type_expr == BuiltinType("\\pset", NamedType("Message", None))
+    assert decls[1].type_expr == BuiltinType("\\pset", NamedType("Message", -1, None))
     assert decls[2].type_expr == BuiltinType(
-        "\\seq", BuiltinType("\\seq", NamedType("Item", None)))
+        "\\seq", BuiltinType("\\seq", NamedType("Item", -1, None)))
     assert decls[3].type_expr == ProductType(
-        (BuiltinType("\\num"), NamedType("Message", None), BuiltinType("\\nat")))
+        (BuiltinType("\\num"), NamedType("Message", -1, None), BuiltinType("\\nat")))
     assert decls[4].type_expr == ProductType((
-        BuiltinType("\\pset", BuiltinType("\\seq", NamedType("T", None))),
+        BuiltinType("\\pset", BuiltinType("\\seq", NamedType("T", -1, None))),
         BuiltinType("\\nat"),
-        BuiltinType("\\fset", NamedType("U", None)),
+        BuiltinType("\\fset", NamedType("U", -1, None)),
     ))
     assert [t.name for t in named_leaves(decls[4].type_expr)] == ["T", "U"]
 
@@ -453,9 +453,9 @@ def ast_positions(spec) -> list:
         x = pending.pop()
         if x.__class__ is tuple:
             pending.extend(x)
-        for name in getattr(x, "_fields", ()):
-            value = getattr(x, name)
-            (found if name in ("pos", "name_pos") else pending).append(value)
+        pending.extend(getattr(x, name) for name in getattr(x, "_fields", ()))
+        found.extend(getattr(x, name) for name in ("pos", "name_pos")
+                     if hasattr(x, name))
     return found
 
 

@@ -43,35 +43,37 @@ def test_startup_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
-def _predicate(at: Token) -> PredicateLine:
-    """``x = 1`` with its first token at ``at``."""
-    lines = "\n" * (at.line - 1) + " " * (at.column - 1)
-    return PredicateLine(tokenize(lines + "x = 1").tokens[:-1])
+def _predicate(at: tuple[int, TokenStream]) -> PredicateLine:
+    """``x = 1`` from its first token at ``at``."""
+    index, stream = at
+    return PredicateLine(index, index + 3, stream)
 
 
-# Each maker builds one record from a position, which is a token; a record
-# that has no position field, or whose equality counts it (Token), is built
-# the same way from both positions.
+# Each maker builds one record from a position, which is an index in a
+# stream that holds ``x = 1`` from there; a record that has no position
+# field, or whose equality counts it (Token), is built the same way from
+# both positions.
 MAKERS = {
-    "NameRef": lambda at: NameRef("x", at),
-    "BuiltinType": lambda at: BuiltinType("\\pset", NamedType("T", at)),
-    "NamedType": lambda at: NamedType("T", at),
+    "NameRef": lambda at: NameRef("x", *at),
+    "BuiltinType": lambda at: BuiltinType("\\pset", NamedType("T", *at)),
+    "NamedType": lambda at: NamedType("T", *at),
     "ProductType": lambda at: ProductType(
-        (NamedType("T", at), BuiltinType("\\nat"))),
-    "Declaration": lambda at: Declaration("x", NamedType("T", at), at),
+        (NamedType("T", *at), BuiltinType("\\nat"))),
+    "Declaration": lambda at: Declaration("x", NamedType("T", *at), *at),
     "PredicateLine": _predicate,
     "SchemaBlock": lambda at: SchemaBlock(
-        "state", (Declaration("x", BuiltinType("\\nat"), at),),
+        "state", (Declaration("x", BuiltinType("\\nat"), *at),),
         (_predicate(at),)),
-    "DeltaList": lambda at: DeltaList("Delta", (NameRef("x", at),)),
+    "DeltaList": lambda at: DeltaList("Delta", (NameRef("x", *at),)),
     "OperationSchema": lambda at: OperationSchema(
-        "Op", at, DeltaList("Xi", (NameRef("x", at),)),
-        (Declaration("y", NamedType("T", at), at),), (_predicate(at),)),
-    "GivenTypeDecl": lambda at: GivenTypeDecl((NameRef("T", at),)),
+        "Op", *at, DeltaList("Xi", (NameRef("x", *at),)),
+        (Declaration("y", NamedType("T", *at), *at),), (_predicate(at),)),
+    "GivenTypeDecl": lambda at: GivenTypeDecl((NameRef("T", *at),)),
     "ClassDef": lambda at: ClassDef(
-        "C", at, (NameRef("T", at),), (NameRef("x", at),), (NameRef("B", at),)),
+        "C", *at, (NameRef("T", *at),), (NameRef("x", *at),),
+        (NameRef("B", *at),)),
     "Specification": lambda at: Specification(
-        (GivenTypeDecl((NameRef("T", at),)), ClassDef("C", at))),
+        (GivenTypeDecl((NameRef("T", *at),)), ClassDef("C", *at))),
     "Diagnostic": lambda at: Diagnostic("OZ-SEM-102", "T", 3, 7, "C", "state-schema"),
     "Symbol": lambda at: Symbol(4, TERMINAL, "Word"),
     "Production": lambda at: Production(
@@ -83,7 +85,7 @@ MAKERS = {
         TreeNode(Symbol(4, TERMINAL, "Word"),
                  token=Token("x", WORD, 3, 2, 1)),)),
 }
-HERE, THERE = Token("x", WORD, 0, 1, 1), Token("x", WORD, 9, 4, 6)
+HERE, THERE = (0, tokenize("x = 1")), (1, tokenize("y\n  x = 1"))
 AST_NODES = [name for name in MAKERS if name not in
              ("Diagnostic", "Symbol", "Production", "TokenStream", "Token",
               "TraceStep", "TreeNode")]

@@ -4,9 +4,10 @@ The grammar covers class paragraphs in the LaTeX encoding: a heading with
 an optional generic parameter list, an optional visibility list, an
 inheritance block, local constant definitions, state and init schemas, and
 operation schemas with delta lists.  Top-level bracketed paragraphs
-introduce given types.  Optional class sections are factored so that the
-grammar stays SLR(1); ``oz_parse_table`` asserts conflict-freedom when the
-table is first built.
+introduce given types.  The sections of a class come in a fixed order:
+each class alternative names its first section and leaves every later one
+optional, and the empty class has a rule of its own.  ``oz_parse_table``
+asserts that the grammar is SLR(1) when the table is first built.
 
 Declarations are one name, a colon and a type expression.  State schemas
 and operation schemas hold declarations, with predicates allowed after
@@ -37,10 +38,10 @@ ParagraphList -> Paragraph
 ParagraphList -> Paragraph ParagraphList
 Paragraph -> "\begin{class}" "{" ClassHeading "}" "\end{class}"
 Paragraph -> "\begin{class}" "{" ClassHeading "}" Visibility "\inherit" Inheritance "\endinherit" StateSchema InitialSchema Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" VisibilityDecl SectionsAfterVisibility "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" AxdefEnv SectionsAfterLocals "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" StateEnv SectionsAfterState "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" InitEnv SectionsAfterInit "\end{class}"
+Paragraph -> "\begin{class}" "{" ClassHeading "}" VisibilityDecl Locals StateSchema InitialSchema Operations "\end{class}"
+Paragraph -> "\begin{class}" "{" ClassHeading "}" AxdefEnv StateSchema InitialSchema Operations "\end{class}"
+Paragraph -> "\begin{class}" "{" ClassHeading "}" StateEnv InitialSchema Operations "\end{class}"
+Paragraph -> "\begin{class}" "{" ClassHeading "}" InitEnv Operations "\end{class}"
 Paragraph -> "\begin{class}" "{" ClassHeading "}" OperationSeq "\end{class}"
 Paragraph -> [ NameList ]
 ClassHeading -> Word
@@ -49,26 +50,14 @@ Visibility -> VisibilityDecl
 Visibility ->
 VisibilityDecl -> "\visibility" ( NameList )
 Inheritance -> NameList
+Locals -> AxdefEnv
+Locals ->
 StateSchema -> StateEnv
 StateSchema ->
 InitialSchema -> InitEnv
 InitialSchema ->
 Operations -> OperationSeq
 Operations ->
-SectionsAfterVisibility -> AxdefEnv SectionsAfterLocals
-SectionsAfterVisibility -> StateEnv SectionsAfterState
-SectionsAfterVisibility -> InitEnv SectionsAfterInit
-SectionsAfterVisibility -> OperationSeq
-SectionsAfterVisibility ->
-SectionsAfterLocals -> StateEnv SectionsAfterState
-SectionsAfterLocals -> InitEnv SectionsAfterInit
-SectionsAfterLocals -> OperationSeq
-SectionsAfterLocals ->
-SectionsAfterState -> InitEnv SectionsAfterInit
-SectionsAfterState -> OperationSeq
-SectionsAfterState ->
-SectionsAfterInit -> OperationSeq
-SectionsAfterInit ->
 OperationSeq -> OperationEnv
 OperationSeq -> OperationEnv OperationSeq
 AxdefEnv -> "\begin{axdef}" DeclarationList "\end{axdef}"
@@ -304,15 +293,14 @@ class Specification(NamedTuple):
 # the body symbols; a shifted token's is its index).  Right-recursive lists
 # are Python lists, last item first, reversed once by their owner.  A schema
 # line is a (declaration or first token of a predicate, end) pair: it ends
-# at the separator after it, or where the list is reduced.  Class sections
-# are (ClassDef field, value) pairs, operations or chains of them.
+# at the separator after it, or where the list is reduced.  A class section
+# is a (ClassDef field, value) pair, or the list of operations.
 
 
 def _spine(kids, toks, pos):
-    """``X -> item [separator] X``, ``X -> item`` or ``X ->``."""
+    """``X -> item [separator] X`` or ``X -> item``."""
     items = kids[-1] if len(kids) > 1 else []
-    if kids:
-        items.append(kids[0])
+    items.append(kids[0])
     return items
 
 
@@ -367,18 +355,12 @@ def _paragraph(kids, toks, pos):
         return GivenTypeDecl(_name_refs(kids[1], toks))
     name, generic = kids[2]
     fields: dict = {}
-    operations: list[OperationSchema] = []
-    pending = kids[:3:-1]  # the sections, first on top
-    while pending:
-        value = pending.pop()
-        if value.__class__ is list:  # a chain, last first
-            pending += value
-        elif value.__class__ is tuple:
+    for value in kids[4:]:  # sections (None if absent) and token indices
+        if value.__class__ is tuple:
             fields[value[0]] = value[1]
-        elif value.__class__ is OperationSchema:
-            operations.append(value)
-    return ClassDef(toks.lexemes[name], name, toks, generic,
-                    operations=tuple(operations), **fields)
+        elif value.__class__ is list:
+            fields["operations"] = _reversed(value)
+    return ClassDef(toks.lexemes[name], name, toks, generic, **fields)
 
 
 # By head; a head not named here gets the driver's None action, which keeps
@@ -390,10 +372,6 @@ _AST_ACTIONS = {
         kids[0], _name_refs(kids[2], toks) if len(kids) > 1 else ()),
     "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2], toks)),
     "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0], toks)),
-    "SectionsAfterVisibility": _spine,
-    "SectionsAfterLocals": _spine,
-    "SectionsAfterState": _spine,
-    "SectionsAfterInit": _spine,
     "OperationSeq": _spine,
     "AxdefEnv": lambda kids, toks, pos: (
         "local_defs", _body(kids[1:2], toks, pos)[0]),

@@ -229,10 +229,11 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
     or pushes None for an empty body.
     """
     rows, body_len, head_id = table.action, table.body_len, table.head_id
-    ids = list(map(g.terminal_ids.get, tokens.kinds))
-    if None in ids:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
+    try:
+        ids = list(map(g.terminal_ids.__getitem__, tokens.kinds))
+    except KeyError:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
         ids = [terminal_of(tokens[k], g).id if i is None else i
-               for k, i in enumerate(ids)]
+               for k, i in enumerate(map(g.terminal_ids.get, tokens.kinds))]
     states = [0]
     values: list = []
     stack = remaining = ""

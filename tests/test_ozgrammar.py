@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import random
 
 import pytest
@@ -32,10 +33,11 @@ from ozcheck.ozgrammar import (
     oz_parse_table,
     parse_spec,
 )
-from ozcheck.parser import (ParseError, TraceWriter, parse, parse_with_trace,
-                            render_trace)
+from ozcheck.parser import (ParseError, TraceWriter, accepts, parse,
+                            parse_with_trace, render_trace)
 
 from conftest import ast_both_ways, corpus_text, same_ast
+from oracles import language_upto
 from render import render_tokens
 
 
@@ -77,6 +79,118 @@ def test_leading_productions_are_the_paragraph_rules():
         "Inheritance \\endinherit StateSchema InitialSchema Operations "
         "\\end{class}",
     ]
+
+
+# The paragraph and class-section productions of the grammar before its class
+# alternatives named their first section and left the later ones optional:
+# each section chained the rest through one of four SectionsAfter* heads.
+_CLASS = ["\\begin{class}", "{", "ClassHeading", "}"]
+_END = ["\\end{class}"]
+CHAINED_CLASS_SECTIONS = [
+    ("Paragraph", _CLASS + _END),
+    ("Paragraph", _CLASS + ["Visibility", "\\inherit", "Inheritance",
+                            "\\endinherit", "StateSchema", "InitialSchema",
+                            "Operations"] + _END),
+    ("Paragraph", _CLASS + ["VisibilityDecl", "SectionsAfterVisibility"] + _END),
+    ("Paragraph", _CLASS + ["AxdefEnv", "SectionsAfterLocals"] + _END),
+    ("Paragraph", _CLASS + ["StateEnv", "SectionsAfterState"] + _END),
+    ("Paragraph", _CLASS + ["InitEnv", "SectionsAfterInit"] + _END),
+    ("Paragraph", _CLASS + ["OperationSeq"] + _END),
+    ("Paragraph", ["[", "NameList", "]"]),
+    ("Visibility", ["VisibilityDecl"]),
+    ("Visibility", []),
+    ("StateSchema", ["StateEnv"]),
+    ("StateSchema", []),
+    ("InitialSchema", ["InitEnv"]),
+    ("InitialSchema", []),
+    ("Operations", ["OperationSeq"]),
+    ("Operations", []),
+    ("SectionsAfterVisibility", ["AxdefEnv", "SectionsAfterLocals"]),
+    ("SectionsAfterVisibility", ["StateEnv", "SectionsAfterState"]),
+    ("SectionsAfterVisibility", ["InitEnv", "SectionsAfterInit"]),
+    ("SectionsAfterVisibility", ["OperationSeq"]),
+    ("SectionsAfterVisibility", []),
+    ("SectionsAfterLocals", ["StateEnv", "SectionsAfterState"]),
+    ("SectionsAfterLocals", ["InitEnv", "SectionsAfterInit"]),
+    ("SectionsAfterLocals", ["OperationSeq"]),
+    ("SectionsAfterLocals", []),
+    ("SectionsAfterState", ["InitEnv", "SectionsAfterInit"]),
+    ("SectionsAfterState", ["OperationSeq"]),
+    ("SectionsAfterState", []),
+    ("SectionsAfterInit", ["OperationSeq"]),
+    ("SectionsAfterInit", []),
+    ("OperationSeq", ["OperationEnv"]),
+    ("OperationSeq", ["OperationEnv", "OperationSeq"]),
+]
+
+
+def test_class_sections_keep_the_chained_grammars_language():
+    # every section nonterminal (ClassHeading, VisibilityDecl, Inheritance,
+    # AxdefEnv, StateEnv, InitEnv, OperationEnv), and NameList, is taken as
+    # a terminal
+    heads = {"Paragraph", "Visibility", "Locals", "StateSchema",
+             "InitialSchema", "Operations", "OperationSeq"}
+    shipped = [(p.head.name, [s.name for s in p.body])
+               for p in object_z_grammar().productions if p.head.name in heads]
+    assert len(shipped) == 8 + 2 * (len(heads) - 1)
+    for max_len, size in [(10, 77), (12, 125), (14, 173)]:
+        old = language_upto(CHAINED_CLASS_SECTIONS, "Paragraph", max_len)
+        assert language_upto(shipped, "Paragraph", max_len) == old, max_len
+        assert len(old) == size
+
+
+# Each class section in one short form, in the grammar's order: its source
+# and the names it declares.
+SECTIONS = {
+    "visibility": ("\\visibility ( v )", ["v"]),
+    "inherits": ("\\inherit P \\endinherit", ["P"]),
+    "local_defs": ("\\begin{axdef} c : \\nat \\end{axdef}", ["c"]),
+    "state": ("\\begin{state} s : \\nat \\end{state}", ["s"]),
+    "init": ("\\begin{init} i : \\nat \\end{init}", ["i"]),
+    "operations": ("\\begin{op} { Op1 } \\end{op}", ["Op1"]),
+}
+TWO_OPERATIONS = {**SECTIONS, "operations": (
+    "\\begin{op} { Op1 } \\end{op} \\begin{op} { Op2 } \\end{op}",
+    ["Op1", "Op2"])}
+
+
+def section_names(c) -> dict:
+    """Each section field that ``c`` holds, with the names it declares."""
+    held = {
+        "visibility": c.visibility,
+        "inherits": c.inherits or None,
+        "local_defs": c.local_defs or None,
+        "state": c.state and c.state.declarations,
+        "init": c.init and c.init.declarations,
+        "operations": c.operations or None,
+    }
+    return {f: [x.name for x in v] for f, v in held.items() if v is not None}
+
+
+def test_each_section_lands_in_its_own_field_in_every_order():
+    table, g = oz_parse_table(), object_z_grammar()
+    order = list(SECTIONS)
+    legal_seen = 0
+    for k in range(len(order) + 1):
+        for fields in itertools.permutations(order, k):
+            for forms in [SECTIONS, TWO_OPERATIONS][:1 + ("operations" in fields)]:
+                source = " ".join(["\\begin{class} { A }",
+                                   *(forms[f][0] for f in fields), "\\end{class}"])
+                tokens = tokenize(source)
+                legal = (list(fields) == sorted(fields, key=order.index)
+                         and not {"inherits", "local_defs"} <= set(fields))
+                ids = [g.terminal_ids[kind] for kind in tokens.kinds[:-1]]
+                assert accepts(table, ids) == legal, source
+                if not legal:
+                    with pytest.raises(ParseError):
+                        parse_spec(tokens)
+                    continue
+                c = parse_spec(tokens).classes[0]
+                assert section_names(c) == {f: forms[f][1] for f in fields}, source
+                legal_seen += 1
+    # the 2**6 ordered subsets less the 2**4 with both inherits and
+    # local_defs; the 2**5 - 2**3 of them with operations run twice
+    assert legal_seen == 2**6 - 2**4 + 2**5 - 2**3
 
 
 def test_grammar_exports_in_interchange_format():

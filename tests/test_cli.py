@@ -312,6 +312,18 @@ def test_arg_parser_maps_flags():
     assert ns.lenient and ns.inputs == ["a.tex", "b.tex"]
 
 
+def test_startup_does_not_import_argparse():
+    # in a child process: pytest itself imports argparse; only main parses
+    # flags, so a process that checks through run never needs it
+    src = str(Path(ozcheck.__file__).parents[1])
+    code = ("import sys, ozcheck.cli; ozcheck.oz_parse_table(); "
+            "print('argparse' in sys.modules)")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_main_bad_flag_exits_2(capsys):
     assert main(["--no-such-flag"]) == 2
     assert "usage" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,11 +23,20 @@ from ozcheck.lexer import (
     tokenize,
 )
 from ozcheck.ozgrammar import (
+    _AST_ACTIONS,
     BuiltinType,
+    ClassDef,
+    Declaration,
+    DeltaList,
     GivenTypeDecl,
     NamedType,
+    NameRef,
+    OperationSchema,
+    PredicateLine,
     ProductType,
     SchemaBlock,
+    Specification,
+    ast_actions,
     build_ast,
     named_leaves,
     object_z_grammar,
@@ -571,6 +581,64 @@ def ast_positions(spec) -> list:
         found.extend(getattr(x, name) for name in ("pos", "name_pos")
                      if hasattr(x, name))
     return found
+
+
+def ast_nodes(spec) -> list:
+    """Every node of ``spec``: each named tuple reached through the items of
+    nodes and of plain tuples (so a node short of fields is still reached),
+    never a node's stream."""
+    found, pending = [], [spec]
+    while pending:
+        x = pending.pop()
+        if hasattr(x, "_fields"):
+            found.append(x)
+        if isinstance(x, tuple):
+            pending.extend(x)
+    return found
+
+
+def test_every_node_has_every_field(corpus):
+    # the AST actions build nodes with tuple.__new__, which checks neither
+    # the number of fields nor fills in their defaults
+    rng = random.Random(20261020)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
+    sources += [random_specification(rng) for _ in range(300)]
+    classes = set()
+    for source in sources:
+        try:
+            spec = parse_spec(tokenize(source))
+        except ParseError:
+            continue
+        for node in ast_nodes(spec):
+            cls = type(node)
+            assert len(node) == len(cls._fields), (cls.__name__, source)
+            assert cls._make(node) == node
+            assert node._replace() == node
+            classes.add(cls)
+    assert classes == {Specification, ClassDef, GivenTypeDecl, NameRef,
+                       BuiltinType, NamedType, ProductType, Declaration,
+                       PredicateLine, SchemaBlock, DeltaList, OperationSchema}
+
+
+def test_ast_actions_name_heads_and_give_one_action_per_alternative():
+    # a misspelt head or a short tuple would otherwise fall back to the
+    # driver's keep-the-first-value action without a word
+    g = object_z_grammar()
+    alternatives = Counter(p.head.name for p in g.productions[1:])
+    assert set(_AST_ACTIONS) <= set(alternatives)
+    for head, act in _AST_ACTIONS.items():
+        if isinstance(act, tuple):
+            assert len(act) == alternatives[head], head
+            assert all(a is None or callable(a) for a in act), head
+        else:
+            assert callable(act), head
+    seen: Counter = Counter()
+    assert len(ast_actions()) == len(g.productions)
+    for p, act in zip(g.productions, ast_actions()):
+        entry = _AST_ACTIONS.get(p.head.name)
+        assert act is (entry[seen[p.head.name]] if isinstance(entry, tuple)
+                       else entry), str(p)
+        seen[p.head.name] += 1
 
 
 def test_ast_positions_are_the_streams_own_tokens(queue_source):

@@ -13,7 +13,8 @@ import ozcheck
 from ozcheck.cli import RunConfig, run
 from ozcheck.lexer import LexError, UnknownTokenError, tokenize
 from ozcheck.ozgrammar import object_z_grammar, oz_parse_table
-from ozcheck.parser import ParseError, parse, parse_with_trace, render_trace
+from ozcheck.parser import (ParseError, _trace_texts, parse, parse_with_trace,
+                            render_trace)
 
 from conftest import naive_trace_rows
 from test_ozgrammar import random_specification
@@ -265,3 +266,24 @@ def test_stream_writes_each_row_in_three_pieces_with_the_shared_suffix(corpus, t
             assert remaining is at_position.setdefault(pos, remaining), path.name
             pos += step.kind == "shift"
         assert len({id(cell) for cell in rows[1::3]}) == len(at_position) == pos + 1
+
+
+def test_each_action_text_is_one_row_tail_across_rows_and_files(corpus):
+    _trace_texts.cache_clear()
+    paths = [corpus / "queue.tex", corpus / "queue_syntax_error.tex"]
+    sink = Recorder()
+    run(RunConfig(inputs=[str(p) for p in paths], trace=True), stdout=sink)
+    titles = [i for i, w in enumerate(sink.writes) if w.startswith("# trace: ")]
+    assert len(titles) == 2
+    tails: dict[str, str] = {}  # an action text -> the first tail written
+    rows = 0
+    for path, title in zip(paths, titles):
+        _, steps = library_trace(path.read_text(encoding="utf-8"))
+        for i, step in enumerate(steps):
+            tail = sink.writes[title + 3 + 3 * i]
+            assert tail == f"\t{step.text}\n"
+            if step.kind in ("shift", "reduce", "goto"):
+                assert tails.setdefault(step.text, tail) is tail, step.text
+                rows += 1
+    assert rows > 2 * len(tails)  # texts recur, across rows and files
+    assert _trace_texts.cache_info().currsize == 1

@@ -5,7 +5,8 @@ failures, an output that cannot be written among them, go to the error
 stream with exit status 2.  Exit status is 0 only when every input file
 produced zero diagnostics, 1 otherwise.  An internal failure is reported on
 the error stream with exit status 3, so it is never mistaken for a finding.
-The parse table is built once at startup and shared across all input files.
+The parse table is built on first use and shared across all input
+files; a dump of the grammar or of FIRST/FOLLOW alone never builds it.
 """
 from __future__ import annotations
 

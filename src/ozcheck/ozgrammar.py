@@ -416,8 +416,7 @@ def parse_spec(tokens: TokenStream,
     :func:`ozcheck.parser.parse` raises.
     """
     return _new(Specification, (_reversed(_drive(
-        tokens, oz_parse_table(), object_z_grammar(), ast_actions(),
-        trace and trace.row)),))
+        tokens, oz_parse_table(), ast_actions(), trace and trace.row)),))
 
 
 def build_ast(tree: TreeNode) -> Specification:

@@ -6,9 +6,10 @@ the successor state and the token's stream index; on a reduce by
 ``A -> Y1..Yn`` it pops n states and n values, pushes the value the
 production's semantic action makes of them (yacc's ``$$ = f($1..$n)``),
 then pushes the goto target, which the exposed state's cell in ``A``'s
-column shifts to.  :func:`parse` runs actions that build the derivation
-tree and ``ozgrammar.parse_spec`` actions that build the AST; there is no
-other evaluator of the actions.  A reduce is recorded as two trace steps
+column shifts to (in an LR(0) automaton that cell is a shift, never to
+state 0).  :func:`parse` runs actions that build the derivation tree and
+``ozgrammar.parse_spec`` actions that build the AST; there is no other
+evaluator of the actions.  A reduce is recorded as two trace steps
 (the reduction itself and the goto) so traces show the same row structure
 as a textbook run.  The drive reads the stream's columns and builds a
 ``Token`` only for an error: a kind names its terminal, so the ``kinds``
@@ -19,8 +20,9 @@ The trace is built only when asked for, and its cost is linear in the bytes
 it renders.  The texts of a row that depend only on the table (the action
 texts, as row tails, and the ``pile`` fragment each push appends) are made
 once per table.  The driver keeps the current stack text and one
-remaining-input string per input position, and hands each row's fields to
-one callable: :func:`parse_with_trace`'s keeps a :class:`TraceStep`, and
+remaining-input string per input position, and hands each row to one
+callable as ``(stack, remaining, tail)``: :func:`parse_with_trace`'s looks
+up the tail's other fields and keeps a :class:`TraceStep`, and
 :meth:`TraceWriter.row` writes the row at once.  Every row prints the rest
 of the input, so a trace is quadratic in file length whatever the stack
 depth.  The (class, block) localization of a syntax error is read off the
@@ -31,7 +33,7 @@ The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, zip_longest
 from operator import add
 from typing import NamedTuple
 
@@ -99,8 +101,8 @@ def render_trace(steps: list[TraceStep]) -> str:
 
 
 class TraceWriter:
-    """A trace that keeps no rows: the driver hands each row's fields to
-    ``row``, which writes it at once, in the layout of :func:`render_trace`,
+    """A trace that keeps no rows: the driver hands each row to ``row``,
+    which writes it at once, in the layout of :func:`render_trace`,
     as three ``out.write`` calls; the ``entrée`` cell is the shared
     remaining-input string itself, never copied into a row string.
 
@@ -112,8 +114,7 @@ class TraceWriter:
         self._write = out.write
         self._head = title + _HEADER
 
-    def row(self, stack: str, remaining: str, kind: str, tail: str,
-            production: int, state: int) -> None:
+    def row(self, stack: str, remaining: str, tail: str) -> None:
         write = self._write
         if self._head:
             write(self._head)
@@ -128,7 +129,8 @@ class ParseError(diag.DiagnosticError):
 
     Its diagnostic names the offending token, the enclosing class and block
     at that token, and the terminals the current state could have accepted.
-    ``trace`` is the step list when :func:`parse_with_trace` raised it.
+    The driver hands on the error row before raising it; ``trace`` is the
+    step list, ending at that row, when :func:`parse_with_trace` raised it.
     """
 
     trace: list[TraceStep] | None = None
@@ -180,12 +182,9 @@ def _location(shifted: list[str]) -> tuple[str | None, str | None]:
 
 
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
-                  table: ParseTable, row, stack: str,
-                  remaining: str) -> ParseError:
+                  table: ParseTable) -> ParseError:
     token = tokens[pos]
     symbol, line, column = token.lexeme or "$", token.line, token.column
-    if row is not None:
-        row(stack, remaining, "error", f'\tERROR: unexpected "{symbol}"\n', -1, -1)
     expected = ", ".join(
         f'"{s.name}"' for s in table.expected_terminals(state))
     # the location depends only on the shifted lexemes, so it is found here
@@ -202,36 +201,39 @@ def _trace_texts(table: ParseTable) -> tuple:
     tail tab, text, newline: by state, the shift tail and the ``pile`` push
     (a state but 0 has one accessing symbol); by production, the reduce tail
     and the goto row's `` head``; by exposed state, then head id, the goto
-    tail; and each tail's text."""
+    tail; and each tail's TraceStep (kind, text, production, state)."""
     g, states = table.grammar, range(table.n_states)
     pushes, gotos = [""] * len(states), [{} for _ in states]  # 0 is not pushed
+    fields = {"\tACCEPT\n": ("accept", "ACCEPT", -1, -1)}
     for state, cells in enumerate(table.action):
         for sym, cell in zip(g.symbols, cells):
             if cell & 3 == 1:
                 target = cell >> 2
                 pushes[target] = f" {sym.name} [{target}]"
                 if not sym.is_terminal:
-                    gotos[state][sym.id] = (
-                        f"\tin {state} with {sym.name}: go to {target}\n")
+                    text = f"in {state} with {sym.name}: go to {target}"
+                    gotos[state][sym.id] = tail = f"\t{text}\n"
+                    fields[tail] = ("goto", text, -1, target)
     shifts = [f"\td{s}\n" for s in states]
     reduces = [f"\tr{i}: {p}\n" for i, p in enumerate(g.productions)]
-    tails = [*shifts, *reduces, *chain(*map(dict.values, gotos)), "\tACCEPT\n"]
+    fields |= {t: ("shift", t[1:-1], -1, s) for s, t in enumerate(shifts)}
+    fields |= {t: ("reduce", t[1:-1], p, -1) for p, t in enumerate(reduces)}
     return (shifts, pushes, reduces, [f" {p.head.name}" for p in g.productions],
-            gotos, {tail: tail[1:-1] for tail in tails})
+            gotos, fields)
 
 
-def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
-           actions: tuple, row):
+def _drive(tokens: TokenStream, table: ParseTable, actions: tuple, row):
     """Run the automaton on the table's int cells; return the start symbol's
-    value and, unless ``row`` is None, call ``row(stack, remaining, kind,
-    tail, production, state)`` with the fields of each trace row.
+    value and, unless ``row`` is None, call ``row(stack, remaining, tail)``
+    for each trace row, ``tail`` its ``action`` cell as tab, text, newline.
 
     A shift pushes the token's index.  A reduce by ``p`` replaces the top n
     values, ``kids``, a fresh list, with ``actions[p](kids, tokens, pos)``,
     which may be ``kids``, where ``pos`` is the number of tokens shifted; a
     None action keeps the first value, or pushes None for an empty body.
     """
-    rows, body_len, head_id = table.action, table.body_len, table.head_id
+    g, rows = table.grammar, table.action
+    body_len, head_id = table.body_len, table.head_id
     try:
         ids = list(map(g.terminal_ids.__getitem__, tokens.kinds))
     except KeyError:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
@@ -262,7 +264,7 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             values.append(pos)
             pos += 1
             if row is not None:
-                row(stack, remaining, "shift", shifts[target], -1, target)
+                row(stack, remaining, shifts[target])
                 stack += pushes[target]
                 ends.append(len(stack))
                 remaining = line[offsets[pos]:]
@@ -283,25 +285,22 @@ def _drive(tokens: TokenStream, table: ParseTable, g: Grammar,
             exposed, head = states[-1], head_id[p]
             target = rows[exposed][head] >> 2
             if row is not None:
-                row(stack, remaining, "reduce", reduces[p], p, -1)
+                row(stack, remaining, reduces[p])
                 del ends[len(ends) - n:]
                 stack = stack[:ends[-1]]  # the same string if n is 0
-                if target:
-                    row(stack + heads[p], remaining, "goto",
-                        gotos[exposed][head], -1, target)
-                    stack += pushes[target]
-                    ends.append(len(stack))
-            if not target:  # unreachable: no goto leads back to state 0
-                raise _syntax_error(tokens, pos, exposed, table, row,
-                                    stack, remaining)
+                row(stack + heads[p], remaining, gotos[exposed][head])
+                stack += pushes[target]
+                ends.append(len(stack))
             states.append(target)
         elif op == 3:  # accept
             if row is not None:
-                row(stack, remaining, "accept", "\tACCEPT\n", -1, -1)
+                row(stack, remaining, "\tACCEPT\n")
             return values[-1]
         else:
-            raise _syntax_error(tokens, pos, states[-1], table, row,
-                                stack, remaining)
+            if row is not None:
+                row(stack, remaining,
+                    f'\tERROR: unexpected "{tokens.lexemes[pos] or "$"}"\n')
+            raise _syntax_error(tokens, pos, states[-1], table)
 
 
 @lru_cache(maxsize=8)
@@ -327,7 +326,7 @@ def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
     the enclosing class/block and the expected terminals, or
     :class:`UnknownTokenError` if a token maps to no terminal of ``g``.
     """
-    return _drive(tokens, table, g, _tree_actions(g), None)
+    return _drive(tokens, table, _tree_actions(g), None)
 
 
 def parse_with_trace(
@@ -339,13 +338,13 @@ def parse_with_trace(
     ending at the error step.
     """
     trace: list[TraceStep] = []
-    keep, new, plain = trace.append, tuple.__new__, _trace_texts(table)[-1]
+    keep, new, fields = trace.append, tuple.__new__, _trace_texts(table)[-1]
 
-    def step(stack, remaining, kind, tail, *numbers):
-        text = plain.get(tail) or tail[1:-1]  # an error's is not the table's
-        keep(new(TraceStep, (stack, remaining, kind, text, *numbers)))
+    def step(stack, remaining, tail):  # only the error row is not the table's
+        keep(new(TraceStep, (stack, remaining) + (
+            fields.get(tail) or ("error", tail[1:-1], -1, -1))))
     try:
-        return _drive(tokens, table, g, _tree_actions(g), step), trace
+        return _drive(tokens, table, _tree_actions(g), step), trace
     except ParseError as e:
         e.trace = trace
         raise
@@ -356,13 +355,13 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
 
     Used by the property-test harness to replay many strings against one
     table without building tokens, trees or traces.  Raises ``ValueError``
-    for an id that is not a terminal of the table's grammar.
+    for an id that is the end marker or no terminal of the table's grammar.
     """
-    ids = [*terminal_ids, table.grammar.end_marker.id]
-    terminals = frozenset(s.id for s in table.term_columns)
-    if not terminals.issuperset(ids):
+    terminals = frozenset(s.id for s in table.term_columns[:-1])  # not the $
+    if not terminals.issuperset(terminal_ids):
         raise ValueError(f"not terminal ids of {table.grammar!r}: "
-                         f"{set(ids) - terminals}")
+                         f"{set(terminal_ids) - terminals}")
+    ids = [*terminal_ids, table.grammar.end_marker.id]
     rows, body_len, head_id = table.action, table.body_len, table.head_id
     states = [0]
     i = 0
@@ -375,10 +374,7 @@ def accepts(table: ParseTable, terminal_ids: list[int]) -> bool:
         elif op == 2:  # reduce
             p = cell >> 2
             del states[len(states) - body_len[p]:]
-            target = rows[states[-1]][head_id[p]] >> 2
-            if not target:
-                return False
-            states.append(target)
+            states.append(rows[states[-1]][head_id[p]] >> 2)
         elif op == 3:
             return True
         else:

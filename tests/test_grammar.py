@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -24,10 +25,12 @@ from ozcheck.grammar import (
     grammar_from_text,
     parse_grammar_text,
 )
+from ozcheck.ozgrammar import object_z_grammar
 from ozcheck.parser import accepts
 
 from conftest import FRAGMENT
 from oracles import first_oracle, follow_oracle
+from randgrammars import random_productions
 
 S_TO_A = [("S", ["a"])]
 
@@ -250,6 +253,40 @@ def test_collection_is_deterministic():
     b = canonical_collection(Grammar.build(FRAGMENT))
     assert a.states == b.states
     assert a.transitions == b.transitions
+
+
+def test_every_reduce_exposes_a_goto_to_a_state_but_0():
+    """What lets ``parser._drive`` and ``accepts`` push a reduce's goto
+    target unchecked.  No transition leads to state 0.  A reduce by
+    ``A -> α`` (``A`` not the augmented start) pops back to a state ``J``
+    that holds ``A -> · α``: from ``J``, ``α`` leads to the state that holds
+    ``A -> α ·``, and ``J`` has a transition on ``A``.  This holds for every
+    LR(0) collection, conflicted grammars' too; in a table, that
+    transition is a shift cell to a state but 0."""
+    rng = random.Random(2025)
+    grammars = [object_z_grammar()] + [
+        Grammar.build(random_productions(rng)[0], start="S")
+        for _ in range(2000)]
+    tables = 0
+    for g in grammars:
+        coll = canonical_collection(g)
+        assert 0 not in coll.transitions.values()
+        table = build_table(g)
+        tables += isinstance(table, ParseTable)
+        for p in g.productions[1:]:
+            dot0, head = g.first_item[p.index], p.head.id
+            for j, state in enumerate(coll.states):
+                if dot0 not in state:
+                    continue
+                k = j
+                for sym in p.body:
+                    k = coll.transitions[(k, sym.id)]
+                assert dot0 + len(p.body) in coll.states[k], (g, p)
+                assert (j, head) in coll.transitions, (g, p)
+                if isinstance(table, ParseTable):
+                    cell = table.action[j][head]
+                    assert cell & 3 == SHIFT and cell >> 2, (g, p)
+    assert 50 < tables < len(grammars)  # both kinds are checked
 
 
 # ---------------------------------------------------------------------------

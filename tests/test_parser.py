@@ -309,6 +309,20 @@ def test_accepts_agrees_with_parse_on_toy_grammar():
     assert not accepts(table, [a, b, b])
 
 
+def test_accepts_refuses_an_end_marker_among_the_ids():
+    # ``accepts`` appends the one end marker itself; an id list holding
+    # one more would be accepted at that marker, whatever followed it.
+    table, g = oz()
+    oz_ids = [g.terminal_ids[k] for k in ("[", "Word", "]", "$", "[")]
+    assert accepts(table, oz_ids[:3])
+    with pytest.raises(ValueError):
+        accepts(table, oz_ids)
+    toy = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
+    a, b, end = toy.symbol("a").id, toy.symbol("b").id, toy.end_marker.id
+    with pytest.raises(ValueError):
+        accepts(build_table(toy), [a, b, end, b])
+
+
 def test_accepts_refuses_ids_that_are_not_terminals():
     g = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
     table = build_table(g)

@@ -12,9 +12,9 @@ from pathlib import Path
 import ozcheck
 from ozcheck.cli import RunConfig, run
 from ozcheck.lexer import LexError, UnknownTokenError, tokenize
-from ozcheck.ozgrammar import object_z_grammar, oz_parse_table
-from ozcheck.parser import (ParseError, _trace_texts, parse, parse_with_trace,
-                            render_trace)
+from ozcheck.ozgrammar import object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.parser import (ParseError, TraceWriter, _trace_texts, parse,
+                            parse_with_trace, render_trace)
 
 from conftest import naive_trace_rows
 from test_ozgrammar import random_specification
@@ -287,3 +287,30 @@ def test_each_action_text_is_one_row_tail_across_rows_and_files(corpus):
                 rows += 1
     assert rows > 2 * len(tails)  # texts recur, across rows and files
     assert _trace_texts.cache_info().currsize == 1
+
+
+class RowRecorder:
+    """The least a ``trace`` for ``parse_spec`` needs: a ``row`` method."""
+
+    def __init__(self):
+        self.rows: list[tuple[str, str, str]] = []
+
+    def row(self, stack: str, remaining: str, tail: str) -> None:
+        self.rows.append((stack, remaining, tail))
+
+
+def test_any_object_with_a_three_field_row_method_is_a_trace(corpus):
+    header = render_trace([])
+    for name in ("queue.tex", "queue_syntax_error.tex"):
+        tokens = tokenize((corpus / name).read_text(encoding="utf-8"))
+        out, recorder = io.StringIO(), RowRecorder()
+        for trace in (TraceWriter(out, ""), recorder):
+            try:
+                parse_spec(tokens, trace)
+            except ParseError:
+                assert name == "queue_syntax_error.tex"
+        written = out.getvalue()
+        assert written.startswith(header) and len(recorder.rows) > 40
+        assert "".join(f"{stack}\t{remaining}{tail}"
+                       for stack, remaining, tail in recorder.rows
+                       ) == written[len(header):], name

@@ -70,14 +70,11 @@ class Diagnostic(NamedTuple):
 
 class DiagnosticError(Exception):
     """A failure that ends the check of a source, raised as the one
-    :class:`Diagnostic` it reports."""
+    :class:`Diagnostic` it reports, its only argument; ``str(e)`` is its
+    English rendering."""
 
-    def __init__(self, message: str, diagnostic: Diagnostic):
-        super().__init__(message)
-        self.diagnostic = diagnostic
-
-    def __reduce__(self):
-        return self.__class__, (self.args[0], self.diagnostic), self.__dict__
+    diagnostic = property(lambda self: self.args[0])
+    __str__ = lambda self: render_human(self.args[0])
 
 
 _EN_MESSAGES = {

@@ -103,7 +103,7 @@ class LexError(diag.DiagnosticError):
 
 
 class UnknownTokenError(diag.DiagnosticError):
-    """A token has no dedicated terminal and no generic class in the grammar."""
+    """A token whose kind names no terminal of the grammar."""
 
 
 _ENV_RE = re.compile(r"\\(?:begin|end)\{([^{}]*)\}\Z")
@@ -138,8 +138,8 @@ def _classify(unit: str, line: int, column: int) -> str:
     else:
         reason = ("cannot classify unit; lexical units must be "
                   "whitespace-separated")
-    raise LexError(f"{reason} (line {line} col {column})", diag.Diagnostic(
-        diag.LEX_ERROR, unit, line, column, detail=reason))
+    raise LexError(diag.Diagnostic(diag.LEX_ERROR, unit, line, column,
+                                   detail=reason))
 
 
 # a line (up to "\n") that starts so after its leading blanks
@@ -216,19 +216,12 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
 
 
 def terminal_of(token: Token, g: "Grammar") -> "Symbol":
-    """Map a token to its grammar terminal: the one named by its kind.
-
-    Where the grammar has no terminal of that name, a Word or Number token
-    maps to the terminal named by its lexeme, which lets token streams
-    drive grammars over ad-hoc alphabets.
-    """
+    """The terminal of ``g`` named by ``token.kind``; raises
+    :class:`UnknownTokenError` where ``g`` has none, as for a stray command."""
     sym = g.try_symbol(token.kind)
-    if (sym is None or not sym.is_terminal) and token.kind in (WORD, NUMBER):
-        sym = g.try_symbol(token.lexeme)
     if sym is None or not sym.is_terminal:
-        lexeme, line, column = token.lexeme, token.line, token.column
-        raise UnknownTokenError(
-            f"no grammar terminal for {lexeme!r} (line {line} col {column})",
-            diag.Diagnostic(diag.LEX_ERROR, lexeme, line, column, detail=(
-                f'the unit "{lexeme}" is not part of the input vocabulary')))
+        lexeme = token.lexeme
+        raise UnknownTokenError(diag.Diagnostic(
+            diag.LEX_ERROR, lexeme, token.line, token.column,
+            detail=f'the unit "{lexeme}" is not part of the input vocabulary'))
     return sym

@@ -413,7 +413,7 @@ def parse_spec(tokens: TokenStream,
 
     The AST actions run on reduce, so no parse tree is built.  Unless it is
     None, ``trace`` writes each trace row out as it is made.  Raises what
-    :func:`ozcheck.parser.parse` raises.
+    :func:`ozcheck.parser.parse` raises, each failure as its diagnostic.
     """
     return _new(Specification, (_reversed(_drive(
         tokens, oz_parse_table(), ast_actions(), trace and trace.row)),))

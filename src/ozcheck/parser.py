@@ -14,7 +14,7 @@ evaluator of the actions.  A reduce is recorded as two trace steps
 as a textbook run.  The drive reads the stream's columns and builds a
 ``Token`` only for an error: a kind names its terminal, so the ``kinds``
 map to ids in one pass over ``Grammar.terminal_ids``, and ``terminal_of``
-sees only kinds it lacks.
+raises for the first kind that names none.
 
 The trace is built only when asked for, and its cost is linear in the bytes
 it renders.  The texts of a row that depend only on the table (the action
@@ -184,15 +184,13 @@ def _location(shifted: list[str]) -> tuple[str | None, str | None]:
 def _syntax_error(tokens: TokenStream, pos: int, state: int,
                   table: ParseTable) -> ParseError:
     token = tokens[pos]
-    symbol, line, column = token.lexeme or "$", token.line, token.column
     expected = ", ".join(
         f'"{s.name}"' for s in table.expected_terminals(state))
     # the location depends only on the shifted lexemes, so it is found here
     # instead of being tracked on every shift
-    return ParseError(
-        f'syntax error caused by "{symbol}" at line {line} col {column}',
-        diag.Diagnostic(diag.SYNTAX_ERROR, symbol, line, column,
-                        *_location(tokens.lexemes[:pos]), expected))
+    return ParseError(diag.Diagnostic(
+        diag.SYNTAX_ERROR, token.lexeme or "$", token.line, token.column,
+        *_location(tokens.lexemes[:pos]), expected))
 
 
 @lru_cache(maxsize=8)
@@ -231,14 +229,14 @@ def _drive(tokens: TokenStream, table: ParseTable, actions: tuple, row):
     values, ``kids``, a fresh list, with ``actions[p](kids, tokens, pos)``,
     which may be ``kids``, where ``pos`` is the number of tokens shifted; a
     None action keeps the first value, or pushes None for an empty body.
+    Raises what :func:`parse` raises.
     """
     g, rows = table.grammar, table.action
     body_len, head_id = table.body_len, table.head_id
     try:
         ids = list(map(g.terminal_ids.__getitem__, tokens.kinds))
-    except KeyError:  # a kind the grammar lacks: ad-hoc alphabet, stray unit
-        ids = [terminal_of(tokens[k], g).id if i is None else i
-               for k, i in enumerate(map(g.terminal_ids.get, tokens.kinds))]
+    except KeyError as e:  # a kind missing here names no terminal: raises
+        terminal_of(tokens[tokens.kinds.index(e.args[0])], g)
     states = [0]
     values: list = []
     stack = remaining = ""
@@ -319,18 +317,18 @@ def _tree_actions(g: Grammar) -> tuple:
     return tuple(node(p) for p in g.productions)
 
 
-def parse(tokens: TokenStream, table: ParseTable, g: Grammar) -> TreeNode:
-    """Parse a token stream into its derivation tree.
+def parse(tokens: TokenStream, table: ParseTable) -> TreeNode:
+    """Parse a token stream into its derivation tree over ``table.grammar``.
 
     Raises :class:`ParseError`, whose diagnostic names the offending token,
     the enclosing class/block and the expected terminals, or
-    :class:`UnknownTokenError` if a token maps to no terminal of ``g``.
+    :class:`UnknownTokenError` for the first kind that names no terminal.
     """
-    return _drive(tokens, table, _tree_actions(g), None)
+    return _drive(tokens, table, _tree_actions(table.grammar), None)
 
 
 def parse_with_trace(
-    tokens: TokenStream, table: ParseTable, g: Grammar
+    tokens: TokenStream, table: ParseTable
 ) -> tuple[TreeNode, list[TraceStep]]:
     """Like :func:`parse` but also return every shift/reduce/goto/accept step.
 
@@ -344,7 +342,7 @@ def parse_with_trace(
         keep(new(TraceStep, (stack, remaining) + (
             fields.get(tail) or ("error", tail[1:-1], -1, -1))))
     try:
-        return _drive(tokens, table, _tree_actions(g), step), trace
+        return _drive(tokens, table, _tree_actions(table.grammar), step), trace
     except ParseError as e:
         e.trace = trace
         raise

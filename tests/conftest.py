@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ozcheck.lexer import terminal_of, tokenize
-from ozcheck.ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.lexer import END_MARKER, TokenStream, terminal_of, tokenize
+from ozcheck.ozgrammar import build_ast, oz_parse_table, parse_spec
 from ozcheck.parser import parse
 
 TESTS_DIR = Path(__file__).parent
@@ -66,6 +66,14 @@ def queue_source() -> str:
     return corpus_text("queue.tex")
 
 
+def toy_tokens(text: str) -> TokenStream:
+    """``tokenize(text)`` with each unit's kind its own lexeme, for grammars
+    whose terminals are named by lexemes; the end marker keeps ``$``."""
+    tokens = tokenize(text)
+    tokens.kinds = [*tokens.lexemes[:-1], END_MARKER]
+    return tokens
+
+
 def naive_trace_rows(steps, tokens, g) -> list[tuple[str, str]]:
     """The trace oracle's (stack, remaining) rows for a parse of ``tokens``."""
     return trace_oracle(
@@ -107,5 +115,5 @@ def ast_both_ways(source: str):
     frontier it drives again."""
     tokens = tokenize(source)
     spec = parse_spec(tokens)
-    assert same_ast(spec, build_ast(parse(tokens, oz_parse_table(), object_z_grammar())))
+    assert same_ast(spec, build_ast(parse(tokens, oz_parse_table())))
     return spec

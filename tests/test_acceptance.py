@@ -33,7 +33,7 @@ def test_criterion_1_empty_class_trace_reproduction():
     g = object_z_grammar()
     table = oz_parse_table()
     tokens = tokenize(r"\begin{class} { A } \end{class}")
-    tree, steps = parse_with_trace(tokens, table, g)
+    tree, steps = parse_with_trace(tokens, table)
 
     assert [s.kind for s in steps] == [
         "shift", "shift", "shift", "reduce", "goto", "shift", "shift",

@@ -19,7 +19,7 @@ from ozcheck.diagnostics import (
     render_machine,
 )
 from ozcheck.lexer import LexError, UnknownTokenError, tokenize
-from ozcheck.ozgrammar import object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.ozgrammar import oz_parse_table, parse_spec
 from ozcheck.parser import ParseError, parse_with_trace
 
 from conftest import corpus_text
@@ -262,18 +262,20 @@ def _raised(fn, *args):
 
 def test_raised_diagnostics_survive_pickling():
     # an error raised in a worker process comes back as itself
-    g, table = object_z_grammar(), oz_parse_table()
+    table = oz_parse_table()
     broken = tokenize("\\begin{class} { Q = } \\end{class}")
     errors = [
         _raised(tokenize, "a \x07 b"),
         _raised(parse_spec, tokenize("\\foo")),
         _raised(parse_spec, broken),
-        _raised(parse_with_trace, broken, table, g),
+        _raised(parse_with_trace, broken, table),
     ]
     assert [type(e) for e in errors] == [
         LexError, UnknownTokenError, ParseError, ParseError]
     assert errors[2].trace is None and errors[3].trace
     for e in errors:
+        assert e.args == (e.diagnostic,)  # the one record of the finding
+        assert str(e) == render_human(e.diagnostic)
         back = pickle.loads(pickle.dumps(e))
         assert type(back) is type(e) and str(back) == str(e)
         assert back.args == e.args and back.diagnostic == e.diagnostic

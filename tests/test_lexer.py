@@ -28,7 +28,7 @@ from ozcheck.lexer import (
 from ozcheck.ozgrammar import object_z_grammar, parse_spec
 from ozcheck.parser import ParseError
 
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, toy_tokens
 from oracles import naive_tokenize
 from randgrammars import generate_cases
 from test_trace_stream import child_env
@@ -584,33 +584,30 @@ def test_unknown_command_raises():
     assert exc.value.diagnostic.code == "OZ-LEX-001"
 
 
-def test_word_lexeme_lookup_without_generic_terminal():
-    # grammars over ad-hoc alphabets use the lexeme itself as the terminal
+def test_a_word_names_no_terminal_of_a_lexeme_alphabet():
+    # a word's kind is Word, never its lexeme; a grammar whose terminals are
+    # lexemes is driven by toy_tokens, whose kinds are the lexemes
     g = Grammar.build([("S", ["a", "S"]), ("S", ["b"])])
-    ts = tokenize("a b")
-    assert terminal_of(ts[0], g).name == "a"
-    assert terminal_of(ts[1], g).name == "b"
+    with pytest.raises(UnknownTokenError) as exc:
+        terminal_of(tokenize("a b")[0], g)
+    d = exc.value.diagnostic
+    assert (d.code, d.symbol, d.line, d.column) == ("OZ-LEX-001", "a", 1, 1)
+    assert [terminal_of(t, g).name for t in toy_tokens("a b")[:-1]] == ["a", "b"]
     with pytest.raises(UnknownTokenError):
-        terminal_of(tokenize("c")[0], g)
+        terminal_of(toy_tokens("c")[0], g)
 
 
-def _expected_terminal(lexeme: str, g: Grammar) -> str:
-    """The terminal a lexeme names in ``g``, from the lexeme alone: the
-    generic class when ``g`` has it as a terminal, else the lexeme."""
-    def terminal(name):
-        sym = g.try_symbol(name)
-        return sym is not None and sym.is_terminal
-
+def _expected_terminal(lexeme: str) -> str:
+    """The name of the terminal a unit's kind names, from its lexeme alone."""
     if lexeme == "":
         return "$"
     if lexeme in ("\\", "\\\\"):
         return "\\\\"
-    generic = ("Number" if lexeme.isdigit() else
-               "Word" if lexeme[0].isalpha() else None)
-    return generic if generic and terminal(generic) else lexeme
+    return ("Number" if lexeme.isdigit() else
+            "Word" if lexeme[0].isalpha() else lexeme)
 
 
-def test_terminal_of_on_random_grammars_maps_generic_then_lexeme():
+def test_terminal_of_on_random_grammars_maps_each_kind_to_its_own_terminal():
     # each random grammar over a..d as it is; with a generic Word and the
     # terminals 42 and \ (which a lone backslash, a line separator, must not
     # take); and with a generic Number but Word a nonterminal
@@ -621,7 +618,7 @@ def test_terminal_of_on_random_grammars_maps_generic_then_lexeme():
                       [("S", ["Number"]), ("Word", ["a"])]):
             g = Grammar.build(case.productions + extra)
             for t in tokens:
-                name = _expected_terminal(t.lexeme, g)
+                name = _expected_terminal(t.lexeme)
                 sym = g.try_symbol(name)
                 if sym is None or not sym.is_terminal:
                     with pytest.raises(UnknownTokenError):

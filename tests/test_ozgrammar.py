@@ -52,7 +52,7 @@ from render import render_tokens
 
 
 def parse_text(source: str):
-    return parse(tokenize(source), oz_parse_table(), object_z_grammar())
+    return parse(tokenize(source), oz_parse_table())
 
 
 def ast_of(source: str):
@@ -645,7 +645,7 @@ def test_ast_positions_are_the_streams_own_tokens(queue_source):
     rng = random.Random(20261019)
     for source in [queue_source, *(random_specification(rng) for _ in range(50))]:
         tokens = tokenize(source)
-        tree = parse(tokens, oz_parse_table(), object_z_grammar())
+        tree = parse(tokens, oz_parse_table())
         for spec in (parse_spec(tokens), build_ast(tree)):
             positions = ast_positions(spec)
             assert positions
@@ -739,7 +739,7 @@ def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
     sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
     rng = random.Random(20261018)
     sources += [random_specification(rng) for _ in range(300)]
-    table, g = oz_parse_table(), object_z_grammar()
+    table = oz_parse_table()
     rejected = 0
     for source in sources:
         try:
@@ -747,11 +747,11 @@ def test_ast_built_on_reduce_equals_the_tree_fold(corpus):
         except ParseError:  # both paths reject it alike, traced or not
             tokens = tokenize(source)
             assert rejection(lambda: parse_spec(tokens)) == rejection(
-                lambda: parse(tokens, table, g))
+                lambda: parse(tokens, table))
             out = io.StringIO()
             *streamed, no_steps = rejection(
                 lambda: parse_spec(tokens, TraceWriter(out, "")))
-            *kept, steps = rejection(lambda: parse_with_trace(tokens, table, g))
+            *kept, steps = rejection(lambda: parse_with_trace(tokens, table))
             assert streamed == kept and no_steps is None
             assert out.getvalue() == render_trace(steps)
             rejected += 1
@@ -810,7 +810,7 @@ def test_init_bodies_without_lines(body, predicates, production):
     if not predicates:
         assert init == SchemaBlock("init", (), ())
     g = object_z_grammar()
-    _, steps = parse_with_trace(tokenize(source), oz_parse_table(), g)
+    _, steps = parse_with_trace(tokenize(source), oz_parse_table())
     assert production in [
         str(g.productions[s.production]) for s in steps if s.kind == "reduce"]
     assert check_text(source) == []

@@ -19,7 +19,7 @@ from ozcheck.parser import (
     render_trace,
 )
 
-from conftest import ast_both_ways, corpus_text, naive_trace_rows
+from conftest import ast_both_ways, corpus_text, naive_trace_rows, toy_tokens
 from oracles import all_strings, language_upto
 from randgrammars import generate_cases
 
@@ -48,10 +48,10 @@ def oz():
     return oz_parse_table(), object_z_grammar()
 
 
-def traced(tokens, table, g):
+def traced(tokens, table):
     """The trace steps of a parse, or of its syntax error."""
     try:
-        return parse_with_trace(tokens, table, g)[1]
+        return parse_with_trace(tokens, table)[1]
     except ParseError as e:
         return e.trace
 
@@ -59,13 +59,13 @@ def traced(tokens, table, g):
 def corpus_trace(name: str):
     """Tokens and trace of a corpus file; the error trace if it fails."""
     tokens = tokenize(corpus_text(name))
-    return tokens, traced(tokens, *oz())
+    return tokens, traced(tokens, oz_parse_table())
 
 
 def test_single_production_trace():
     g = Grammar.build([("S", ["a"])])
     table = build_table(g)
-    tree, steps = parse_with_trace(tokenize("a"), table, g)
+    tree, steps = parse_with_trace(toy_tokens("a"), table)
     assert [s.kind for s in steps] == ["shift", "reduce", "goto", "accept"]
     assert tree.symbol.name == "S"
     assert [t.lexeme for t in tree.frontier()] == ["a"]
@@ -74,7 +74,7 @@ def test_single_production_trace():
 def test_empty_class_trace_shape_on_shipped_grammar():
     table, g = oz()
     tree, steps = parse_with_trace(
-        tokenize(r"\begin{class} { A } \end{class}"), table, g
+        tokenize(r"\begin{class} { A } \end{class}"), table
     )
     assert [s.kind for s in steps] == [
         "shift", "shift", "shift", "reduce", "goto", "shift", "shift",
@@ -90,9 +90,9 @@ def test_empty_class_trace_shape_on_shipped_grammar():
 
 
 def test_trace_rendering_columns():
-    table, g = oz()
+    table = oz_parse_table()
     _, steps = parse_with_trace(
-        tokenize(r"\begin{class} { A } \end{class}"), table, g
+        tokenize(r"\begin{class} { A } \end{class}"), table
     )
     text = render_trace(steps)
     lines = text.strip().split("\n")
@@ -106,9 +106,9 @@ def test_trace_rendering_columns():
 
 
 def test_stack_snapshots_alternate_symbols_and_states():
-    table, g = oz()
+    table = oz_parse_table()
     _, steps = parse_with_trace(
-        tokenize(r"\begin{class} { A } \end{class}"), table, g
+        tokenize(r"\begin{class} { A } \end{class}"), table
     )
     state = re.compile(r"\[\d+\]")
     for s in steps:
@@ -124,18 +124,35 @@ def test_stack_snapshots_alternate_symbols_and_states():
 
 
 def test_queue_listing_accepts_and_frontier_matches_input(queue_source):
-    table, g = oz()
+    table = oz_parse_table()
     tokens = tokenize(queue_source)
-    tree = parse(tokens, table, g)
+    tree = parse(tokens, table)
     assert [t.lexeme for t in tree.frontier()] == [
         t.lexeme for t in tokens if t.lexeme
     ]
 
 
+def test_a_tree_is_built_over_the_tables_own_grammar():
+    g = Grammar.build([("S", ["a", "S", "b"]), ("S", [])])
+    table = build_table(g)
+    tree = parse(toy_tokens("a a b b"), table)
+    symbols = set(map(id, table.grammar.symbols))
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        assert id(node.symbol) in symbols
+        if node.token is None:  # an inner node: its production's head and body
+            p = table.grammar.productions[node.production]
+            assert p.head is node.symbol
+            assert [kid.symbol for kid in node.children] == list(p.body)
+            pending.extend(node.children)
+    assert [t.lexeme for t in tree.frontier()] == ["a", "a", "b", "b"]
+
+
 def test_reduce_sequence_is_reverse_rightmost_derivation(queue_source):
     table, g = oz()
     tokens = tokenize(queue_source)
-    _, steps = parse_with_trace(tokens, table, g)
+    _, steps = parse_with_trace(tokens, table)
     reduces = [g.productions[s.production] for s in steps if s.kind == "reduce"]
 
     form = [g.start]
@@ -154,9 +171,9 @@ def test_reduce_sequence_is_reverse_rightmost_derivation(queue_source):
 
 
 def test_shift_count_equals_token_count(queue_source):
-    table, g = oz()
+    table = oz_parse_table()
     tokens = tokenize(queue_source)
-    _, steps = parse_with_trace(tokens, table, g)
+    _, steps = parse_with_trace(tokens, table)
     shifts = sum(1 for s in steps if s.kind == "shift")
     reduces = sum(1 for s in steps if s.kind == "reduce")
     gotos = sum(1 for s in steps if s.kind == "goto")
@@ -165,10 +182,10 @@ def test_shift_count_equals_token_count(queue_source):
 
 
 def test_state_equals_mutation_error_location():
-    table, g = oz()
+    table = oz_parse_table()
     tokens = tokenize(corpus_text("queue_syntax_error.tex"))
     with pytest.raises(ParseError) as exc:
-        parse(tokens, table, g)
+        parse(tokens, table)
     d = exc.value.diagnostic
     assert d.symbol == "="
     assert d.line == 5 and d.column == 7
@@ -179,19 +196,19 @@ def test_state_equals_mutation_error_location():
 
 
 def test_error_trace_ends_at_offending_token():
-    table, g = oz()
+    table = oz_parse_table()
     tokens = tokenize(corpus_text("queue_syntax_error.tex"))
     with pytest.raises(ParseError) as exc:
-        parse_with_trace(tokens, table, g)
+        parse_with_trace(tokens, table)
     steps = exc.value.trace
     assert steps[-1].kind == "error"
     assert steps[-1].remaining.startswith("=")
 
 
 def test_empty_stream_errors_at_end_marker_top_level():
-    table, g = oz()
+    table = oz_parse_table()
     with pytest.raises(ParseError) as exc:
-        parse(tokenize(""), table, g)
+        parse(tokenize(""), table)
     d = exc.value.diagnostic
     assert d.symbol == "$"  # the end marker
     assert d.class_name is None
@@ -200,7 +217,7 @@ def test_empty_stream_errors_at_end_marker_top_level():
 
 
 def test_error_block_labels_track_environments():
-    table, g = oz()
+    table = oz_parse_table()
     cases = [
         (r"\begin{class} { A = } \end{class}", "class-heading", "A"),
         (r"\begin{class} { A } \visibility ( x = ) \end{class}",
@@ -220,7 +237,7 @@ def test_error_block_labels_track_environments():
     ]
     for source, block, cls in cases:
         with pytest.raises(ParseError) as exc:
-            parse(tokenize(source), table, g)
+            parse(tokenize(source), table)
         assert exc.value.diagnostic.block == block, source
         assert exc.value.diagnostic.class_name == cls, source
 
@@ -257,8 +274,8 @@ def test_deeply_nested_parentheses_do_not_recurse():
 
 
 def test_tree_nodes_are_immutable():
-    table, g = oz()
-    tree = parse(tokenize(corpus_text("empty_class.tex")), table, g)
+    table = oz_parse_table()
+    tree = parse(tokenize(corpus_text("empty_class.tex")), table)
     leaf = tree.children[0].children[0]
     assert leaf.token is not None and tree.token is None
     for node in (tree, leaf):
@@ -269,15 +286,15 @@ def test_tree_nodes_are_immutable():
 
 
 def test_deep_trees_compare_and_hash_without_recursion():
-    table, g = oz()
+    table = oz_parse_table()
     body = " \\\\\n".join(f"x{i} : \\nat" for i in range(5000))
     source = (f"\\begin{{class}} {{ A }}\n\\begin{{state}}\n{body}\n"
               "\\end{state}\n\\end{class}")
     tokens = tokenize(source)
     assert len(tokens) == 20_007
-    a, b = parse(tokens, table, g), parse(tokens, table, g)
+    a, b = parse(tokens, table), parse(tokens, table)
     assert a == b and not a != b and hash(a) == hash(b)
-    other = parse(tokenize(source.replace("x4999", "y4999")), table, g)
+    other = parse(tokenize(source.replace("x4999", "y4999")), table)
     assert a != other and not a == other
     assert a != tuple(a) and not a == tuple(a)
 
@@ -381,11 +398,11 @@ def test_traces_over_interleaved_and_rebuilt_tables_follow_each_table():
     oz_sources = [corpus_text("queue.tex"), corpus_text("queue_syntax_error.tex"),
                   corpus_text("empty_class.tex")]
     for i in range(3):  # one table after another, each drive checked
-        for table, g, text in [(cases[0].table, cases[0].grammar, sources[0][1][i]),
-                               (*oz(), oz_sources[i]),
-                               (cases[1].table, cases[1].grammar, sources[1][1][i])]:
-            tokens = tokenize(text)
-            assert_rows_follow_the_table(traced(tokens, table, g), tokens, table, g)
+        for table, g, tokens in [
+                (cases[0].table, cases[0].grammar, toy_tokens(sources[0][1][i])),
+                (*oz(), tokenize(oz_sources[i])),
+                (cases[1].table, cases[1].grammar, toy_tokens(sources[1][1][i]))]:
+            assert_rows_follow_the_table(traced(tokens, table), tokens, table, g)
     # Tables built and dropped in turn, far more than the texts are kept
     # for: each new table object is made just after the last one is
     # dropped, so it may take the freed block, and with it the id.
@@ -398,24 +415,24 @@ def test_traces_over_interleaved_and_rebuilt_tables_follow_each_table():
         table = ParseTable(g, built.n_states)
         table.action = built.action
         for text in texts:
-            tokens = tokenize(text)
-            assert_rows_follow_the_table(traced(tokens, table, g), tokens, table, g)
+            tokens = toy_tokens(text)
+            assert_rows_follow_the_table(traced(tokens, table), tokens, table, g)
 
 
 def test_trace_texts_are_made_once_per_table_and_never_without_a_trace(corpus):
     _trace_texts.cache_clear()
-    table, g = oz()
+    table = oz_parse_table()
     for path in sorted(corpus.glob("*.tex")):
         source = path.read_text(encoding="utf-8")
         check_text(source)
         check_text(source, lenient=True)
         try:
-            parse(tokenize(source), table, g)
+            parse(tokenize(source), table)
         except ParseError:
             pass
     assert _trace_texts.cache_info().currsize == 0
     tokens = tokenize(corpus_text("queue.tex"))
-    first, second = traced(tokens, table, g), traced(tokens, table, g)
+    first, second = traced(tokens, table), traced(tokens, table)
     assert first == second
     shared: dict[str, str] = {}  # an action text -> its first object
     for step in first + second:

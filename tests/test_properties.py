@@ -21,11 +21,10 @@ from ozcheck.grammar import (
     dump_first_follow,
     goto_set,
 )
-from ozcheck.lexer import tokenize
 from ozcheck.ozgrammar import object_z_grammar
 from ozcheck.parser import accepts, parse_with_trace
 
-from conftest import CORPUS, naive_trace_rows
+from conftest import CORPUS, naive_trace_rows, toy_tokens
 from oracles import first_oracle, language_upto
 from randgrammars import (
     check_first_follow_agreement,
@@ -92,9 +91,9 @@ def test_replay_of_accepted_strings_counts_shifts_and_reduces():
         words = sorted(language_upto(case.productions, "S", 6))[:8]
         for w in words:
             if not w:
-                continue  # tokenize("") has no units to shift
-            tokens = tokenize(" ".join(w))
-            tree, steps = parse_with_trace(tokens, table, g)
+                continue  # toy_tokens("") has no units to shift
+            tokens = toy_tokens(" ".join(w))
+            tree, steps = parse_with_trace(tokens, table)
             shifts = [s for s in steps if s.kind == "shift"]
             reduces = [s for s in steps if s.kind == "reduce"]
             gotos = [s for s in steps if s.kind == "goto"]

@@ -18,7 +18,7 @@ from ozcheck.diagnostics import (
     UNKNOWN_PARENT,
 )
 from ozcheck.lexer import tokenize
-from ozcheck.ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
+from ozcheck.ozgrammar import build_ast, oz_parse_table, parse_spec
 from ozcheck.parser import parse
 from ozcheck.semantics import analyze, resolve_inheritance
 
@@ -28,7 +28,7 @@ from test_trace_stream import child_env
 
 
 def ast_of(source: str):
-    return build_ast(parse(tokenize(source), oz_parse_table(), object_z_grammar()))
+    return build_ast(parse(tokenize(source), oz_parse_table()))
 
 
 def codes(diagnostics):

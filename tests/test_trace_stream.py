@@ -33,7 +33,7 @@ def library_trace(source: str, lenient: bool = False):
     error trace if it fails to parse; None if it fails before the drive."""
     try:
         tokens = tokenize(source, lenient=lenient)
-        return tokens, parse_with_trace(tokens, oz_parse_table(), object_z_grammar())[1]
+        return tokens, parse_with_trace(tokens, oz_parse_table())[1]
     except (LexError, UnknownTokenError):
         return None
     except ParseError as e:
@@ -188,7 +188,7 @@ def test_trace_memory_is_bounded_by_the_stack_text(tmp_path):
     tokens = tokenize(source)
     assert len(tokens) > 20_000
     shifts = reduces = 0
-    pending = [parse(tokens, oz_parse_table(), object_z_grammar())]
+    pending = [parse(tokens, oz_parse_table())]
     while pending:
         node = pending.pop()
         if node.token is not None:

@@ -15,121 +15,23 @@ and operation schemas hold declarations, with predicates allowed after
 initial state is usually written.  Predicate lines are checked for
 well-formedness but kept as opaque token sequences in the AST.
 
-The AST is built on reduce, one AST action per production (yacc's
-``$$ = f($1..$n)``, the bottom-up evaluation of an S-attributed
-definition): :func:`parse_spec` drives the automaton with them, so no parse
-tree is built.  An action makes a node by ``tuple.__new__``, which runs no
-Python frame, from the stream's ``lexemes``: a node keeps its name's index
-and the stream, whose token its ``pos`` reads.  :func:`build_ast` gets the
-AST of a parse tree from :func:`ozcheck.parser.parse` by driving the tree's
-frontier through :func:`parse_spec`, so the actions have one evaluator.
+The AST is built on reduce by one AST action per production, which the
+production's rule line carries, as yacc's ``A : body { $$ = f($1..$n) }``
+does (the bottom-up evaluation of an S-attributed definition):
+:func:`parse_spec` drives the automaton with them, so no parse tree is
+built.  An action makes a node by ``tuple.__new__``, which runs no Python
+frame, from the stream's ``lexemes``: a node keeps its name's index and the
+stream, whose token its ``pos`` reads.  :func:`build_ast` gets the AST of a
+parse tree from :func:`ozcheck.parser.parse` by driving the tree's frontier
+through :func:`parse_spec`, so the actions have one evaluator.
 """
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
 from .lexer import END_MARKER, TokenStream
 from .parser import TraceWriter, TreeNode, _drive
 from .records import record
-
-OZ_GRAMMAR_TEXT = r"""
-# Object Z class specifications over LaTeX-level terminals.
-ParagraphList -> Paragraph
-ParagraphList -> Paragraph ParagraphList
-Paragraph -> "\begin{class}" "{" ClassHeading "}" "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" Visibility "\inherit" Inheritance "\endinherit" StateSchema InitialSchema Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" VisibilityDecl Locals StateSchema InitialSchema Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" AxdefEnv StateSchema InitialSchema Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" StateEnv InitialSchema Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" InitEnv Operations "\end{class}"
-Paragraph -> "\begin{class}" "{" ClassHeading "}" OperationSeq "\end{class}"
-Paragraph -> [ NameList ]
-ClassHeading -> Word
-ClassHeading -> Word [ NameList ]
-Visibility -> VisibilityDecl
-Visibility ->
-VisibilityDecl -> "\visibility" ( NameList )
-Inheritance -> NameList
-Locals -> AxdefEnv
-Locals ->
-StateSchema -> StateEnv
-StateSchema ->
-InitialSchema -> InitEnv
-InitialSchema ->
-Operations -> OperationSeq
-Operations ->
-OperationSeq -> OperationEnv
-OperationSeq -> OperationEnv OperationSeq
-AxdefEnv -> "\begin{axdef}" DeclarationList "\end{axdef}"
-StateEnv -> "\begin{state}" SchemaBody "\end{state}"
-InitEnv -> "\begin{init}" InitBody "\end{init}"
-OperationEnv -> "\begin{op}" "{" Word "}" OperationBody "\end{op}"
-OperationBody -> SchemaBody
-OperationBody -> DeltaPart SchemaBody
-DeltaPart -> "\Delta" ( NameList )
-DeltaPart -> "\Xi" ( NameList )
-SchemaBody ->
-SchemaBody -> DeclarationList
-SchemaBody -> DeclarationList "\ST" PredicateList
-SchemaBody -> "\ST" PredicateList
-InitBody ->
-InitBody -> LineList
-InitBody -> LineList "\ST" PredicateList
-InitBody -> "\ST" PredicateList
-DeclarationList -> Declaration
-DeclarationList -> Declaration Separator DeclarationList
-LineList -> Line
-LineList -> Line Separator LineList
-Line -> Declaration
-Line -> Predicate
-PredicateList -> Predicate
-PredicateList -> Predicate Separator PredicateList
-Separator -> "\\"
-Separator -> "\\" Separator
-Declaration -> Word : TypeExpr
-NameList -> Word
-NameList -> Word , NameList
-TypeExpr -> TypeAtom
-TypeExpr -> TypeAtom "\cross" TypeExpr
-TypeAtom -> Word
-TypeAtom -> "\nat"
-TypeAtom -> "\num"
-TypeAtom -> "\pset" TypeAtom
-TypeAtom -> "\fset" TypeAtom
-TypeAtom -> "\seq" TypeAtom
-Predicate -> Sum
-Predicate -> Sum = Sum
-Sum -> CatExpr
-Sum -> Sum + CatExpr
-CatExpr -> Atom
-CatExpr -> CatExpr "\cat" Atom
-Atom -> Word
-Atom -> Number
-Atom -> "\emptyseq"
-Atom -> ( Predicate )
-Atom -> "\lseq" ExpressionList "\rseq"
-ExpressionList -> Predicate
-ExpressionList -> Predicate , ExpressionList
-"""
-
-
-@lru_cache(maxsize=1)
-def object_z_grammar() -> Grammar:
-    """The shipped Object Z grammar (start symbol ParagraphList)."""
-    return grammar_from_text(OZ_GRAMMAR_TEXT, start="ParagraphList")
-
-
-@lru_cache(maxsize=1)
-def oz_parse_table() -> ParseTable:
-    """SLR(1) table for the shipped grammar; conflict-freedom is asserted."""
-    result = build_table(object_z_grammar())
-    if not isinstance(result, ParseTable):
-        raise AssertionError(
-            "the shipped grammar is not SLR(1):\n" + result.describe()
-        )
-    return result
-
 
 # ---------------------------------------------------------------------------
 # AST: a node's ``index`` in its ``stream`` is ignored by ``==``; its
@@ -290,13 +192,14 @@ class Specification(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# AST actions, run on reduce by ``parser._drive`` (``kids`` are the values of
-# the body symbols; a shifted token's is its index).  Nodes are built by
-# ``tuple.__new__``.  Right-recursive lists are Python lists, last item first,
-# reversed once by their owner; ``\cross`` lists a product type's parts.  A
-# schema line is a (declaration or first token of a predicate, end) pair: it
-# ends at the separator after it, or where the list is reduced.  A class
-# section is a (ClassDef field, value) pair, or the list of operations.
+# AST actions, one on each rule line of ``_RULES``, run on reduce by
+# ``parser._drive`` (``kids`` are the values of the body symbols; a shifted
+# token's is its index).  Nodes are built by ``tuple.__new__``.
+# Right-recursive lists are Python lists, last item first, reversed once by
+# their owner; ``\cross`` lists a product type's parts.  A schema line is a
+# (declaration or first token of a predicate, end) pair: it ends at the
+# separator after it, or where the list is reduced.  A class section is a
+# (ClassDef field, value) pair, or the list of operations.
 
 _new = tuple.__new__
 
@@ -356,54 +259,124 @@ def _class(kids, toks, pos):
     return _new(ClassDef, fields)
 
 
-# By head, one action or a tuple of one per alternative in grammar order; a
-# head or alternative without one gets the driver's None action, which keeps
-# the first value (a predicate's is its first token), None for an empty body.
 _kids = lambda kids, toks, pos: kids  # noqa: E731
 _line = lambda kids, toks, pos: [(kids[0], pos)]  # noqa: E731
-_AST_ACTIONS = {
-    "ParagraphList": (_kids, _push),
-    "Paragraph": (*[_class] * 7, lambda kids, toks, pos: _new(
-        GivenTypeDecl, (_name_refs(kids[1], toks),))),
-    "ClassHeading": (lambda kids, toks, pos: (kids[0], ()),
-                     lambda kids, toks, pos: (kids[0], _name_refs(kids[2], toks))),
-    "VisibilityDecl": lambda kids, toks, pos: ("visibility", _name_refs(kids[2], toks)),
-    "Inheritance": lambda kids, toks, pos: ("inherits", _name_refs(kids[0], toks)),
-    "OperationSeq": (_kids, _push),
-    "AxdefEnv": lambda kids, toks, pos: (
-        "local_defs", _body(kids[1:2], toks, pos)[0]),
-    "StateEnv": lambda kids, toks, pos: (
-        "state", _new(SchemaBlock, ("state", *kids[1]))),
-    "InitEnv": lambda kids, toks, pos: ("init", _new(SchemaBlock, ("init", *kids[1]))),
-    "OperationEnv": lambda kids, toks, pos: _new(OperationSchema, (
-        toks.lexemes[kids[2]], kids[2], toks, *kids[4])),
-    "OperationBody": (lambda kids, toks, pos: (None, *kids[0]),
-                      lambda kids, toks, pos: (kids[0], *kids[1])),
-    "DeltaPart": lambda kids, toks, pos: _new(DeltaList, (
-        toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks))),
-    "SchemaBody": _body,
-    "InitBody": _body,
-    "DeclarationList": (_line, _lines),
-    "LineList": (_line, _lines),
-    "PredicateList": (_line, _lines),
-    "Declaration": _declaration,
-    "NameList": (_kids, _push),
-    "TypeExpr": (None, _push),
-    "TypeAtom": (
-        lambda kids, toks, pos: _new(NamedType, (toks.lexemes[kids[0]], kids[0], toks)),
-        *[lambda kids, toks, pos: _new(BuiltinType, (toks.lexemes[kids[0]], None))] * 2,
-        *[lambda kids, toks, pos: _new(BuiltinType, (
-            toks.lexemes[kids[0]], kids[1]))] * 3),
-}
+_named = lambda kids, toks, pos: _new(  # noqa: E731
+    NamedType, (toks.lexemes[kids[0]], kids[0], toks))
+_builtin = lambda kids, toks, pos: _new(  # noqa: E731
+    BuiltinType, (toks.lexemes[kids[0]], None))
+_builtin_of = lambda kids, toks, pos: _new(  # noqa: E731
+    BuiltinType, (toks.lexemes[kids[0]], kids[1]))
+_delta = lambda kids, toks, pos: _new(DeltaList, (  # noqa: E731
+    toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks)))
+
+
+def _section(field):
+    """The action of ``field``'s schema environment, a class section."""
+    return lambda kids, toks, pos: (field, _new(SchemaBlock, (field, *kids[1])))
+
+
+# Object Z class specifications over LaTeX-level terminals: rule i is
+# production i + 1 in the interchange format and its AST action.  A None
+# action keeps the first value (a predicate's is its first token), None for an
+# empty body.  ``_ACTIONS`` holds them by production index; production 0, the
+# augmentation, is never reduced.
+_RULES = (
+    ('ParagraphList -> Paragraph', _kids),
+    ('ParagraphList -> Paragraph ParagraphList', _push),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" Visibility "\inherit" Inheritance "\endinherit" StateSchema InitialSchema Operations "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" VisibilityDecl Locals StateSchema InitialSchema Operations "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" AxdefEnv StateSchema InitialSchema Operations "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" StateEnv InitialSchema Operations "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" InitEnv Operations "\end{class}"', _class),
+    (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" OperationSeq "\end{class}"', _class),
+    ('Paragraph -> [ NameList ]', lambda kids, toks, pos: _new(GivenTypeDecl, (_name_refs(kids[1], toks),))),
+    ('ClassHeading -> Word', lambda kids, toks, pos: (kids[0], ())),
+    ('ClassHeading -> Word [ NameList ]', lambda kids, toks, pos: (kids[0], _name_refs(kids[2], toks))),
+    ('Visibility -> VisibilityDecl', None),
+    ('Visibility ->', None),
+    (r'VisibilityDecl -> "\visibility" ( NameList )', lambda kids, toks, pos: ("visibility", _name_refs(kids[2], toks))),
+    ('Inheritance -> NameList', lambda kids, toks, pos: ("inherits", _name_refs(kids[0], toks))),
+    ('Locals -> AxdefEnv', None),
+    ('Locals ->', None),
+    ('StateSchema -> StateEnv', None),
+    ('StateSchema ->', None),
+    ('InitialSchema -> InitEnv', None),
+    ('InitialSchema ->', None),
+    ('Operations -> OperationSeq', None),
+    ('Operations ->', None),
+    ('OperationSeq -> OperationEnv', _kids),
+    ('OperationSeq -> OperationEnv OperationSeq', _push),
+    (r'AxdefEnv -> "\begin{axdef}" DeclarationList "\end{axdef}"', lambda kids, toks, pos: ("local_defs", _body(kids[1:2], toks, pos)[0])),
+    (r'StateEnv -> "\begin{state}" SchemaBody "\end{state}"', _section("state")),
+    (r'InitEnv -> "\begin{init}" InitBody "\end{init}"', _section("init")),
+    (r'OperationEnv -> "\begin{op}" "{" Word "}" OperationBody "\end{op}"', lambda kids, toks, pos: _new(OperationSchema, (toks.lexemes[kids[2]], kids[2], toks, *kids[4]))),
+    ('OperationBody -> SchemaBody', lambda kids, toks, pos: (None, *kids[0])),
+    ('OperationBody -> DeltaPart SchemaBody', lambda kids, toks, pos: (kids[0], *kids[1])),
+    (r'DeltaPart -> "\Delta" ( NameList )', _delta),
+    (r'DeltaPart -> "\Xi" ( NameList )', _delta),
+    ('SchemaBody ->', _body),
+    ('SchemaBody -> DeclarationList', _body),
+    (r'SchemaBody -> DeclarationList "\ST" PredicateList', _body),
+    (r'SchemaBody -> "\ST" PredicateList', _body),
+    ('InitBody ->', _body),
+    ('InitBody -> LineList', _body),
+    (r'InitBody -> LineList "\ST" PredicateList', _body),
+    (r'InitBody -> "\ST" PredicateList', _body),
+    ('DeclarationList -> Declaration', _line),
+    ('DeclarationList -> Declaration Separator DeclarationList', _lines),
+    ('LineList -> Line', _line),
+    ('LineList -> Line Separator LineList', _lines),
+    ('Line -> Declaration', None),
+    ('Line -> Predicate', None),
+    ('PredicateList -> Predicate', _line),
+    ('PredicateList -> Predicate Separator PredicateList', _lines),
+    (r'Separator -> "\\"', None),
+    (r'Separator -> "\\" Separator', None),
+    ('Declaration -> Word : TypeExpr', _declaration),
+    ('NameList -> Word', _kids),
+    ('NameList -> Word , NameList', _push),
+    ('TypeExpr -> TypeAtom', None),
+    (r'TypeExpr -> TypeAtom "\cross" TypeExpr', _push),
+    ('TypeAtom -> Word', _named),
+    (r'TypeAtom -> "\nat"', _builtin),
+    (r'TypeAtom -> "\num"', _builtin),
+    (r'TypeAtom -> "\pset" TypeAtom', _builtin_of),
+    (r'TypeAtom -> "\fset" TypeAtom', _builtin_of),
+    (r'TypeAtom -> "\seq" TypeAtom', _builtin_of),
+    ('Predicate -> Sum', None),
+    ('Predicate -> Sum = Sum', None),
+    ('Sum -> CatExpr', None),
+    ('Sum -> Sum + CatExpr', None),
+    ('CatExpr -> Atom', None),
+    (r'CatExpr -> CatExpr "\cat" Atom', None),
+    ('Atom -> Word', None),
+    ('Atom -> Number', None),
+    (r'Atom -> "\emptyseq"', None),
+    ('Atom -> ( Predicate )', None),
+    (r'Atom -> "\lseq" ExpressionList "\rseq"', None),
+    ('ExpressionList -> Predicate', None),
+    ('ExpressionList -> Predicate , ExpressionList', None),
+)
+_ACTIONS = (None, *(action for _, action in _RULES))
 
 
 @lru_cache(maxsize=1)
-def ast_actions() -> tuple:
-    """The AST action of each production of the shipped grammar, by index."""
-    pending = {head: iter(act) if act.__class__ is tuple else repeat(act)
-               for head, act in _AST_ACTIONS.items()}  # by head, in turn
-    return tuple(next(pending.get(p.head.name, repeat(None)))
-                 for p in object_z_grammar().productions)
+def object_z_grammar() -> Grammar:
+    """The shipped Object Z grammar (start symbol ParagraphList)."""
+    return grammar_from_text("\n".join(r for r, _ in _RULES), start="ParagraphList")
+
+
+@lru_cache(maxsize=1)
+def oz_parse_table() -> ParseTable:
+    """SLR(1) table for the shipped grammar; conflict-freedom is asserted."""
+    result = build_table(object_z_grammar())
+    if not isinstance(result, ParseTable):
+        raise AssertionError(
+            "the shipped grammar is not SLR(1):\n" + result.describe()
+        )
+    return result
 
 
 def parse_spec(tokens: TokenStream,
@@ -416,7 +389,7 @@ def parse_spec(tokens: TokenStream,
     :func:`ozcheck.parser.parse` raises, each failure as its diagnostic.
     """
     return _new(Specification, (_reversed(_drive(
-        tokens, oz_parse_table(), ast_actions(), trace and trace.row)),))
+        tokens, oz_parse_table(), _ACTIONS, trace and trace.row)),))
 
 
 def build_ast(tree: TreeNode) -> Specification:

@@ -19,7 +19,8 @@ raises for the first kind that names none.
 The trace is built only when asked for, and its cost is linear in the bytes
 it renders.  The texts of a row that depend only on the table (the action
 texts, as row tails, and the ``pile`` fragment each push appends) are made
-once per table.  The driver keeps the current stack text and one
+once per table; an ``lru_cache`` keeps them for the last eight tables
+traced.  The driver keeps the current stack text and one
 remaining-input string per input position, and hands each row to one
 callable as ``(stack, remaining, tail)``: :func:`parse_with_trace`'s looks
 up the tail's other fields and keeps a :class:`TraceStep`, and
@@ -233,10 +234,13 @@ def _drive(tokens: TokenStream, table: ParseTable, actions: tuple, row):
     """
     g, rows = table.grammar, table.action
     body_len, head_id = table.body_len, table.head_id
+    missing = None
     try:
         ids = list(map(g.terminal_ids.__getitem__, tokens.kinds))
-    except KeyError as e:  # a kind missing here names no terminal: raises
-        terminal_of(tokens[tokens.kinds.index(e.args[0])], g)
+    except KeyError as e:  # raised below, so the error has no KeyError context
+        missing = e.args[0]
+    if missing is not None:  # a kind missing here names no terminal: raises
+        terminal_of(tokens[tokens.kinds.index(missing)], g)
     states = [0]
     values: list = []
     stack = remaining = ""

@@ -8,6 +8,7 @@ import inspect
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,22 @@ def test_output_does_not_depend_on_the_hash_seed(corpus):
         for seed in ("0", "3"))
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout and first.stdout
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # nothing else holds the package to pyproject's requires-python: a newer
+    # construct, such as ``except*``, fails to parse at the floor
+    root = TESTS_DIR.parent
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (root / "pyproject.toml").read_text(encoding="utf-8"))
+    version = tuple(map(int, floor.groups()))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* E:\n    pass\n", feature_version=version)
+    sources = sorted((root / "src" / "ozcheck").glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=version)
 
 
 def test_names_the_benchmark_wraps_exist():

@@ -5,13 +5,13 @@ import hashlib
 import io
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
 from ozcheck import check_text
 from ozcheck.diagnostics import SYNTAX_ERROR
-from ozcheck.grammar import ParseTable, build_table, format_grammar, grammar_from_text
+from ozcheck.grammar import (ParseTable, build_table, format_grammar,
+                             grammar_from_text, parse_grammar_text)
 from ozcheck.lexer import (
     END_MARKER,
     LINE_SEP,
@@ -23,7 +23,8 @@ from ozcheck.lexer import (
     tokenize,
 )
 from ozcheck.ozgrammar import (
-    _AST_ACTIONS,
+    _ACTIONS,
+    _RULES,
     BuiltinType,
     ClassDef,
     Declaration,
@@ -36,7 +37,6 @@ from ozcheck.ozgrammar import (
     ProductType,
     SchemaBlock,
     Specification,
-    ast_actions,
     build_ast,
     named_leaves,
     object_z_grammar,
@@ -620,25 +620,33 @@ def test_every_node_has_every_field(corpus):
                        PredicateLine, SchemaBlock, DeltaList, OperationSchema}
 
 
-def test_ast_actions_name_heads_and_give_one_action_per_alternative():
-    # a misspelt head or a short tuple would otherwise fall back to the
-    # driver's keep-the-first-value action without a word
+def test_each_rule_line_is_its_production_with_its_action():
     g = object_z_grammar()
-    alternatives = Counter(p.head.name for p in g.productions[1:])
-    assert set(_AST_ACTIONS) <= set(alternatives)
-    for head, act in _AST_ACTIONS.items():
-        if isinstance(act, tuple):
-            assert len(act) == alternatives[head], head
-            assert all(a is None or callable(a) for a in act), head
-        else:
-            assert callable(act), head
-    seen: Counter = Counter()
-    assert len(ast_actions()) == len(g.productions)
-    for p, act in zip(g.productions, ast_actions()):
-        entry = _AST_ACTIONS.get(p.head.name)
-        assert act is (entry[seen[p.head.name]] if isinstance(entry, tuple)
-                       else entry), str(p)
-        seen[p.head.name] += 1
+    assert all(act is None or callable(act) for _, act in _RULES)
+    assert len(_ACTIONS) == len(g.productions) and _ACTIONS[0] is None
+    assert _ACTIONS[1:] == tuple(act for _, act in _RULES)
+    for i, (rule, _) in enumerate(_RULES):
+        p = g.productions[i + 1]
+        assert parse_grammar_text(rule) == [
+            (p.head.name, [s.name for s in p.body])], rule
+
+
+def test_every_rule_is_reduced_by_some_input(corpus):
+    # the corpus, random specifications and the init bodies that these
+    # never reach, between them, reduce every production of the grammar
+    rng = random.Random(7)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
+    sources += [random_specification(rng) for _ in range(300)]
+    sources += [init_class(body) for body, _, _ in INIT_BODIES_WITHOUT_LINES]
+    reduced = set()
+    for source in sources:
+        try:
+            _, steps = parse_with_trace(tokenize(source), oz_parse_table())
+        except ParseError as e:
+            steps = e.trace
+        reduced |= {s.production for s in steps if s.kind == "reduce"}
+    g = object_z_grammar()
+    assert [str(p) for p in g.productions[1:] if p.index not in reduced] == []
 
 
 def test_ast_positions_are_the_streams_own_tokens(queue_source):
@@ -797,13 +805,20 @@ def test_init_declaration_after_a_predicate_keeps_its_own_tokens():
         "x = ( 0 )", "y : \\seq T", "z = 1"]
 
 
-@pytest.mark.parametrize("body, predicates, production", [
+def init_class(body: str) -> str:
+    return f"\\begin{{class}} {{ A }} \\begin{{init}} {body} \\end{{init}} \\end{{class}}"
+
+
+# Two InitBody productions that random_specification never reaches.
+INIT_BODIES_WITHOUT_LINES = [
     ("", [], "InitBody ->"),
     ("\\ST x = 0 \\\\ y = 1", ["x = 0", "y = 1"], "InitBody -> \\ST PredicateList"),
-])
+]
+
+
+@pytest.mark.parametrize("body, predicates, production", INIT_BODIES_WITHOUT_LINES)
 def test_init_bodies_without_lines(body, predicates, production):
-    # two InitBody productions that random_specification never reaches
-    source = f"\\begin{{class}} {{ A }} \\begin{{init}} {body} \\end{{init}} \\end{{class}}"
+    source = init_class(body)
     init = ast_both_ways(source).classes[0].init
     assert init.label == "init" and init.declarations == ()
     assert [p.text for p in init.predicates] == predicates

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import re
+import traceback
 
 import pytest
 
 from ozcheck import check_text
 from ozcheck.grammar import Grammar, ParseTable, build_table
-from ozcheck.lexer import terminal_of, tokenize
+from ozcheck.lexer import UnknownTokenError, terminal_of, tokenize
 from ozcheck.ozgrammar import object_z_grammar, oz_parse_table, parse_spec
 from ozcheck.parser import (
     ParseError,
@@ -179,6 +180,19 @@ def test_shift_count_equals_token_count(queue_source):
     gotos = sum(1 for s in steps if s.kind == "goto")
     assert shifts == len(tokens) - 1  # everything but the end marker
     assert gotos == reduces  # each reduce is followed by its goto
+
+
+@pytest.mark.parametrize("drive", [
+    parse_spec, lambda tokens: parse(tokens, oz_parse_table())],
+    ids=["parse_spec", "parse"])
+def test_an_unknown_token_error_carries_no_key_error(drive):
+    # the id pass's KeyError is handled before terminal_of raises, so a
+    # traceback shows the error alone
+    with pytest.raises(UnknownTokenError) as exc:
+        drive(tokenize(r"\begin{class} { A } \foo \end{class}"))
+    assert exc.value.diagnostic.symbol == "\\foo"
+    assert exc.value.__context__ is None
+    assert "KeyError" not in "".join(traceback.format_exception(exc.value))
 
 
 def test_state_equals_mutation_error_location():

@@ -166,31 +166,9 @@ class Grammar:
         )
 
 
-class FirstSets:
-    """FIRST sets plus nullability, for every registered symbol."""
-
-    def __init__(self, first: dict[int, frozenset[int]], nullable: frozenset[int]):
-        self.first = first
-        self.nullable = nullable
-
-    def of(self, sym: Symbol) -> frozenset[int]:
-        return self.first[sym.id]
-
-    def is_nullable(self, sym: Symbol) -> bool:
-        return sym.id in self.nullable
-
-    def of_sequence(self, body: Iterable[Symbol]) -> tuple[set[int], bool]:
-        """FIRST of a symbol sequence and whether it derives the empty string."""
-        out: set[int] = set()
-        for sym in body:
-            out |= self.first[sym.id]
-            if sym.id not in self.nullable:
-                return out, False
-        return out, True
-
-
-def compute_first(g: Grammar) -> FirstSets:
-    """Least fixpoint of the FIRST equations; FIRST(t) = {t} for terminals."""
+def compute_first(g: Grammar) -> tuple[dict[int, frozenset[int]], frozenset[int]]:
+    """Least fixpoint of the FIRST equations: ``(first, nullable)``, FIRST by
+    symbol id (FIRST(t) = {t} for terminals) and the nullable symbol ids."""
     first: dict[int, set[int]] = {s.id: set() for s in g.symbols}
     nullable: set[int] = set()
     for t in g.terminals:
@@ -213,11 +191,23 @@ def compute_first(g: Grammar) -> FirstSets:
                 changed = True
             if len(target) != before:
                 changed = True
-    return FirstSets({i: frozenset(v) for i, v in first.items()}, frozenset(nullable))
+    return {i: frozenset(v) for i, v in first.items()}, frozenset(nullable)
 
 
-def compute_follow(g: Grammar, first: FirstSets) -> dict[int, frozenset[int]]:
-    """Least fixpoint of the FOLLOW equations over the nonterminals.
+def first_of_sequence(body: Iterable[Symbol], first: dict[int, frozenset[int]],
+                      nullable: frozenset[int]) -> tuple[set[int], bool]:
+    """FIRST of a symbol sequence and whether it derives the empty string."""
+    out: set[int] = set()
+    for sym in body:
+        out |= first[sym.id]
+        if sym.id not in nullable:
+            return out, False
+    return out, True
+
+
+def compute_follow(g: Grammar, first: dict[int, frozenset[int]],
+                   nullable: frozenset[int]) -> dict[int, frozenset[int]]:
+    """Least fixpoint of the FOLLOW equations: FOLLOW by nonterminal id.
 
     The end marker is seeded on the augmented start, which propagates it to
     the user start symbol through production 0.
@@ -234,7 +224,8 @@ def compute_follow(g: Grammar, first: FirstSets) -> dict[int, frozenset[int]]:
                     continue
                 target = follow[sym.id]
                 before = len(target)
-                rest_first, rest_nullable = first.of_sequence(p.body[i + 1 :])
+                rest_first, rest_nullable = first_of_sequence(
+                    p.body[i + 1 :], first, nullable)
                 target |= rest_first
                 if rest_nullable:
                     target |= follow[p.head.id]
@@ -275,18 +266,11 @@ def goto_set(items: Iterable[int], x: Symbol, g: Grammar) -> frozenset[int]:
     return closure(kernel, g) if kernel else frozenset()
 
 
-class ItemSetCollection:
-    """Canonical LR(0) collection: numbered states, each a frozenset of int
-    items, plus the goto transitions keyed by (state, symbol id)."""
-
-    def __init__(self, states: list[frozenset[int]],
-                 transitions: dict[tuple[int, int], int]) -> None:
-        self.states = states
-        self.transitions = transitions
-
-
-def canonical_collection(g: Grammar) -> ItemSetCollection:
-    """Build the canonical collection breadth-first.
+def canonical_collection(g: Grammar) -> tuple[list[frozenset[int]],
+                                              dict[tuple[int, int], int]]:
+    """The canonical LR(0) collection, built breadth-first: ``(states,
+    transitions)``, the states as frozensets of int items and the gotos
+    keyed by (state, symbol id).
 
     State 0 is the closure of ``start' -> · start``.  New states are
     numbered in discovery order, visiting the symbols after a dot in each
@@ -314,7 +298,7 @@ def canonical_collection(g: Grammar) -> ItemSetCollection:
                 index[target] = j
                 queue.append(j)
             transitions[(i, sid)] = j
-    return ItemSetCollection(states, transitions)
+    return states, transitions
 
 
 # A table cell is an int: 0 is the error entry, ``target*4 + SHIFT`` a
@@ -430,10 +414,9 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
     reduce in every FOLLOW(A) column; the completed augmentation item puts
     the single accept under the end marker.
     """
-    collection = canonical_collection(g)
-    first = compute_first(g)
-    follow = compute_follow(g, first)
-    table = ParseTable(g, len(collection.states))
+    states, transitions = canonical_collection(g)
+    follow = compute_follow(g, *compute_first(g))
+    table = ParseTable(g, len(states))
     symbols, after = g.symbols, g.item_symbol
 
     # (state, terminal id) -> list of (cell, responsible item), in placement
@@ -443,13 +426,13 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
     def place(state: int, tid: int, cell: int, item: int) -> None:
         cells.setdefault((state, tid), []).append((cell, item))
 
-    for i, state in enumerate(collection.states):
+    for i, state in enumerate(states):
         for item in sorted(state):  # (production, dot) order
             sid = after[item]
             p = g.item_production[item]
             if sid >= 0:
                 if symbols[sid].is_terminal:
-                    target = collection.transitions[(i, sid)]
+                    target = transitions[(i, sid)]
                     place(i, sid, target * 4 + SHIFT, item)
             elif p == 0:
                 place(i, g.end_marker.id, ACCEPT, item)
@@ -470,7 +453,7 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
         return ConflictReport(g, conflicts)
 
     # Every transition is a shift cell; for a terminal it is already there.
-    for (i, sid), j in collection.transitions.items():
+    for (i, sid), j in transitions.items():
         table.action[i][sid] = j * 4 + SHIFT
     return table
 
@@ -528,8 +511,8 @@ def grammar_from_text(text: str, start: str | None = None) -> Grammar:
 
 def dump_first_follow(g: Grammar) -> str:
     """FIRST/FOLLOW tables as text, symbols in registration order."""
-    first = compute_first(g)
-    follow = compute_follow(g, first)
+    first, nullable = compute_first(g)
+    follow = compute_follow(g, first, nullable)
 
     def names(ids: frozenset[int]) -> str:
         ordered = [g.symbols[i].name for i in sorted(ids)]
@@ -537,8 +520,8 @@ def dump_first_follow(g: Grammar) -> str:
 
     lines = []
     for nt in g.nonterminals:
-        suffix = "  (nullable)" if first.is_nullable(nt) else ""
-        lines.append(f"FIRST({nt.name}) = {names(first.of(nt))}{suffix}")
+        suffix = "  (nullable)" if nt.id in nullable else ""
+        lines.append(f"FIRST({nt.name}) = {names(first[nt.id])}{suffix}")
     for nt in g.nonterminals:
         lines.append(f"FOLLOW({nt.name}) = {names(follow[nt.id])}")
     return "\n".join(lines) + "\n"

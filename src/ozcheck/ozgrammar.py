@@ -55,29 +55,43 @@ class BuiltinType(NamedTuple):
     """A builtin type; ``\\pset``, ``\\fset`` and ``\\seq`` take an argument.
 
     The only AST node that nests itself, as deep as the input says, so
-    equality and hashing loop down the chain instead of recursing.
+    ``==``, ``hash``, ``repr``, pickling and copying work on its
+    :meth:`_chain` instead of recursing.
     """
 
     kind: str  # its command: "\\nat", "\\num", "\\pset", "\\fset" or "\\seq"
     argument: "TypeExpr | None" = None
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BuiltinType:
-            return False
-        a, b = self, other
-        while a.__class__ is BuiltinType and b.__class__ is BuiltinType:
-            if a.kind != b.kind:
-                return False
-            a, b = a.argument, b.argument
-        return a == b
-
-    def __hash__(self) -> int:
-        kinds = []
-        t = self
+    def _chain(self) -> tuple[tuple[str, ...], "TypeExpr | None"]:
+        """The kinds down the chain, outermost first, and the first
+        argument that is not a ``BuiltinType``."""
+        kinds, t = [], self
         while t.__class__ is BuiltinType:
             kinds.append(t.kind)
             t = t.argument
-        return hash((tuple(kinds), t))
+        return tuple(kinds), t
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is BuiltinType and self._chain() == other._chain()
+
+    def __hash__(self) -> int:
+        return hash(self._chain())
+
+    def __repr__(self) -> str:
+        kinds, leaf = self._chain()
+        heads = "".join(f"BuiltinType(kind={k!r}, argument=" for k in kinds)
+        return f"{heads}{leaf!r}{')' * len(kinds)}"
+
+    def __reduce__(self):
+        return _builtin_chain, self._chain()
+
+
+def _builtin_chain(kinds: tuple[str, ...], leaf: "TypeExpr | None") -> BuiltinType:
+    """The chain of ``kinds``, outermost first, over ``leaf``: how a pickled
+    or copied ``BuiltinType`` is rebuilt, with no recursion."""
+    for kind in reversed(kinds):
+        leaf = tuple.__new__(BuiltinType, (kind, leaf))
+    return leaf
 
 
 @record("index", "stream")

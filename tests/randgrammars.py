@@ -121,15 +121,15 @@ def check_language_agreement(case: GrammarCase, max_len: int = 8) -> int:
 def check_first_follow_agreement(case: GrammarCase) -> None:
     """Assert FIRST/FOLLOW fixpoints equal the enumeration oracles."""
     g = case.grammar
-    fs = compute_first(g)
-    follow = compute_follow(g, fs)
+    first, nullable = compute_first(g)
+    follow = compute_follow(g, first, nullable)
     for nt in g.nonterminals:
         if nt is g.augmented_start:
             continue
         oracle_first, oracle_nullable = first_oracle(case.productions, nt.name)
-        got_first = {g.symbols[i].name for i in fs.of(nt)}
+        got_first = {g.symbols[i].name for i in first[nt.id]}
         assert got_first == oracle_first, (case.productions, nt.name)
-        assert fs.is_nullable(nt) == oracle_nullable, (case.productions, nt.name)
+        assert (nt.id in nullable) == oracle_nullable, (case.productions, nt.name)
 
     for nt in g.nonterminals:
         if nt is g.augmented_start:

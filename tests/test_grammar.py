@@ -20,6 +20,7 @@ from ozcheck.grammar import (
     compute_first,
     compute_follow,
     dump_first_follow,
+    first_of_sequence,
     format_grammar,
     goto_set,
     grammar_from_text,
@@ -39,8 +40,8 @@ def names(g, ids):
     return {g.symbols[i].name for i in ids}
 
 
-def first_names(g, fs, symbol_name: str):
-    return names(g, fs.of(g.symbol(symbol_name)))
+def first_names(g, first, symbol_name: str):
+    return names(g, first[g.symbol(symbol_name).id])
 
 
 def item(g, p, dot):
@@ -49,8 +50,7 @@ def item(g, p, dot):
 
 
 def follow_names(g, symbol_name: str):
-    fs = compute_first(g)
-    follow = compute_follow(g, fs)
+    follow = compute_follow(g, *compute_first(g))
     return names(g, follow[g.symbol(symbol_name).id])
 
 
@@ -96,31 +96,31 @@ def test_augmented_start_takes_a_free_name():
 
 def test_first_single_terminal_production():
     g = Grammar.build(S_TO_A)
-    fs = compute_first(g)
-    assert first_names(g, fs, "S") == {"a"}
-    assert not fs.is_nullable(g.symbol("S"))
+    first, nullable = compute_first(g)
+    assert first_names(g, first, "S") == {"a"}
+    assert g.symbol("S").id not in nullable
 
 
 def test_first_of_terminal_is_itself():
     g = Grammar.build(S_TO_A)
-    fs = compute_first(g)
-    assert first_names(g, fs, "a") == {"a"}
+    first, _ = compute_first(g)
+    assert first_names(g, first, "a") == {"a"}
 
 
 def test_first_nullable_prefix():
     g = Grammar.build([("S", ["A", "b"]), ("A", [])])
-    fs = compute_first(g)
-    assert first_names(g, fs, "S") == {"b"}
-    assert fs.is_nullable(g.symbol("A"))
-    assert not fs.is_nullable(g.symbol("S"))
+    first, nullable = compute_first(g)
+    assert first_names(g, first, "S") == {"b"}
+    assert g.symbol("A").id in nullable
+    assert g.symbol("S").id not in nullable
     got, nullable = first_oracle([("S", ["A", "b"]), ("A", [])], "S")
     assert got == {"b"} and not nullable
 
 
 def test_first_fragment_matches_enumeration_to_depth_6():
     g = Grammar.build(FRAGMENT)
-    fs = compute_first(g)
-    assert first_names(g, fs, "Paragraph") == {"\\begin{class}"}
+    first, _ = compute_first(g)
+    assert first_names(g, first, "Paragraph") == {"\\begin{class}"}
     oracle, nullable = first_oracle(FRAGMENT, "Paragraph", max_len=6)
     assert oracle == {"\\begin{class}"}
     assert not nullable
@@ -128,13 +128,13 @@ def test_first_fragment_matches_enumeration_to_depth_6():
 
 def test_first_fixpoint_equations_hold():
     g = Grammar.build(FRAGMENT)
-    fs = compute_first(g)
+    first, nullable = compute_first(g)
     # one more pass of the defining equations must add nothing
     for p in g.productions:
-        body_first, body_nullable = fs.of_sequence(p.body)
-        assert body_first <= fs.of(p.head)
+        body_first, body_nullable = first_of_sequence(p.body, first, nullable)
+        assert body_first <= first[p.head.id]
         if body_nullable:
-            assert fs.is_nullable(p.head)
+            assert p.head.id in nullable
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,14 @@ def test_follow_fragment_matches_enumeration():
 
 def test_follow_fixpoint_equations_hold():
     g = Grammar.build(FRAGMENT)
-    fs = compute_first(g)
-    follow = compute_follow(g, fs)
+    first, nullable = compute_first(g)
+    follow = compute_follow(g, first, nullable)
     for p in g.productions:
         for i, sym in enumerate(p.body):
             if sym.is_terminal:
                 continue
-            rest_first, rest_nullable = fs.of_sequence(p.body[i + 1 :])
+            rest_first, rest_nullable = first_of_sequence(
+                p.body[i + 1 :], first, nullable)
             assert rest_first <= follow[sym.id]
             if rest_nullable:
                 assert follow[p.head.id] <= follow[sym.id]
@@ -223,36 +224,35 @@ def test_goto_result_is_already_closed():
 
 def test_collection_of_single_production_grammar():
     g = Grammar.build(S_TO_A)
-    coll = canonical_collection(g)
-    assert len(coll.states) == 3
-    assert coll.states[0] == closure([item(g, 0, 0)], g)
-    assert coll.states[1] == frozenset({item(g, 0, 1)})  # S' -> S ·
-    assert coll.states[2] == frozenset({item(g, 1, 1)})  # S -> a ·
+    states, _ = canonical_collection(g)
+    assert len(states) == 3
+    assert states[0] == closure([item(g, 0, 0)], g)
+    assert states[1] == frozenset({item(g, 0, 1)})  # S' -> S ·
+    assert states[2] == frozenset({item(g, 1, 1)})  # S -> a ·
 
 
 def test_collection_has_no_duplicate_states():
     g = Grammar.build(FRAGMENT)
-    coll = canonical_collection(g)
-    assert len(set(coll.states)) == len(coll.states)
+    states, _ = canonical_collection(g)
+    assert len(set(states)) == len(states)
 
 
 def test_fragment_heading_reduction_state_reachable_from_brace_successor():
     g = Grammar.build(FRAGMENT)
-    coll = canonical_collection(g)
-    s = coll.transitions[(0, g.symbol("\\begin{class}").id)]
-    s = coll.transitions[(s, g.symbol("{").id)]
-    s = coll.transitions[(s, g.symbol("Word").id)]
+    states, transitions = canonical_collection(g)
+    s = transitions[(0, g.symbol("\\begin{class}").id)]
+    s = transitions[(s, g.symbol("{").id)]
+    s = transitions[(s, g.symbol("Word").id)]
     heading_to_word = next(
         p for p in g.productions if p.head.name == "ClassHeading"
     )
-    assert item(g, heading_to_word.index, 1) in coll.states[s]
+    assert item(g, heading_to_word.index, 1) in states[s]
 
 
 def test_collection_is_deterministic():
     a = canonical_collection(Grammar.build(FRAGMENT))
     b = canonical_collection(Grammar.build(FRAGMENT))
-    assert a.states == b.states
-    assert a.transitions == b.transitions
+    assert a == b
 
 
 def test_every_reduce_exposes_a_goto_to_a_state_but_0():
@@ -269,20 +269,20 @@ def test_every_reduce_exposes_a_goto_to_a_state_but_0():
         for _ in range(2000)]
     tables = 0
     for g in grammars:
-        coll = canonical_collection(g)
-        assert 0 not in coll.transitions.values()
+        states, transitions = canonical_collection(g)
+        assert 0 not in transitions.values()
         table = build_table(g)
         tables += isinstance(table, ParseTable)
         for p in g.productions[1:]:
             dot0, head = g.first_item[p.index], p.head.id
-            for j, state in enumerate(coll.states):
+            for j, state in enumerate(states):
                 if dot0 not in state:
                     continue
                 k = j
                 for sym in p.body:
-                    k = coll.transitions[(k, sym.id)]
-                assert dot0 + len(p.body) in coll.states[k], (g, p)
-                assert (j, head) in coll.transitions, (g, p)
+                    k = transitions[(k, sym.id)]
+                assert dot0 + len(p.body) in states[k], (g, p)
+                assert (j, head) in transitions, (g, p)
                 if isinstance(table, ParseTable):
                     cell = table.action[j][head]
                     assert cell & 3 == SHIFT and cell >> 2, (g, p)

@@ -1,16 +1,19 @@
 """Shipped grammar health and AST lowering."""
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import itertools
+import pickle
 import random
 
 import pytest
 
 from ozcheck import check_text
 from ozcheck.diagnostics import SYNTAX_ERROR
-from ozcheck.grammar import (ParseTable, build_table, format_grammar,
+from ozcheck.grammar import (ParseTable, build_table, compute_first,
+                             compute_follow, format_grammar,
                              grammar_from_text, parse_grammar_text)
 from ozcheck.lexer import (
     END_MARKER,
@@ -47,7 +50,7 @@ from ozcheck.parser import (ParseError, TraceWriter, accepts, parse,
                             parse_with_trace, render_trace)
 
 from conftest import ast_both_ways, corpus_text, same_ast
-from oracles import language_upto
+from oracles import first_oracle, follow_oracle, language_upto
 from render import render_tokens
 
 
@@ -65,6 +68,25 @@ def ast_of(source: str):
 
 def test_grammar_is_conflict_free():
     assert isinstance(build_table(object_z_grammar()), ParseTable)
+
+
+def test_first_and_follow_equal_the_enumeration_oracles():
+    """The shipped grammar's FIRST, nullable and FOLLOW sets are what
+    derivation enumeration over the rule texts finds, not only what
+    ``DUMP_DIGESTS`` recorded."""
+    g = object_z_grammar()
+    productions = parse_grammar_text("\n".join(rule for rule, _ in _RULES))
+    first, nullable = compute_first(g)
+    follow = compute_follow(g, first, nullable)
+    oracle_follow = follow_oracle(productions, "ParagraphList")
+    names = lambda ids: {g.symbols[i].name for i in ids}
+    for nt in g.nonterminals:
+        if nt is g.augmented_start:
+            continue
+        oracle_first, oracle_nullable = first_oracle(productions, nt.name)
+        assert names(first[nt.id]) == oracle_first, nt.name
+        assert (nt.id in nullable) == oracle_nullable, nt.name
+        assert names(follow[nt.id]) == oracle_follow[nt.name], nt.name
 
 
 def test_grammar_dimensions_are_deterministic():
@@ -867,6 +889,25 @@ def test_deep_type_chains_compare_and_hash_without_recursion():
     named = ast_of(state % ("\\pset " * depth + "Missing"))
     moved = ast_of(state % ("\\pset " * depth + "\n Missing"))
     assert named == moved and hash(named) == hash(moved)
+
+
+def test_deep_type_chains_repr_pickle_and_copy_without_recursion():
+    depth = 3000
+    state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
+    spec = parse_spec(tokenize(state % ("\\pset " * depth + "\\nat")))
+    type_expr = spec.classes[0].state.declarations[0].type_expr
+    assert repr(type_expr) == (
+        "BuiltinType(kind='\\\\pset', argument=" * depth
+        + "BuiltinType(kind='\\\\nat', argument=None)" + ")" * depth)
+    assert repr(type_expr) in repr(spec)
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert copied == spec and copied is not spec
+        copied_type = copied.classes[0].state.declarations[0].type_expr
+        assert repr(copied_type) == repr(type_expr)
+    # shallow chains keep the named-tuple text
+    assert repr(BuiltinType("\\seq", ProductType((BuiltinType("\\nat"), None)))) == (
+        "BuiltinType(kind='\\\\seq', argument=ProductType(parts=("
+        "BuiltinType(kind='\\\\nat', argument=None), None)))")
 
 
 def test_many_operations_in_one_class_do_not_recurse():

@@ -19,6 +19,7 @@ from ozcheck.grammar import (
     compute_first,
     compute_follow,
     dump_first_follow,
+    first_of_sequence,
     goto_set,
 )
 from ozcheck.ozgrammar import object_z_grammar
@@ -50,14 +51,14 @@ def test_first_matches_enumeration_up_to_six_nonterminals():
     while checked < 30:
         productions, _ = random_productions(rng, max_nts=6, max_prods=12)
         g = Grammar.build(productions, start="S")
-        fs = compute_first(g)
+        first, nullable_ids = compute_first(g)
         for nt in g.nonterminals:
             if nt is g.augmented_start:
                 continue
             oracle, nullable = first_oracle(productions, nt.name)
-            got = {g.symbols[i].name for i in fs.of(nt)}
+            got = {g.symbols[i].name for i in first[nt.id]}
             assert got == oracle, (productions, nt.name)
-            assert fs.is_nullable(nt) == nullable, (productions, nt.name)
+            assert (nt.id in nullable_ids) == nullable, (productions, nt.name)
         checked += 1
 
 
@@ -66,17 +67,18 @@ def test_first_follow_equations_hold_on_random_grammars():
     for _ in range(40):
         productions, _ = random_productions(rng)
         g = Grammar.build(productions, start="S")
-        fs = compute_first(g)
-        follow = compute_follow(g, fs)
+        first, nullable = compute_first(g)
+        follow = compute_follow(g, first, nullable)
         for p in g.productions:
-            body_first, body_nullable = fs.of_sequence(p.body)
-            assert body_first <= fs.of(p.head)
+            body_first, body_nullable = first_of_sequence(p.body, first, nullable)
+            assert body_first <= first[p.head.id]
             if body_nullable:
-                assert fs.is_nullable(p.head)
+                assert p.head.id in nullable
             for i, sym in enumerate(p.body):
                 if sym.is_terminal:
                     continue
-                rest_first, rest_nullable = fs.of_sequence(p.body[i + 1 :])
+                rest_first, rest_nullable = first_of_sequence(
+                    p.body[i + 1 :], first, nullable)
                 assert rest_first <= follow[sym.id]
                 if rest_nullable:
                     assert follow[p.head.id] <= follow[sym.id]
@@ -169,10 +171,10 @@ def test_grammar_toolkit_output_is_pinned_on_random_grammars():
 def test_collection_has_a_transition_exactly_where_goto_is_non_empty():
     grammars = [case.grammar for case in generate_cases(seed=987003, count=25)]
     for g in grammars + [object_z_grammar()]:
-        coll = canonical_collection(g)
-        for (i, state), x in product(enumerate(coll.states), g.symbols):
-            j = coll.transitions.get((i, x.id))
-            expected = frozenset() if j is None else coll.states[j]
+        states, transitions = canonical_collection(g)
+        for (i, state), x in product(enumerate(states), g.symbols):
+            j = transitions.get((i, x.id))
+            expected = frozenset() if j is None else states[j]
             assert goto_set(state, x, g) == expected, (g, i, x.name)
 
 

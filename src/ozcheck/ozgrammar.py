@@ -12,8 +12,9 @@ asserts that the grammar is SLR(1) when the table is first built.
 Declarations are one name, a colon and a type expression.  State schemas
 and operation schemas hold declarations, with predicates allowed after
 ``\\ST``; init schemas also accept bare predicate lines, which is how an
-initial state is usually written.  Predicate lines are checked for
-well-formedness but kept as opaque token sequences in the AST.
+initial state is usually written.  Predicate lines and type expressions
+are checked for well-formedness but kept in the AST as opaque token spans,
+so no node nests as deep as the input: the checks read only a type's names.
 
 The AST is built on reduce by one AST action per production, which the
 production's rule line carries, as yacc's ``A : body { $$ = f($1..$n) }``
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .grammar import Grammar, ParseTable, build_table, grammar_from_text
-from .lexer import END_MARKER, TokenStream
+from .lexer import END_MARKER, WORD, TokenStream
 from .parser import TraceWriter, TreeNode, _drive
 from .records import record
 
@@ -51,77 +52,42 @@ class NameRef(NamedTuple):
 
 
 @record()
-class BuiltinType(NamedTuple):
-    """A builtin type; ``\\pset``, ``\\fset`` and ``\\seq`` take an argument.
+class _Span(NamedTuple):
+    """The tokens ``start`` to ``end`` of ``stream``, opaque: ``==`` and
+    ``hash`` go by their ``text``, and only within one class."""
 
-    The only AST node that nests itself, as deep as the input says, so
-    ``==``, ``hash``, ``repr``, pickling and copying work on its
-    :meth:`_chain` instead of recursing.
-    """
-
-    kind: str  # its command: "\\nat", "\\num", "\\pset", "\\fset" or "\\seq"
-    argument: "TypeExpr | None" = None
-
-    def _chain(self) -> tuple[tuple[str, ...], "TypeExpr | None"]:
-        """The kinds down the chain, outermost first, and the first
-        argument that is not a ``BuiltinType``."""
-        kinds, t = [], self
-        while t.__class__ is BuiltinType:
-            kinds.append(t.kind)
-            t = t.argument
-        return tuple(kinds), t
+    start: int
+    end: int
+    stream: TokenStream
+    tokens = property(lambda span: span.stream[span.start:span.end])
+    text = property(
+        lambda span: " ".join(span.stream.lexemes[span.start:span.end]))
 
     def __eq__(self, other) -> bool:
-        return other.__class__ is BuiltinType and self._chain() == other._chain()
+        return other.__class__ is self.__class__ and self.text == other.text
 
     def __hash__(self) -> int:
-        return hash(self._chain())
-
-    def __repr__(self) -> str:
-        kinds, leaf = self._chain()
-        heads = "".join(f"BuiltinType(kind={k!r}, argument=" for k in kinds)
-        return f"{heads}{leaf!r}{')' * len(kinds)}"
-
-    def __reduce__(self):
-        return _builtin_chain, self._chain()
+        return hash(self.text)
 
 
-def _builtin_chain(kinds: tuple[str, ...], leaf: "TypeExpr | None") -> BuiltinType:
-    """The chain of ``kinds``, outermost first, over ``leaf``: how a pickled
-    or copied ``BuiltinType`` is rebuilt, with no recursion."""
-    for kind in reversed(kinds):
-        leaf = tuple.__new__(BuiltinType, (kind, leaf))
-    return leaf
+class TypeExpr(_Span):
+    """A type expression: its names are all the checks read of it."""
+
+    __slots__ = ()
 
 
-@record("index", "stream")
-class NamedType(NamedTuple):
-    name: str
-    index: int
-    stream: TokenStream
-    pos = _pos
+class PredicateLine(_Span):
+    """An opaque, well-formed predicate."""
 
-
-@record()
-class ProductType(NamedTuple):
-    parts: tuple["TypeExpr", ...]
-
-
-TypeExpr = BuiltinType | NamedType | ProductType
+    __slots__ = ()
 
 
 def named_leaves(t: TypeExpr):
-    """Yield every NamedType leaf of a type expression, left to right."""
-    pending = [t]  # explicit stack: nesting depth is input-controlled
-    while pending:
-        t = pending.pop()
-        if isinstance(t, NamedType):
-            yield t
-        elif isinstance(t, BuiltinType):
-            if t.argument is not None:
-                pending.append(t.argument)
-        else:
-            pending.extend(reversed(t.parts))
+    """Yield every type name of a type expression, a NameRef, left to right."""
+    toks = t.stream
+    for i in range(t.start, t.end):
+        if toks.kinds[i] == WORD:
+            yield _new(NameRef, (toks.lexemes[i], i, toks))
 
 
 @record("index", "stream")
@@ -131,25 +97,6 @@ class Declaration(NamedTuple):
     index: int
     stream: TokenStream
     pos = _pos
-
-
-@record()
-class PredicateLine(NamedTuple):
-    """An opaque, well-formed predicate: the tokens ``start`` to ``end`` of
-    ``stream``."""
-
-    start: int
-    end: int
-    stream: TokenStream
-    tokens = property(lambda line: line.stream[line.start:line.end])
-    text = property(
-        lambda line: " ".join(line.stream.lexemes[line.start:line.end]))
-
-    def __eq__(self, other) -> bool:  # structural: compare rendered text
-        return isinstance(other, PredicateLine) and self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash(self.text)
 
 
 @record()
@@ -210,7 +157,8 @@ class Specification(NamedTuple):
 # ``parser._drive`` (``kids`` are the values of the body symbols; a shifted
 # token's is its index).  Nodes are built by ``tuple.__new__``.
 # Right-recursive lists are Python lists, last item first, reversed once by
-# their owner; ``\cross`` lists a product type's parts.  A schema line is a
+# their owner.  A declaration is reduced with the token after its type as
+# lookahead, so ``pos`` ends the type's span.  A schema line is a
 # (declaration or first token of a predicate, end) pair: it ends at the
 # separator after it, or where the list is reduced.  A class section is a
 # (ClassDef field, value) pair, or the list of operations.
@@ -219,8 +167,8 @@ _new = tuple.__new__
 
 
 def _push(kids, toks, pos):
-    """``X -> item [separator] X``; the first ``\\cross`` makes the list."""
-    items = kids[-1] if kids[-1].__class__ is list else [kids[-1]]
+    """``X -> item [separator] X``."""
+    items = kids[-1]
     items.append(kids[0])
     return items
 
@@ -255,13 +203,6 @@ def _body(kids, toks, pos):
     return tuple(decls), tuple(preds)
 
 
-def _declaration(kids, toks, pos):
-    name, type_expr = kids[0], kids[2]
-    if type_expr.__class__ is list:  # the \cross spine
-        type_expr = _new(ProductType, (_reversed(type_expr),))
-    return _new(Declaration, (toks.lexemes[name], type_expr, name, toks))
-
-
 def _class(kids, toks, pos):
     name, generic = kids[2]
     fields = [toks.lexemes[name], name, toks, generic, None, (), (), None, None, ()]
@@ -275,12 +216,8 @@ def _class(kids, toks, pos):
 
 _kids = lambda kids, toks, pos: kids  # noqa: E731
 _line = lambda kids, toks, pos: [(kids[0], pos)]  # noqa: E731
-_named = lambda kids, toks, pos: _new(  # noqa: E731
-    NamedType, (toks.lexemes[kids[0]], kids[0], toks))
-_builtin = lambda kids, toks, pos: _new(  # noqa: E731
-    BuiltinType, (toks.lexemes[kids[0]], None))
-_builtin_of = lambda kids, toks, pos: _new(  # noqa: E731
-    BuiltinType, (toks.lexemes[kids[0]], kids[1]))
+_declaration = lambda kids, toks, pos: _new(Declaration, (  # noqa: E731
+    toks.lexemes[kids[0]], _new(TypeExpr, (kids[2], pos, toks)), kids[0], toks))
 _delta = lambda kids, toks, pos: _new(DeltaList, (  # noqa: E731
     toks.lexemes[kids[0]][1:], _name_refs(kids[2], toks)))
 
@@ -292,9 +229,9 @@ def _section(field):
 
 # Object Z class specifications over LaTeX-level terminals: rule i is
 # production i + 1 in the interchange format and its AST action.  A None
-# action keeps the first value (a predicate's is its first token), None for an
-# empty body.  ``_ACTIONS`` holds them by production index; production 0, the
-# augmentation, is never reduced.
+# action keeps the first value (a predicate's or a type's is its first
+# token), None for an empty body.  ``_ACTIONS`` holds them by production
+# index; production 0, the augmentation, is never reduced.
 _RULES = (
     ('ParagraphList -> Paragraph', _kids),
     ('ParagraphList -> Paragraph ParagraphList', _push),
@@ -352,13 +289,13 @@ _RULES = (
     ('NameList -> Word', _kids),
     ('NameList -> Word , NameList', _push),
     ('TypeExpr -> TypeAtom', None),
-    (r'TypeExpr -> TypeAtom "\cross" TypeExpr', _push),
-    ('TypeAtom -> Word', _named),
-    (r'TypeAtom -> "\nat"', _builtin),
-    (r'TypeAtom -> "\num"', _builtin),
-    (r'TypeAtom -> "\pset" TypeAtom', _builtin_of),
-    (r'TypeAtom -> "\fset" TypeAtom', _builtin_of),
-    (r'TypeAtom -> "\seq" TypeAtom', _builtin_of),
+    (r'TypeExpr -> TypeAtom "\cross" TypeExpr', None),
+    ('TypeAtom -> Word', None),
+    (r'TypeAtom -> "\nat"', None),
+    (r'TypeAtom -> "\num"', None),
+    (r'TypeAtom -> "\pset" TypeAtom', None),
+    (r'TypeAtom -> "\fset" TypeAtom', None),
+    (r'TypeAtom -> "\seq" TypeAtom', None),
     ('Predicate -> Sum', None),
     ('Predicate -> Sum = Sum', None),
     ('Sum -> CatExpr', None),

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from ozcheck.ozgrammar import (
-    BuiltinType, ClassDef, Declaration, GivenTypeDecl, NamedType, NameRef,
-    OperationSchema, SchemaBlock, Specification, TypeExpr,
+    ClassDef, Declaration, GivenTypeDecl, NameRef, OperationSchema,
+    SchemaBlock, Specification,
 )
 
 
@@ -56,21 +56,7 @@ def _render_lines(rendered: list[str]) -> str:
 
 
 def _render_decl(d: Declaration) -> str:
-    return f"{d.name} : {_render_type(d.type_expr)}"
-
-
-def _render_type(t: TypeExpr) -> str:
-    words = []  # loop, not recursion: constructor chains are input-controlled
-    while isinstance(t, BuiltinType) and t.argument is not None:
-        words.append(t.kind)
-        t = t.argument
-    if isinstance(t, NamedType):
-        words.append(t.name)
-    elif isinstance(t, BuiltinType):
-        words.append(t.kind)
-    else:
-        words.append(" \\cross ".join(_render_type(p) for p in t.parts))
-    return " ".join(words)
+    return f"{d.name} : {d.type_expr.text}"
 
 
 def _render_schema(env: str, block: SchemaBlock) -> list[str]:

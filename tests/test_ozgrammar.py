@@ -28,18 +28,16 @@ from ozcheck.lexer import (
 from ozcheck.ozgrammar import (
     _ACTIONS,
     _RULES,
-    BuiltinType,
     ClassDef,
     Declaration,
     DeltaList,
     GivenTypeDecl,
-    NamedType,
     NameRef,
     OperationSchema,
     PredicateLine,
-    ProductType,
     SchemaBlock,
     Specification,
+    TypeExpr,
     build_ast,
     named_leaves,
     object_z_grammar,
@@ -314,18 +312,16 @@ def test_type_expressions():
         "\\end{state}\n\\end{class}"
     )
     decls = ast_of(src).classes[0].state.declarations
-    assert decls[0].type_expr == BuiltinType("\\fset", BuiltinType("\\nat"))
-    assert decls[1].type_expr == BuiltinType("\\pset", NamedType("Message", -1, None))
-    assert decls[2].type_expr == BuiltinType(
-        "\\seq", BuiltinType("\\seq", NamedType("Item", -1, None)))
-    assert decls[3].type_expr == ProductType(
-        (BuiltinType("\\num"), NamedType("Message", -1, None), BuiltinType("\\nat")))
-    assert decls[4].type_expr == ProductType((
-        BuiltinType("\\pset", BuiltinType("\\seq", NamedType("T", -1, None))),
-        BuiltinType("\\nat"),
-        BuiltinType("\\fset", NamedType("U", -1, None)),
-    ))
-    assert [t.name for t in named_leaves(decls[4].type_expr)] == ["T", "U"]
+    assert [d.type_expr.text for d in decls] == [
+        "\\fset \\nat",
+        "\\pset Message",
+        "\\seq \\seq Item",
+        "\\num \\cross Message \\cross \\nat",
+        "\\pset \\seq T \\cross \\nat \\cross \\fset U",
+    ]
+    assert [[t.name for t in named_leaves(d.type_expr)] for d in decls] == [
+        [], ["Message"], ["Item"], ["Message"], ["T", "U"]]
+    assert all(isinstance(d.type_expr, TypeExpr) for d in decls)
 
 
 def test_inheritance_block_lowering():
@@ -638,8 +634,39 @@ def test_every_node_has_every_field(corpus):
             assert node._replace() == node
             classes.add(cls)
     assert classes == {Specification, ClassDef, GivenTypeDecl, NameRef,
-                       BuiltinType, NamedType, ProductType, Declaration,
+                       TypeExpr, Declaration,
                        PredicateLine, SchemaBlock, DeltaList, OperationSchema}
+
+
+def test_a_type_expression_is_the_span_between_its_colon_and_separator(corpus):
+    # the span ends at the lookahead of the declaration's reduce: the line
+    # separator, ``\ST`` or ``\end{...}`` after the type, which no type holds
+    rng = random.Random(20261020)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.tex"))]
+    sources += [random_specification(rng) for _ in range(300)]
+    seen = 0
+    for source in sources:
+        try:
+            spec = parse_spec(tokenize(source))
+        except ParseError:
+            continue
+        for d in ast_nodes(spec):
+            if d.__class__ is not Declaration:
+                continue
+            t, lexemes, kinds = d.type_expr, d.stream.lexemes, d.stream.kinds
+            assert t.stream is d.stream and lexemes[t.start - 1] == ":"
+            end = t.start
+            while not (kinds[end] in (LINE_SEP, "\\ST")
+                       or kinds[end].startswith("\\end{")):
+                end += 1
+            assert (t.start, t.end) == (d.index + 2, end), source
+            assert t.text == " ".join(lexemes[t.start:end])
+            words = [tok for tok in t.tokens if tok.kind == WORD]
+            leaves = list(named_leaves(t))
+            assert [n.name for n in leaves] == [tok.lexeme for tok in words]
+            assert all(n.pos is tok for n, tok in zip(leaves, words))
+            seen += 1
+    assert seen > 1000
 
 
 def test_each_rule_line_is_its_production_with_its_action():
@@ -889,25 +916,32 @@ def test_deep_type_chains_compare_and_hash_without_recursion():
     named = ast_of(state % ("\\pset " * depth + "Missing"))
     moved = ast_of(state % ("\\pset " * depth + "\n Missing"))
     assert named == moved and hash(named) == hash(moved)
+    # a product of 10,000 parts
+    product = lambda parts: ast_of(state % " \\cross ".join(parts))  # noqa: E731
+    parts = ["\\nat"] * depth
+    spec, same = product(parts), product(parts)
+    assert spec == same and spec is not same
+    assert hash(spec) == hash(same)
+    assert spec != product([*parts[:-1], "\\num"])
+    assert spec != product(parts[:-1])
+    assert spec != product([*parts[:depth // 2], "\\fset \\nat", *parts[depth // 2 + 1:]])
+    named = product([*parts[:-1], "Missing"])
+    moved = product([*parts[:-1], "\n Missing"])
+    assert named == moved and hash(named) == hash(moved)
 
 
 def test_deep_type_chains_repr_pickle_and_copy_without_recursion():
-    depth = 3000
     state = "\\begin{class} { A } \\begin{state} x : %s \\end{state} \\end{class}"
-    spec = parse_spec(tokenize(state % ("\\pset " * depth + "\\nat")))
-    type_expr = spec.classes[0].state.declarations[0].type_expr
-    assert repr(type_expr) == (
-        "BuiltinType(kind='\\\\pset', argument=" * depth
-        + "BuiltinType(kind='\\\\nat', argument=None)" + ")" * depth)
-    assert repr(type_expr) in repr(spec)
-    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
-        assert copied == spec and copied is not spec
-        copied_type = copied.classes[0].state.declarations[0].type_expr
-        assert repr(copied_type) == repr(type_expr)
-    # shallow chains keep the named-tuple text
-    assert repr(BuiltinType("\\seq", ProductType((BuiltinType("\\nat"), None)))) == (
-        "BuiltinType(kind='\\\\seq', argument=ProductType(parts=("
-        "BuiltinType(kind='\\\\nat', argument=None), None)))")
+    for deep in ("\\pset " * 3000 + "\\nat", " \\cross ".join(["\\nat"] * 10_000)):
+        spec = parse_spec(tokenize(state % deep))
+        text = repr(spec)
+        assert repr(spec.classes[0].state.declarations[0].type_expr) in text
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and copied is not spec
+            assert same_ast(copied, spec)
+            # the one difference is the stream object's address
+            stream, copied_stream = spec.classes[0].stream, copied.classes[0].stream
+            assert repr(copied) == text.replace(repr(stream), repr(copied_stream))
 
 
 def test_many_operations_in_one_class_do_not_recurse():

@@ -14,18 +14,16 @@ from ozcheck.diagnostics import Diagnostic
 from ozcheck.grammar import TERMINAL, Production, Symbol
 from ozcheck.lexer import WORD, Token, TokenStream, tokenize
 from ozcheck.ozgrammar import (
-    BuiltinType,
     ClassDef,
     Declaration,
     DeltaList,
     GivenTypeDecl,
-    NamedType,
     NameRef,
     OperationSchema,
     PredicateLine,
-    ProductType,
     SchemaBlock,
     Specification,
+    TypeExpr,
 )
 from ozcheck.parser import TraceStep, TreeNode
 
@@ -49,25 +47,28 @@ def _predicate(at: tuple[int, TokenStream]) -> PredicateLine:
     return PredicateLine(index, index + 3, stream)
 
 
+def _type(at: tuple[int, TokenStream]) -> TypeExpr:
+    """The type ``x``, the token at ``at``."""
+    index, stream = at
+    return TypeExpr(index, index + 1, stream)
+
+
 # Each maker builds one record from a position, which is an index in a
 # stream that holds ``x = 1`` from there; a record that has no position
 # field, or whose equality counts it (Token), is built the same way from
 # both positions.
 MAKERS = {
     "NameRef": lambda at: NameRef("x", *at),
-    "BuiltinType": lambda at: BuiltinType("\\pset", NamedType("T", *at)),
-    "NamedType": lambda at: NamedType("T", *at),
-    "ProductType": lambda at: ProductType(
-        (NamedType("T", *at), BuiltinType("\\nat"))),
-    "Declaration": lambda at: Declaration("x", NamedType("T", *at), *at),
+    "TypeExpr": _type,
+    "Declaration": lambda at: Declaration("x", _type(at), *at),
     "PredicateLine": _predicate,
     "SchemaBlock": lambda at: SchemaBlock(
-        "state", (Declaration("x", BuiltinType("\\nat"), *at),),
+        "state", (Declaration("x", _type(at), *at),),
         (_predicate(at),)),
     "DeltaList": lambda at: DeltaList("Delta", (NameRef("x", *at),)),
     "OperationSchema": lambda at: OperationSchema(
         "Op", *at, DeltaList("Xi", (NameRef("x", *at),)),
-        (Declaration("y", NamedType("T", *at), *at),), (_predicate(at),)),
+        (Declaration("y", _type(at), *at),), (_predicate(at),)),
     "GivenTypeDecl": lambda at: GivenTypeDecl((NameRef("T", *at),)),
     "ClassDef": lambda at: ClassDef(
         "C", *at, (NameRef("T", *at),), (NameRef("x", *at),),
@@ -99,7 +100,8 @@ def _values(r) -> tuple:
 def _look_alikes(r) -> list:
     """Objects with the record's field values that are not of its class:
     plain tuples and a record of every other class that takes as many
-    fields.  (A foreign tuple subclass is left out: its own ``==`` is
+    fields, such as a PredicateLine over a TypeExpr's own span, with the
+    same text.  (A foreign tuple subclass is left out: its own ``==`` is
     tuple's, which a record cannot overrule when it is on the left.)"""
     values = _values(r)
     found = [values, tuple(r)]

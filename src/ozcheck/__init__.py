@@ -4,8 +4,8 @@ The package builds an SLR(1) parse table from a declared grammar, parses
 whitespace-separated LaTeX tokens with a traced shift-reduce automaton that
 builds the AST of class paragraphs on reduce, and enforces the semantic
 constraints with three-level (class, block, symbol) diagnostics.  The
-derivation tree is built only on request (:func:`parse`), and
-:func:`build_ast` drives its frontier to the same AST.
+derivation tree is not re-exported here: :mod:`ozcheck.parser` builds it,
+and :func:`ozcheck.ozgrammar.build_ast` drives its frontier to the AST.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from .cli import check_text
 from .diagnostics import (Diagnostic, DiagnosticError, render_human,
                           render_machine)
 from .lexer import LexError, UnknownTokenError, tokenize
-from .ozgrammar import build_ast, object_z_grammar, oz_parse_table, parse_spec
-from .parser import ParseError, parse, parse_with_trace
+from .ozgrammar import object_z_grammar, oz_parse_table, parse_spec
+from .parser import ParseError
 from .semantics import analyze
 
 __version__ = "0.1.0"
@@ -33,14 +33,11 @@ __all__ = [
     "ParseError",
     "UnknownTokenError",
     "analyze",
-    "build_ast",
     "check_file",
     "check_text",
     "object_z_grammar",
     "oz_parse_table",
-    "parse",
     "parse_spec",
-    "parse_with_trace",
     "render_human",
     "render_machine",
     "tokenize",

@@ -11,7 +11,6 @@ Everything here is a pure function of its inputs; grammars and tables are
 immutable once built and safe to share between concurrent parsers.
 """
 import re
-from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .records import record
@@ -168,7 +167,8 @@ class Grammar:
 
 def compute_first(g: Grammar) -> tuple[dict[int, frozenset[int]], frozenset[int]]:
     """Least fixpoint of the FIRST equations: ``(first, nullable)``, FIRST by
-    symbol id (FIRST(t) = {t} for terminals) and the nullable symbol ids."""
+    symbol id (FIRST(t) = {t} for terminals) and the nullable symbol ids.
+    Each round reads each body once, through :func:`first_of_sequence`."""
     first: dict[int, set[int]] = {s.id: set() for s in g.symbols}
     nullable: set[int] = set()
     for t in g.terminals:
@@ -178,18 +178,12 @@ def compute_first(g: Grammar) -> tuple[dict[int, frozenset[int]], frozenset[int]
     while changed:
         changed = False
         for p in g.productions:
-            target = first[p.head.id]
-            before = len(target)
-            all_nullable = True
-            for sym in p.body:
-                target |= first[sym.id]
-                if sym.id not in nullable:
-                    all_nullable = False
-                    break
-            if all_nullable and p.head.id not in nullable:
-                nullable.add(p.head.id)
+            body_first, body_nullable = first_of_sequence(p.body, first, nullable)
+            if not body_first <= first[p.head.id]:
+                first[p.head.id] |= body_first
                 changed = True
-            if len(target) != before:
+            if body_nullable and p.head.id not in nullable:
+                nullable.add(p.head.id)
                 changed = True
     return {i: frozenset(v) for i, v in first.items()}, frozenset(nullable)
 
@@ -210,7 +204,9 @@ def compute_follow(g: Grammar, first: dict[int, frozenset[int]],
     """Least fixpoint of the FOLLOW equations: FOLLOW by nonterminal id.
 
     The end marker is seeded on the augmented start, which propagates it to
-    the user start symbol through production 0.
+    the user start symbol through production 0.  Each round reads each body
+    once, right to left, carrying a trailer: FIRST of the rest of the body,
+    plus FOLLOW of the head while the rest is nullable.
     """
     follow: dict[int, set[int]] = {nt.id: set() for nt in g.nonterminals}
     follow[g.augmented_start.id].add(g.end_marker.id)
@@ -219,18 +215,13 @@ def compute_follow(g: Grammar, first: dict[int, frozenset[int]],
     while changed:
         changed = False
         for p in g.productions:
-            for i, sym in enumerate(p.body):
-                if sym.is_terminal:
-                    continue
-                target = follow[sym.id]
-                before = len(target)
-                rest_first, rest_nullable = first_of_sequence(
-                    p.body[i + 1 :], first, nullable)
-                target |= rest_first
-                if rest_nullable:
-                    target |= follow[p.head.id]
-                if len(target) != before:
+            trailer = follow[p.head.id]  # rebound, never updated in place
+            for sym in reversed(p.body):
+                if not sym.is_terminal and not trailer <= follow[sym.id]:
+                    follow[sym.id] |= trailer
                     changed = True
+                trailer = (trailer | first[sym.id] if sym.id in nullable
+                           else first[sym.id])
     return {i: frozenset(v) for i, v in follow.items()}
 
 
@@ -272,31 +263,27 @@ def canonical_collection(g: Grammar) -> tuple[list[frozenset[int]],
     transitions)``, the states as frozensets of int items and the gotos
     keyed by (state, symbol id).
 
-    State 0 is the closure of ``start' -> · start``.  New states are
-    numbered in discovery order, visiting the symbols after a dot in each
-    state in registration (id) order, which makes the numbering
-    reproducible; no other symbol has a goto.
+    State 0 is the closure of ``start' -> · start``.  One scan of a state
+    gathers the kernel of each successor, keyed by the symbol after the dot.
+    The kernels are closed in registration (id) order and new states are
+    numbered in discovery order, which makes the numbering reproducible; no
+    other symbol has a goto.  The tests check it against :func:`goto_set`.
     """
     after = g.item_symbol
-    start_state = closure([0], g)
-    states = [start_state]
-    index: dict[frozenset[int], int] = {start_state: 0}
+    states = [closure([0], g)]
+    index: dict[frozenset[int], int] = {states[0]: 0}
     transitions: dict[tuple[int, int], int] = {}
 
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        state = states[i]
-        dotted = {after[item] for item in state}
-        dotted.discard(-1)
-        for sid in sorted(dotted):
-            target = goto_set(state, g.symbols[sid], g)
-            j = index.get(target)
-            if j is None:
-                j = len(states)
+    for i, state in enumerate(states):  # the list is its own FIFO queue
+        kernels: dict[int, list[int]] = {}
+        for item in state:
+            kernels.setdefault(after[item], []).append(item + 1)
+        kernels.pop(-1, None)  # the completed items: no successor
+        for sid in sorted(kernels):
+            target = closure(kernels[sid], g)
+            j = index.setdefault(target, len(states))
+            if j == len(states):
                 states.append(target)
-                index[target] = j
-                queue.append(j)
             transitions[(i, sid)] = j
     return states, transitions
 
@@ -412,42 +399,35 @@ def build_table(g: Grammar) -> ParseTable | ConflictReport:
     Shift entries come from the transitions of the canonical collection
     (on a nonterminal, the goto); a completed item ``A -> α ·`` puts a
     reduce in every FOLLOW(A) column; the completed augmentation item puts
-    the single accept under the end marker.
+    the single accept under the end marker.  A state's items are placed in
+    (production, dot) order in a map by terminal id, settled in id order.
     """
     states, transitions = canonical_collection(g)
     follow = compute_follow(g, *compute_first(g))
     table = ParseTable(g, len(states))
     symbols, after = g.symbols, g.item_symbol
-
-    # (state, terminal id) -> list of (cell, responsible item), in placement
-    # order
-    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def place(state: int, tid: int, cell: int, item: int) -> None:
-        cells.setdefault((state, tid), []).append((cell, item))
+    conflicts: list[Conflict] = []
 
     for i, state in enumerate(states):
-        for item in sorted(state):  # (production, dot) order
-            sid = after[item]
-            p = g.item_production[item]
+        placed: dict[int, list[tuple[int, int]]] = {}  # tid -> (cell, item)s
+        for item in sorted(state):
+            sid, p = after[item], g.item_production[item]
             if sid >= 0:
                 if symbols[sid].is_terminal:
-                    target = transitions[(i, sid)]
-                    place(i, sid, target * 4 + SHIFT, item)
+                    placed.setdefault(sid, []).append(
+                        (transitions[(i, sid)] * 4 + SHIFT, item))
             elif p == 0:
-                place(i, g.end_marker.id, ACCEPT, item)
+                placed.setdefault(g.end_marker.id, []).append((ACCEPT, item))
             else:
-                for tid in sorted(follow[table.head_id[p]]):
-                    place(i, tid, p * 4 + REDUCE, item)
-
-    conflicts: list[Conflict] = []
-    for (state, tid), placed in sorted(cells.items()):
-        distinct = tuple(dict.fromkeys(cell for cell, _ in placed))
-        if len(distinct) > 1:
-            conflicts.append(Conflict(state, symbols[tid], distinct,
-                                      tuple(item for _, item in placed)))
-        else:
-            table.action[state][tid] = distinct[0]
+                for tid in follow[table.head_id[p]]:
+                    placed.setdefault(tid, []).append((p * 4 + REDUCE, item))
+        for tid, cells in sorted(placed.items()):
+            distinct = tuple(dict.fromkeys(cell for cell, _ in cells))
+            if len(distinct) > 1:
+                conflicts.append(Conflict(i, symbols[tid], distinct,
+                                          tuple(item for _, item in cells)))
+            else:
+                table.action[i][tid] = distinct[0]
 
     if conflicts:
         return ConflictReport(g, conflicts)

@@ -34,8 +34,7 @@ The parser is pure with respect to its inputs; any number of parses may
 share one immutable table concurrently.
 """
 from functools import lru_cache
-from itertools import accumulate, zip_longest
-from operator import add
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import diagnostics as diag
@@ -246,16 +245,15 @@ def _drive(tokens: TokenStream, table: ParseTable, actions: tuple, row):
     stack = remaining = ""
     if row is not None:
         # ``ends`` holds each stack entry's end in the stack text, in step
-        # with ``states``.  The input is joined once; the shift that reaches
-        # a position slices its suffix, which the rows there share.  The end
-        # marker's empty lexeme takes no room in the line.
+        # with ``states``.  The input is joined once; each shift slices the
+        # suffix past the shifted lexeme and its blank, and the rows at a
+        # position share it.  An empty lexeme, as the end marker's, takes no
+        # room in the line.
         shifts, pushes, reduces, heads, gotos, _ = _trace_texts(table)
         stack = "$ [0]"
         ends = [len(stack)]
         lexemes = tokens.lexemes
-        remaining = line = " ".join([*filter(None, lexemes), "$"])
-        offsets = list(accumulate(
-            map(add, map(len, lexemes), map(bool, lexemes)), initial=0))
+        remaining = " ".join([*filter(None, lexemes), "$"])
     pos = 0
     while True:
         cell = rows[states[-1]][ids[pos]]
@@ -269,7 +267,8 @@ def _drive(tokens: TokenStream, table: ParseTable, actions: tuple, row):
                 row(stack, remaining, shifts[target])
                 stack += pushes[target]
                 ends.append(len(stack))
-                remaining = line[offsets[pos]:]
+                lexeme = lexemes[pos - 1]
+                remaining = remaining[len(lexeme) + bool(lexeme):]
         elif op == 2:  # reduce
             p = cell >> 2
             n = body_len[p]

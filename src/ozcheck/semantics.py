@@ -51,7 +51,8 @@ def resolve_inheritance(
     A parent name refers to the class ``env`` maps it to; ``c`` itself need
     not be that class (a later class of a repeated name is resolved with
     its own members).  Parents are resolved depth-first in declaration
-    order, with an explicit stack because chain length is input-controlled.
+    order, with an explicit stack because chain length is input-controlled;
+    a parent listed again is skipped, since its first edge already merged it.
     An edge fails when the inherited class is not in ``env`` (OZ-INH-201)
     or is on the path being resolved (OZ-INH-202, whose detail is the path
     from ``c`` around the cycle).  ``_cache`` is keyed by the identity of
@@ -64,7 +65,8 @@ def resolve_inheritance(
         _cache = {}
     own = frozenset(_state_names(c))
     hit = _cache.get(id(c))
-    path = [] if hit is not None else [(c, iter(c.inherits), set(own))]
+    path = ([] if hit is not None
+            else [(c, iter(dict.fromkeys(c.inherits)), set(own))])
     on_path = {id(c)}
     while path:
         child, parents, names = path[-1]
@@ -87,7 +89,8 @@ def resolve_inheritance(
                 _cache[id(p[0])] = hit
             break
         if hit is None:
-            path.append((parent, iter(parent.inherits), _state_names(parent)))
+            path.append((parent, iter(dict.fromkeys(parent.inherits)),
+                         _state_names(parent)))
             on_path.add(id(parent))
         else:
             names.update(hit)

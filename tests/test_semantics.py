@@ -414,6 +414,31 @@ def test_long_chain_ending_in_a_missing_parent_checks_in_linear_time():
     assert got["seconds"] < 5
 
 
+def test_parent_listed_many_times_is_merged_once():
+    # C lists a 10,000-variable parent 100,000 times: each edge after the
+    # first must not union the parent's names again
+    n, repeats = 10_000, 100_000
+    state = " \\\\ ".join(f"v{i} : \\nat" for i in range(n))
+    source = (
+        f"\\begin{{class}} {{ P }} \\begin{{state}} {state} \\end{{state}}"
+        " \\end{class}\n\\begin{class} { C } \\inherit "
+        + " , ".join(["P"] * repeats) + " \\endinherit"
+        f" \\begin{{op}} {{ Op }} \\Delta ( v{n - 1} ) \\end{{op}} \\end{{class}}")
+    result = subprocess.run(
+        [sys.executable, "-c", CHECK_CHILD], input=source, capture_output=True,
+        text=True, env=child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    got = json.loads(result.stdout)
+    assert got["found"] == []
+    assert got["seconds"] < 5
+    # a missing parent listed twice fails once, at its first occurrence
+    ds = check_text("\\begin{class} { C } \\inherit\n Ghost ,\nGhost"
+                    " \\endinherit \\end{class}")
+    assert [(d.code, d.symbol, d.line, d.column) for d in ds] == [
+        (UNKNOWN_PARENT, "Ghost", 2, 2)]
+
+
 def test_repeated_class_name_checks_each_class_once():
     clean = "\\begin{class} { A } \\begin{state} x : \\nat \\end{state} \\end{class}\n"
     broken = ("\\begin{class} { A } \\begin{state} y : Missing \\\\ y : \\nat"

@@ -156,45 +156,40 @@ class Specification(NamedTuple):
 # AST actions, one on each rule line of ``_RULES``, run on reduce by
 # ``parser._drive`` (``kids`` are the values of the body symbols; a shifted
 # token's is its index).  Nodes are built by ``tuple.__new__``.
-# Right-recursive lists are Python lists, last item first, reversed once by
-# their owner.  A declaration is reduced with the token after its type as
+# A list is a Python list in source order, which each left-recursive rule
+# appends to.  A declaration is reduced with the token after its type as
 # lookahead, so ``pos`` ends the type's span.  A schema line is a
-# (declaration or first token of a predicate, end) pair: it ends at the
-# separator after it, or where the list is reduced.  A class section is a
-# (ClassDef field, value) pair, or the list of operations.
+# (declaration or first token of a predicate, end) pair: it ends where it
+# is reduced.  A class section is a (ClassDef field, value) pair, or the
+# list of operations.
 
 _new = tuple.__new__
 
 
 def _push(kids, toks, pos):
-    """``X -> item [separator] X``."""
-    items = kids[-1]
-    items.append(kids[0])
+    """``X -> X [separator] item``."""
+    items = kids[0]
+    items.append(kids[-1])
     return items
 
 
-def _reversed(items: list) -> tuple:
-    items.reverse()
-    return tuple(items)
-
-
 def _name_refs(words: list, toks: TokenStream) -> tuple[NameRef, ...]:
-    return tuple([_new(NameRef, (toks.lexemes[w], w, toks)) for w in reversed(words)])
+    return tuple([_new(NameRef, (toks.lexemes[w], w, toks)) for w in words])
 
 
 def _lines(kids, toks, pos):
-    rest = kids[2]
-    rest.append((kids[0], kids[1]))
-    return rest
+    lines = kids[0]
+    lines.append((kids[2], pos))
+    return lines
 
 
 def _body(kids, toks, pos):
     """Declarations up to the first predicate line; every line after it,
     a declaration too, is a predicate line of its own tokens."""
-    lines = [line for k in reversed(kids) if k.__class__ is list for line in k]
+    lines = [line for k in kids if k.__class__ is list for line in k]
     decls: list[Declaration] = []
     preds: list[PredicateLine] = []
-    for value, end in reversed(lines):
+    for value, end in lines:
         if value.__class__ is Declaration and not preds:
             decls.append(value)
         else:
@@ -210,7 +205,7 @@ def _class(kids, toks, pos):
         if value.__class__ is tuple:
             fields[ClassDef._fields.index(value[0])] = value[1]
         elif value.__class__ is list:
-            fields[-1] = _reversed(value)
+            fields[-1] = tuple(value)
     return _new(ClassDef, fields)
 
 
@@ -234,7 +229,7 @@ def _section(field):
 # index; production 0, the augmentation, is never reduced.
 _RULES = (
     ('ParagraphList -> Paragraph', _kids),
-    ('ParagraphList -> Paragraph ParagraphList', _push),
+    ('ParagraphList -> ParagraphList Paragraph', _push),
     (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" "\end{class}"', _class),
     (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" Visibility "\inherit" Inheritance "\endinherit" StateSchema InitialSchema Operations "\end{class}"', _class),
     (r'Paragraph -> "\begin{class}" "{" ClassHeading "}" VisibilityDecl Locals StateSchema InitialSchema Operations "\end{class}"', _class),
@@ -258,7 +253,7 @@ _RULES = (
     ('Operations -> OperationSeq', None),
     ('Operations ->', None),
     ('OperationSeq -> OperationEnv', _kids),
-    ('OperationSeq -> OperationEnv OperationSeq', _push),
+    ('OperationSeq -> OperationSeq OperationEnv', _push),
     (r'AxdefEnv -> "\begin{axdef}" DeclarationList "\end{axdef}"', lambda kids, toks, pos: ("local_defs", _body(kids[1:2], toks, pos)[0])),
     (r'StateEnv -> "\begin{state}" SchemaBody "\end{state}"', _section("state")),
     (r'InitEnv -> "\begin{init}" InitBody "\end{init}"', _section("init")),
@@ -276,20 +271,20 @@ _RULES = (
     (r'InitBody -> LineList "\ST" PredicateList', _body),
     (r'InitBody -> "\ST" PredicateList', _body),
     ('DeclarationList -> Declaration', _line),
-    ('DeclarationList -> Declaration Separator DeclarationList', _lines),
+    ('DeclarationList -> DeclarationList Separator Declaration', _lines),
     ('LineList -> Line', _line),
-    ('LineList -> Line Separator LineList', _lines),
+    ('LineList -> LineList Separator Line', _lines),
     ('Line -> Declaration', None),
     ('Line -> Predicate', None),
     ('PredicateList -> Predicate', _line),
-    ('PredicateList -> Predicate Separator PredicateList', _lines),
+    ('PredicateList -> PredicateList Separator Predicate', _lines),
     (r'Separator -> "\\"', None),
-    (r'Separator -> "\\" Separator', None),
+    (r'Separator -> Separator "\\"', None),
     ('Declaration -> Word : TypeExpr', _declaration),
     ('NameList -> Word', _kids),
-    ('NameList -> Word , NameList', _push),
+    ('NameList -> NameList , Word', _push),
     ('TypeExpr -> TypeAtom', None),
-    (r'TypeExpr -> TypeAtom "\cross" TypeExpr', None),
+    (r'TypeExpr -> TypeExpr "\cross" TypeAtom', None),
     ('TypeAtom -> Word', None),
     (r'TypeAtom -> "\nat"', None),
     (r'TypeAtom -> "\num"', None),
@@ -308,7 +303,7 @@ _RULES = (
     ('Atom -> ( Predicate )', None),
     (r'Atom -> "\lseq" ExpressionList "\rseq"', None),
     ('ExpressionList -> Predicate', None),
-    ('ExpressionList -> Predicate , ExpressionList', None),
+    ('ExpressionList -> ExpressionList , Predicate', None),
 )
 _ACTIONS = (None, *(action for _, action in _RULES))
 
@@ -339,7 +334,7 @@ def parse_spec(tokens: TokenStream,
     None, ``trace`` writes each trace row out as it is made.  Raises what
     :func:`ozcheck.parser.parse` raises, each failure as its diagnostic.
     """
-    return _new(Specification, (_reversed(_drive(
+    return _new(Specification, (tuple(_drive(
         tokens, oz_parse_table(), _ACTIONS, trace and trace.row)),))
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here works on plain data (head/body name pairs, source text) and
-never calls into the package's lexer, fixpoint or table code, so oracle and
-implementation can only agree by both being right.
+Everything here works on plain data (head/body name pairs, source text, or
+a grammar's productions read as such pairs) and never calls into the
+package's lexer, fixpoint or table code, so oracle and implementation can
+only agree by both being right.
 """
 from __future__ import annotations
 
@@ -166,6 +167,70 @@ def language_upto(
         for body in by_head[form[i]]:
             queue.append(form[:i] + tuple(body) + form[i + 1 :])
     return out
+
+
+def earley_prefix(g, kinds) -> tuple[int, set[str], bool]:
+    """Earley's recognizer over ``g``'s productions, run on the terminal
+    names ``kinds`` (no end marker) until its item set empties.
+
+    Returns the number of kinds consumed before that, the terminals that
+    can come next after them (``$`` when the start symbol is complete
+    there) and whether the start symbol is complete there.  ``kinds`` is in
+    the language exactly when all of it is consumed and the start symbol is
+    complete.  It reads only the productions, by name; production 0's head
+    is the start symbol.  A nonterminal after the dot that derives the
+    empty string is also stepped over at once (Aycock & Horspool,
+    "Practical Earley parsing", 2002), so a completion never has to look
+    back at items added to its own set later.
+    """
+    heads = [p.head.name for p in g.productions]
+    bodies = [tuple(s.name for s in p.body) for p in g.productions]
+    by_head: dict[str, list[int]] = {}
+    for i, head in enumerate(heads):
+        by_head.setdefault(head, []).append(i)
+    nullable: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for head, body in zip(heads, bodies):
+            if head not in nullable and all(s in nullable for s in body):
+                nullable.add(head)
+                grew = True
+
+    # waiting[i][X]: the items of set i with X after the dot
+    waiting: list[dict[str, list[tuple[int, int, int]]]] = []
+    items = [(0, 0, 0)]
+    pos = 0
+    while True:
+        seen = set(items)
+        here: dict[str, list[tuple[int, int, int]]] = {}
+        waiting.append(here)
+        complete = False
+        for item in items:  # grows while it is read
+            p, dot, origin = item
+            body = bodies[p]
+            if dot == len(body):
+                complete = complete or p == 0  # the start symbol's own rule
+                new = [(q, d + 1, o)
+                       for q, d, o in waiting[origin].get(heads[p], ())]
+            else:
+                sym = body[dot]
+                here.setdefault(sym, []).append(item)
+                new = [(q, 0, pos) for q in by_head.get(sym, ())]
+                if sym in nullable:
+                    new.append((p, dot + 1, origin))
+            for n in new:
+                if n not in seen:
+                    seen.add(n)
+                    items.append(n)
+        scanned = here.get(kinds[pos]) if pos < len(kinds) else None
+        if not scanned:
+            expected = {s for s in here if s not in by_head}
+            if complete:
+                expected.add(END)
+            return pos, expected, complete
+        items = [(p, d + 1, o) for p, d, o in scanned]
+        pos += 1
 
 
 def all_strings(alphabet: list[str], max_len: int):

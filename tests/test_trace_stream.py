@@ -72,7 +72,7 @@ def test_stream_equals_library_trace_on_corpus_and_random_sources(corpus, tmp_pa
 
 def deep_sources() -> dict[str, str]:
     """A state schema of 500 declarations and a file of 200 classes, both
-    right-recursive lists, each whole and without its last ``\\end{class}``."""
+    long lists, each whole and without its last ``\\end{class}``."""
     decls = " \\\\\n".join(f"v{i} : \\nat" for i in range(500))
     state = f"\\begin{{class}} {{ Deep }}\n\\begin{{state}}\n{decls}\n\\end{{state}}\n"
     classes = "".join(
@@ -179,8 +179,8 @@ LIMIT_MB = 400
 
 
 def test_trace_memory_is_bounded_by_the_stack_text(tmp_path):
-    # 2*10^4 tokens of one right-recursive declaration list: the stack text
-    # of one row is about 10^5 characters and the trace about 8 GB.
+    # 2*10^4 tokens of one declaration list: the input text of one row is
+    # about 10^5 characters and the trace about 2.8 GB.
     decls = " \\\\\n".join(f"v{i} : \\nat" for i in range(5000))
     source = f"\\begin{{class}} {{ Big }}\n\\begin{{state}}\n{decls}\n\\end{{state}}\n\\end{{class}}\n"
     path = tmp_path / "big.tex"

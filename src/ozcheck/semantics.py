@@ -35,69 +35,68 @@ from .ozgrammar import (
 )
 
 
-def _state_names(c: ClassDef) -> set[str]:
-    return {d.name for d in c.state.declarations} if c.state else set()
-
-
 def resolve_inheritance(
-    c: ClassDef,
-    env: dict[str, ClassDef],
-    _cache: dict[int, frozenset[str] | NameRef] | None = None,
-) -> tuple[frozenset[str], Diagnostic | None]:
-    """The state-variable names of ``c`` and of its ancestors, and None; or,
-    if resolution fails, ``c``'s own names and the OZ-INH finding of the
-    first failing parent edge.
+    classes: tuple[ClassDef, ...], env: dict[str, ClassDef],
+) -> list[tuple[int, Diagnostic | None]]:
+    """For each of ``classes``, in order, the mask of the classes whose
+    state variables it has and None; or, if resolution fails, the class's
+    own bit and the OZ-INH finding of its first failing parent edge.  Bit i
+    of a mask stands for ``classes[i]``.  A parent name refers to the class
+    ``env`` maps it to, one of ``classes``, so a later class of a repeated
+    name is resolved with its own members.
 
-    A parent name refers to the class ``env`` maps it to; ``c`` itself need
-    not be that class (a later class of a repeated name is resolved with
-    its own members).  Parents are resolved depth-first in declaration
-    order, with an explicit stack because chain length is input-controlled;
-    a parent listed again is skipped, since its first edge already merged it.
-    An edge fails when the inherited class is not in ``env`` (OZ-INH-201)
-    or is on the path being resolved (OZ-INH-202, whose detail is the path
-    from ``c`` around the cycle).  ``_cache`` is keyed by the identity of
-    the class and holds its names, or the missing parent every class on
-    the failing path reaches first: the earlier edges of each resolved, and
-    a resolved class reaches no failing one.  Cycles are not cached, since
-    each class's detail starts at itself.
+    One depth-first pass resolves every class, parents in declaration
+    order, with an explicit stack because chain length is input-controlled.
+    An edge fails when the inherited class is not in ``env`` (OZ-INH-201),
+    is on the path (so on a cycle) or fails itself; which edge of a class
+    fails first therefore does not depend on where the pass began.  A
+    finding follows the first failing edges from its class to the missing
+    parent, or once around the cycle (OZ-INH-202, whose detail is that
+    path).
     """
-    if _cache is None:
-        _cache = {}
-    own = frozenset(_state_names(c))
-    hit = _cache.get(id(c))
-    path = ([] if hit is not None
-            else [(c, iter(dict.fromkeys(c.inherits)), set(own))])
-    on_path = {id(c)}
-    while path:
-        child, parents, names = path[-1]
-        ref = next(parents, None)
-        if ref is None:
-            hit = _cache[id(child)] = frozenset(names)
-            path.pop()
-            on_path.discard(id(child))
-            if path:
-                path[-1][2].update(hit)
+    index = {id(c): i for i, c in enumerate(classes)}
+    first = {name: index[id(c)] for name, c in env.items()}
+    masks = [0] * len(classes)  # 0 unvisited, -1 on the path or failing
+    failing: dict[int, NameRef] = {}  # a class's first failing parent edge
+    out: list[tuple[int, Diagnostic | None]] = []
+    for i, c in enumerate(classes):
+        path = [] if masks[i] else [[i, iter(c.inherits), 1 << i, None]]
+        masks[i] = masks[i] or -1
+        while path:
+            top = path[-1]  # [class, parents to go, its mask, its edge]
+            ref = top[3] = next(top[1], None)
+            if ref is None:
+                masks[top[0]] = top[2]
+                path.pop()
+                if path:
+                    path[-1][2] |= top[2]
+                continue
+            j = first.get(ref.name, -1)
+            if j < 0 or masks[j] < 0:
+                failing.update((k, r) for k, _, _, r in path)
+                break
+            if masks[j]:
+                top[2] |= masks[j]
+            else:
+                path.append([j, iter(classes[j].inherits), 1 << j, None])
+                masks[j] = -1
+        walk: dict[int, NameRef] = {}  # c's first failing edges, in turn
+        j = i
+        while j in failing and j not in walk:
+            ref = walk[j] = failing[j]
+            j = first.get(ref.name, -1)
+        if not walk:
+            out.append((masks[i], None))
             continue
-        parent = env.get(ref.name)
-        if parent is not None and id(parent) in on_path:
-            cycle = " -> ".join([p[0].name for p in path] + [ref.name])
-            return own, _finding(diag.INHERITANCE_CYCLE, ref.name, ref.pos,
-                                 c.name, diag.BLOCK_INHERITANCE, cycle)
-        hit = ref if parent is None else _cache.get(id(parent))
-        if isinstance(hit, NameRef):
-            for p in path:
-                _cache[id(p[0])] = hit
-            break
-        if hit is None:
-            path.append((parent, iter(dict.fromkeys(parent.inherits)),
-                         _state_names(parent)))
-            on_path.add(id(parent))
+        if j in walk:
+            code = diag.INHERITANCE_CYCLE
+            detail = " -> ".join([classes[k].name for k in walk] + [ref.name])
         else:
-            names.update(hit)
-    if isinstance(hit, NameRef):
-        return own, _finding(diag.UNKNOWN_PARENT, hit.name, hit.pos, c.name,
-                             diag.BLOCK_INHERITANCE)
-    return hit, None
+            code, detail = diag.UNKNOWN_PARENT, None
+            failing.update(dict.fromkeys(walk, ref))  # the next walk ends here
+        out.append((1 << i, _finding(code, ref.name, ref.pos, c.name,
+                                     diag.BLOCK_INHERITANCE, detail)))
+    return out
 
 
 def _finding(code: str, symbol: str, pos: Token, class_name: str,
@@ -110,19 +109,19 @@ def _finding(code: str, symbol: str, pos: Token, class_name: str,
 def _check_block(out: list[Diagnostic], class_name: str, block: str,
                  decls: tuple[Declaration, ...], types: set[str],
                  generics: frozenset[str],
-                 variables: frozenset[str] | None = None) -> None:
+                 variables: dict[str, int] | None = None, mask: int = 1) -> None:
     """OZ-SEM-101..104 over the declarations of one block.
 
     A Word names a type when it is in ``types`` or in the class's
-    ``generics``; ``variables`` are the names a type leaf may not refer to,
-    by default the block's own.
+    ``generics``; a type leaf may not refer to a name whose mask in
+    ``variables`` meets ``mask``, by default one of the block's own names.
     """
     if variables is None:
-        variables = frozenset(d.name for d in decls)
+        variables = {d.name: 1 for d in decls}
     seen: set[str] = set()
     for d in decls:
         for leaf in named_leaves(d.type_expr):
-            if leaf.name in variables:
+            if leaf.name in variables and variables[leaf.name] & mask:
                 out.append(_finding(diag.CIRCULAR_DECL, leaf.name, leaf.pos,
                                     class_name, block, d.name))
             if leaf.name not in types and leaf.name not in generics:
@@ -149,28 +148,28 @@ def analyze(spec: Specification) -> list[Diagnostic]:
     generic parameters resolve a Word type.
     """
     types: set[str] = set()
-    classes: dict[str, ClassDef] = {}
+    env: dict[str, ClassDef] = {}
     for para in spec.paragraphs:
         if isinstance(para, GivenTypeDecl):
             types.update(r.name for r in para.names)
         else:
             types.add(para.name)
-            classes.setdefault(para.name, para)  # a name refers to its first class
-    cache: dict[int, frozenset[str] | NameRef] = {}
-    out: list[Diagnostic] = []
-
-    for c in spec.classes:
-        state, finding = resolve_inheritance(c, classes, cache)
-        if finding is not None:
-            out.append(finding)
-
+            env.setdefault(para.name, para)  # a name refers to its first class
+    classes = spec.classes
+    state: dict[str, int] = {}  # a state variable's declaring classes
+    for i, c in enumerate(classes):
+        for d in c.state.declarations if c.state else ():
+            state[d.name] = state.get(d.name, 0) | 1 << i
+    resolved = resolve_inheritance(classes, env)
+    out = [finding for _, finding in resolved if finding is not None]
+    for c, (mask, _) in zip(classes, resolved):
         generics = frozenset(r.name for r in c.generic_params)
         if c.local_defs:
             _check_block(out, c.name, diag.BLOCK_LOCAL_DEFS, c.local_defs,
                          types, generics)
         if c.state is not None:
             _check_block(out, c.name, diag.BLOCK_STATE, c.state.declarations,
-                         types, generics, state)
+                         types, generics, state, mask)
         if c.init is not None:
             _check_block(out, c.name, diag.BLOCK_INIT, c.init.declarations,
                          types, generics)
@@ -180,6 +179,7 @@ def analyze(spec: Specification) -> list[Diagnostic]:
             if op.delta is not None:
                 out.extend(_finding(diag.DELTA_NOT_STATE_VAR, ref.name, ref.pos,
                                     c.name, block)
-                           for ref in op.delta.names if ref.name not in state)
+                           for ref in op.delta.names
+                           if not state.get(ref.name, 0) & mask)
 
     return sorted(out, key=Diagnostic.sort_key)

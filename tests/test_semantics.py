@@ -231,9 +231,16 @@ def make_classes(source: str):
     return spec, {c.name: c for c in spec.classes}
 
 
+def mask_names(classes, mask: int) -> set[str]:
+    """The state-variable names of the classes whose bits ``mask`` sets."""
+    return {d.name for i, c in enumerate(classes) if mask >> i & 1 and c.state
+            for d in c.state.declarations}
+
+
 def test_resolve_without_parents_is_identity(queue_source):
     spec, classes = make_classes(queue_source)
-    assert resolve_inheritance(spec.classes[0], classes) == ({"items", "count"}, None)
+    assert resolve_inheritance(spec.classes, classes) == [(0b1, None)]
+    assert mask_names(spec.classes, 0b1) == {"items", "count"}
 
 
 INHERIT_SRC = (
@@ -254,7 +261,9 @@ INHERIT_SRC = (
 
 def test_child_merges_parent_state_variables():
     spec, classes = make_classes(INHERIT_SRC)
-    assert resolve_inheritance(classes["B"], classes) == ({"x", "y"}, None)
+    assert resolve_inheritance(spec.classes, classes) == [(0b01, None),
+                                                          (0b11, None)]
+    assert mask_names(spec.classes, 0b11) == {"x", "y"}
 
 
 def test_visibility_is_never_inherited():
@@ -270,7 +279,8 @@ def test_child_redefinition_wins():
         "\\begin{state}\nx : \\nat\n\\end{state}\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    assert resolve_inheritance(classes["B"], classes) == ({"x"}, None)
+    assert resolve_inheritance(spec.classes, classes)[1] == (0b11, None)
+    assert mask_names(spec.classes, 0b11) == {"x"}
     assert analyze(spec) == []  # an override is not a duplicate
 
 
@@ -283,15 +293,16 @@ def test_transitive_inheritance():
         "\\begin{op} { Touch }\n\\Delta ( a )\n\\end{op}\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    assert resolve_inheritance(classes["C"], classes) == ({"a"}, None)
+    assert resolve_inheritance(spec.classes, classes)[2] == (0b111, None)
+    assert mask_names(spec.classes, 0b111) == {"a"}
     assert analyze(spec) == []
 
 
 def test_unknown_parent_is_returned_and_surfaces_as_diagnostic():
     src = "\\begin{class} { B }\n\\inherit Ghost \\endinherit\n\\end{class}"
     spec, classes = make_classes(src)
-    names, finding = resolve_inheritance(classes["B"], classes)
-    assert names == set()
+    [(mask, finding)] = resolve_inheritance(spec.classes, classes)
+    assert mask == 0b1  # its own bit
     ds = analyze(spec)
     assert ds == [finding]
     assert codes(ds) == [UNKNOWN_PARENT]
@@ -305,8 +316,8 @@ def test_inheritance_cycle_detected():
         "\\begin{class} { B }\n\\inherit A \\endinherit\n\\end{class}"
     )
     spec, classes = make_classes(src)
-    names, finding = resolve_inheritance(classes["A"], classes)
-    assert names == set() and finding.code == INHERITANCE_CYCLE
+    (mask, finding), _ = resolve_inheritance(spec.classes, classes)
+    assert mask == 0b01 and finding.code == INHERITANCE_CYCLE
     ds = analyze(spec)
     assert codes(ds) == [INHERITANCE_CYCLE, INHERITANCE_CYCLE]
     assert {d.class_name for d in ds} == {"A", "B"}
@@ -381,7 +392,8 @@ def test_long_inheritance_chain_declared_child_first_does_not_recurse():
 
 
 # Checks the source on stdin in a child whose address space is capped at
-# 400 MB, and prints the diagnostics and the seconds check_text took.
+# 400 MB, and prints the diagnostics, their details and the seconds
+# check_text took.
 CHECK_CHILD = """
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
@@ -391,8 +403,19 @@ start = time.perf_counter()
 ds = check_text(source)
 print(json.dumps({"seconds": time.perf_counter() - start,
                   "found": [[d.code, d.symbol, d.line, d.class_name]
-                            for d in ds]}))
+                            for d in ds],
+                  "details": [d.detail for d in ds]}))
 """
+
+
+def checked_in_child(source: str) -> dict:
+    """What CHECK_CHILD prints for ``source``."""
+    result = subprocess.run(
+        [sys.executable, "-c", CHECK_CHILD], input=source, capture_output=True,
+        text=True, env=child_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout)
 
 
 def test_long_chain_ending_in_a_missing_parent_checks_in_linear_time():
@@ -437,6 +460,65 @@ def test_parent_listed_many_times_is_merged_once():
                     " \\endinherit \\end{class}")
     assert [(d.code, d.symbol, d.line, d.column) for d in ds] == [
         (UNKNOWN_PARENT, "Ghost", 2, 2)]
+
+
+def test_long_clean_chain_checks_within_the_memory_cap():
+    # C0 inherits C1, ..., C9998 inherits C9999, and each declares one state
+    # variable: C0 has all 10,000, and a set of its ancestors' names for
+    # each class would not fit in the child's 400 MB
+    n = 10_000
+    source = "\n".join(
+        f"\\begin{{class}} {{ C{i} }}"
+        + (f" \\inherit C{i + 1} \\endinherit" if i < n - 1 else "")
+        + f" \\begin{{state}} v{i} : \\nat \\end{{state}}"
+        + (f" \\begin{{op}} {{ Op }} \\Delta ( v{n - 1} , w ) \\end{{op}}"
+           if i == 0 else "")
+        + " \\end{class}"
+        for i in range(n))
+    got = checked_in_child(source)
+    assert got["found"] == [[DELTA_NOT_STATE_VAR, "w", 1, "C0"]]
+    assert got["seconds"] < 5
+
+
+def test_diamond_lattice_checks_within_the_memory_cap():
+    # C1 inherits C0, and each later Ci inherits C(i-1) and C(i-2); each
+    # declares one state variable, so the last class has all 10,000
+    n = 10_000
+    source = "\n".join(
+        f"\\begin{{class}} {{ C{i} }}"
+        + (" \\inherit " + " , ".join(f"C{j}" for j in (i - 1, i - 2) if j >= 0)
+           + " \\endinherit" if i else "")
+        + f" \\begin{{state}} v{i} : \\nat \\end{{state}}"
+        + (" \\begin{op} { Op } \\Delta ( v0 , w ) \\end{op}"
+           if i == n - 1 else "")
+        + " \\end{class}"
+        for i in range(n))
+    got = checked_in_child(source)
+    assert got["found"] == [[DELTA_NOT_STATE_VAR, "w", n, f"C{n - 1}"]]
+    assert got["seconds"] < 5
+
+
+def test_long_chain_ending_in_a_cycle_reports_each_path():
+    # C0 inherits C1, ..., C1998 inherits C1999, which inherits C1998: each
+    # class's detail is its own path into the cycle, 17.5 MB in all
+    n = 2_000
+    parents = [f"C{i}" for i in range(1, n)] + [f"C{n - 2}"]
+    source = "\n".join(
+        f"\\begin{{class}} {{ C{i} }} \\inherit {p} \\endinherit \\end{{class}}"
+        for i, p in enumerate(parents))
+    got = checked_in_child(source)
+    # each path ends with the edge that closes the cycle: C1999's for the
+    # classes before it, C1998's for C1999
+    names = [f"C{i}" for i in range(n)]
+    expected = {names[i]: ([INHERITANCE_CYCLE, names[-2], n, names[i]],
+                           " -> ".join(names[i:] + names[-2:-1]))
+                for i in range(n - 1)}
+    expected[names[-1]] = ([INHERITANCE_CYCLE, names[-1], n - 1, names[-1]],
+                           " -> ".join(names[-1:] + names[-2:]))
+    assert len(got["found"]) == n
+    assert {f[3]: (f, d) for f, d in zip(got["found"], got["details"])
+            } == expected
+    assert got["seconds"] < 5
 
 
 def test_repeated_class_name_checks_each_class_once():
@@ -512,29 +594,51 @@ def random_inheritance_spec(rng) -> str:
         pool = names[own + 1:] if rng.random() < 0.8 else names
         pool = pool + ["Ghost"] if rng.random() < 0.15 else pool
         parents = rng.sample(pool, min(len(pool), rng.choice([0, 1, 1, 2, 3])))
-        if parents:
-            parts.append("\\inherit " + " , ".join(parents) + " \\endinherit")
-        elif rng.random() < 0.4:
-            parts.append("\\begin{axdef} " + _random_declarations(rng, ["k", "c"], types)
-                         + " \\end{axdef}")
-        if rng.random() < 0.7:
-            parts.append("\\begin{state} " + _random_declarations(rng, variables, types)
-                         + " \\end{state}")
-        if rng.random() < 0.4:
-            parts.append("\\begin{init} " + _random_declarations(rng, variables, types)
-                         + " \\end{init}")
-        for op in range(rng.randint(0, 2)):
-            delta = ""
-            if rng.random() < 0.8:
-                listed = rng.sample(variables + ["c", "w"], rng.randint(1, 3))
-                delta = (rng.choice(["\\Delta", "\\Xi"]) + " ( "
-                         + " , ".join(listed) + " ) ")
-            parts.append(f"\\begin{{op}} {{ Op{op} }} {delta}"
-                         + _random_declarations(rng, variables, types, "?")
-                         + " \\end{op}")
-        parts.append("\\end{class}")
-        paragraphs.append(" ".join(parts))
+        paragraphs.append(_random_class(rng, parts, parents, variables, types))
     return "\n".join(paragraphs)
+
+
+def dense_inheritance_spec(rng) -> str:
+    """40 classes over 12 names, each inheriting up to two parents drawn
+    from every name and ``Ghost``, so long cycles, diamonds and missing
+    parents all occur; the blocks are drawn as in
+    :func:`random_inheritance_spec`."""
+    names = [f"K{i}" for i in range(12)]
+    variables = ["x", "y", "z", "k", "T"]
+    types = ["\\nat", "T", "Nope", *variables, *names]
+    paragraphs = ["[ T ]"]
+    for _ in range(40):
+        parts = [f"\\begin{{class}} {{ {rng.choice(names)} }}"]
+        parents = rng.sample(names + ["Ghost"], rng.choice([0, 0, 1, 1, 2]))
+        paragraphs.append(_random_class(rng, parts, parents, variables, types))
+    return "\n".join(paragraphs)
+
+
+def _random_class(rng, parts, parents, variables, types) -> str:
+    """The class paragraph that begins with ``parts`` and inherits
+    ``parents``; its blocks are drawn from ``rng``."""
+    if parents:
+        parts.append("\\inherit " + " , ".join(parents) + " \\endinherit")
+    elif rng.random() < 0.4:
+        parts.append("\\begin{axdef} " + _random_declarations(rng, ["k", "c"], types)
+                     + " \\end{axdef}")
+    if rng.random() < 0.7:
+        parts.append("\\begin{state} " + _random_declarations(rng, variables, types)
+                     + " \\end{state}")
+    if rng.random() < 0.4:
+        parts.append("\\begin{init} " + _random_declarations(rng, variables, types)
+                     + " \\end{init}")
+    for op in range(rng.randint(0, 2)):
+        delta = ""
+        if rng.random() < 0.8:
+            listed = rng.sample(variables + ["c", "w"], rng.randint(1, 3))
+            delta = (rng.choice(["\\Delta", "\\Xi"]) + " ( "
+                     + " , ".join(listed) + " ) ")
+        parts.append(f"\\begin{{op}} {{ Op{op} }} {delta}"
+                     + _random_declarations(rng, variables, types, "?")
+                     + " \\end{op}")
+    parts.append("\\end{class}")
+    return " ".join(parts)
 
 
 # SHA-256 over (code, symbol, line, column, class_name, block, detail) of
@@ -559,29 +663,40 @@ def test_random_inheritance_graphs_output_is_pinned():
     assert h.hexdigest() == RANDOM_INHERITANCE_DIGEST
 
 
+# The same digest over the 1,000 specifications of
+# dense_inheritance_spec(random.Random(seed)), seeds 0-999, recorded while
+# each class was still resolved by a depth-first search of its own.
+DENSE_INHERITANCE_DIGEST = "c4f3d44e47fa4649cbfa945dc7cb06717c4d0755e189469b2eda6ad5ce011e3b"
+
+
+def test_dense_inheritance_graphs_output_is_pinned():
+    h = hashlib.sha256()
+    failing = 0
+    for seed in range(1000):
+        for d in check_text(dense_inheritance_spec(random.Random(seed))):
+            failing += d.code in (UNKNOWN_PARENT, INHERITANCE_CYCLE)
+            h.update(repr((d.code, d.symbol, d.line, d.column, d.class_name,
+                           d.block, d.detail)).encode())
+    # each failing class has one OZ-INH finding
+    assert 0.1 * 40_000 <= failing <= 0.9 * 40_000
+    assert h.hexdigest() == DENSE_INHERITANCE_DIGEST
+
+
 def test_resolver_agrees_with_brute_force_oracle():
-    # each order shares one cache, so a class is often resolved from what
-    # the resolution of another class left there; a failure must read the
-    # same with and without the cache
-    failing = resolved = 0
-    for seed in range(300):
-        spec = parse_spec(tokenize(random_inheritance_spec(random.Random(seed))))
-        classes = {}
-        for c in spec.classes:
-            classes.setdefault(c.name, c)
-        expected = [naive_state_names(c, classes) for c in spec.classes]
-        shuffled = list(range(len(expected)))
-        random.Random(seed).shuffle(shuffled)
-        for order in (range(len(expected)), range(len(expected))[::-1], shuffled):
-            cache = {}
-            for i in order:
-                c = spec.classes[i]
-                cached, fresh = (resolve_inheritance(c, classes, memo)
-                                 for memo in (cache, None))
-                assert cached == fresh, (seed, c.name)
-                names, finding = cached
-                assert (names if finding is None else None) == expected[i], (
-                    seed, c.name)
-        failing += sum(e is None for e in expected)
-        resolved += len(expected)
-    assert resolved > 500 and 0.1 * resolved < failing < 0.9 * resolved
+    for make, n in ((random_inheritance_spec, 300), (dense_inheritance_spec, 1000)):
+        failing = resolved = 0
+        for seed in range(n):
+            spec = parse_spec(tokenize(make(random.Random(seed))))
+            classes = {}
+            for c in spec.classes:
+                classes.setdefault(c.name, c)
+            found = resolve_inheritance(spec.classes, classes)
+            for i, (c, (mask, finding)) in enumerate(zip(spec.classes, found)):
+                expected = naive_state_names(c, classes)
+                if finding is None:
+                    assert mask_names(spec.classes, mask) == expected, (seed, i)
+                else:
+                    assert (mask, expected) == (1 << i, None), (seed, i)
+                failing += expected is None
+            resolved += len(found)
+        assert resolved > 500 and 0.1 * resolved < failing < 0.9 * resolved

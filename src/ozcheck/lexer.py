@@ -3,20 +3,20 @@ conventions.
 
 The input convention is whitespace separation: every lexical unit must be
 delimited by blanks, tabs or newlines.  ``tokenize`` finds the content
-region of a source once and splits all of it with one capturing pattern:
-``\\S+`` finds the units.  A lenient mode additionally splits
-``{ } [ ] ( ) , :`` glued to neighbouring units, for sources that do not
-follow the convention strictly; its pattern never spans a blank.
+region of a source once, splits it with one ``str.split()`` and looks each
+unit up in a vocabulary of pieces; only a miss runs a pattern.  A lenient
+mode additionally splits ``{ } [ ] ( ) , :`` glued to neighbouring units,
+for sources that do not follow the convention strictly.
 
-A :class:`TokenStream` is columnar: a unit's lexeme, its kind and its
-offset.  Its ``(lexeme, kind, index, line, column)`` :class:`Token` is
-built only where a position is read.  The kind is the name of the unit's
-terminal: ``Word``, ``Number``, ``\\\\`` for a line separator (a lone
-``\\`` included), ``$`` for the end marker, and the lexeme itself for every
-other unit.  A unit's kind depends only on its text, so ``tokenize``
-classifies each distinct unit once per process, in a bounded vocabulary
-shared by every call, and its repetitions share the first occurrence's
-string and kind.  A word's decoration is
+A :class:`TokenStream` is columnar: a unit's lexeme and its kind.  Its
+``(lexeme, kind, index, line, column)`` :class:`Token` is built only where
+a position is read, and only then is the unit's offset found.  The kind is
+the name of the unit's terminal: ``Word``, ``Number``, ``\\\\`` for a line
+separator (a lone ``\\`` included), ``$`` for the end marker, and the
+lexeme itself for every other unit.  A piece's kind depends only on its
+text, so ``tokenize`` classifies each distinct piece once per process, in a
+bounded vocabulary shared by every call and both modes, and its repetitions
+share the first occurrence's string and kind.  A word's decoration is
 ``lexeme[len(lexeme.rstrip("'?!")):]``.  Tokenizing is pure but for that
 cache; independent sources may be processed concurrently.
 """
@@ -59,13 +59,13 @@ class TokenStream:
     from a unit's offset in ``text``, whose first line is ``line``; the end
     marker stands just past the last unit, or at 1:1."""
 
-    __slots__ = ("lexemes", "kinds", "_tokens", "_starts", "_text", "_line",
+    __slots__ = ("lexemes", "kinds", "_tokens", "_ends", "_text", "_line",
                  "_lines")
 
     def __init__(self, lexemes: list[str], kinds: list[str], known=None,
-                 starts: list[int] | None = None, text="", line=1) -> None:
+                 text="", line=1) -> None:
         self.lexemes, self.kinds, self._tokens = lexemes, kinds, known or {}
-        self._starts, self._text, self._line, self._lines = starts, text, line, None
+        self._ends, self._text, self._line, self._lines = [], text, line, None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -77,13 +77,26 @@ class TokenStream:
         if token is None:
             i = range(len(self.kinds))[i]
             if i < len(self.kinds) - 1:
-                line, column = self._position(self._starts[i])
+                line, column = self._position(self._start(i))
             else:  # the end marker: just past the last unit, or at 1:1
                 last = self[i - 1] if i else Token("", "", 0, 1, 1)
                 line, column = last.line, last.column + len(last.lexeme)
             token = self._tokens.setdefault(i, Token(
                 self.lexemes[i], self.kinds[i], i, line, column))
         return token
+
+    def _start(self, i: int) -> int:
+        """The offset of unit ``i`` in ``text``: the next occurrence of its
+        lexeme after the unit before it, as only blanks part them.  A read
+        past the units located so far walks on to at least twice as many."""
+        ends = self._ends
+        if i >= len(ends):  # a new list, stored whole, as threads may read it
+            k, find = len(ends), self._text.find
+            cursor = ends[-1] if ends else 0
+            ends = self._ends = ends + [
+                cursor := find(lexeme, cursor) + len(lexeme)
+                for lexeme in islice(self.lexemes, k, max(i + 1, 2 * k))]
+        return ends[i] - len(self.lexemes[i])
 
     def _position(self, offset: int) -> tuple[int, int]:
         lines = self._lines
@@ -172,13 +185,12 @@ def _region(source: str) -> tuple[str, int]:
     return text, line
 
 
-_UNIT_RE = re.compile(r"(\S+)")
 # lenient mode: punctuation glued to words is a piece of its own, and
-# \begin{...}/\end{...} stay whole; no alternative matches a blank
+# \begin{...}/\end{...} stay whole; every text that classifies is one piece
 _PIECE_RE = re.compile(
-    r"(\\(?:begin|end)\{[^{}\s]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+)")
-# piece -> (its first sight, kind) for every call, cleared at _VOCABULARY_CAP
-# (+1 per other concurrent call); a piece that fails is never stored
+    r"\\(?:begin|end)\{[^{}\s]*\}|[{}\[\](),:]|[^{}\[\](),:\s]+")
+# piece -> (its first sight, kind) for every call and mode, cleared at
+# _VOCABULARY_CAP (+1 per other concurrent call); a failing piece is not stored
 _VOCABULARY: dict[str, tuple[str, str]] = {}
 _VOCABULARY_CAP = 1 << 14
 
@@ -191,28 +203,30 @@ def tokenize(source: str, lenient: bool = False) -> TokenStream:
     the last unit.
     """
     text, line = _region(source)
-    # blanks and pieces alternate, blanks first and last
-    parts = (_PIECE_RE if lenient else _UNIT_RE).split(text)
-    pieces = parts[1::2]
-    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    stream = TokenStream([], [], None, starts, text, line)  # locates misses
+    units = text.split()
     vocabulary = _VOCABULARY
-    firsts = list(map(vocabulary.get, pieces))
-    if not all(firsts):  # classify the misses, in stream order
-        for i, first in enumerate(firsts):
-            if first is None:
-                piece = pieces[i]
+    firsts = list(map(vocabulary.get, units))  # a hit is a unit of one piece
+    if not all(firsts):  # split and classify the misses, in stream order
+        located = TokenStream(units, [], None, text, line)  # locates misses
+        hits, firsts = firsts, []
+        for i, unit in enumerate(units):
+            if hits[i] is not None:
+                firsts.append(hits[i])
+                continue
+            at = 0  # the piece's offset in its unit
+            for piece in _PIECE_RE.findall(unit) if lenient else (unit,):
                 first = vocabulary.get(piece)
                 if first is None:
                     first = piece, _classify(
-                        piece, *stream._position(starts[i]))
+                        piece, *located._position(located._start(i) + at))
                     if len(vocabulary) >= _VOCABULARY_CAP:
                         vocabulary.clear()
                     vocabulary[piece] = first
-                firsts[i] = first
-    stream.lexemes = [*map(itemgetter(0), firsts), ""]
-    stream.kinds = [*map(itemgetter(1), firsts), END_MARKER]
-    return stream
+                firsts.append(first)
+                at += len(piece)
+    return TokenStream([*map(itemgetter(0), firsts), ""],
+                       [*map(itemgetter(1), firsts), END_MARKER],
+                       None, text, line)
 
 
 def terminal_of(token: Token, g: "Grammar") -> "Symbol":

@@ -178,6 +178,23 @@ def test_tokenize_holds_at_most_90_bytes_per_token():
     assert held_per_token(corpus_text("queue.tex") * 1200) <= 90
 
 
+def test_a_stream_holds_at_most_30_bytes_per_token_until_a_position_is_read():
+    # the lexeme and kind columns alone: 17.7 B/token, against 58.5 when
+    # each unit's offset was kept from the start
+    assert held_per_token(corpus_text("queue.tex") * 1200) <= 30
+
+
+def test_a_clean_check_locates_no_unit(monkeypatch):
+    source = corpus_text("queue.tex")
+    tokenize(source)  # a miss is located, to report it if it fails
+    located = []
+    start = lexer.TokenStream._start
+    monkeypatch.setattr(lexer.TokenStream, "_start", lambda stream, i: (
+        located.append(i) or start(stream, i)))
+    assert check_text(source) == [] and located == []
+    assert check_text(corpus_text("queue_semantic_errors.tex")) and located
+
+
 # a child process checks a clean source of over 5 * 10**5 tokens in 400 MB
 # of address space and reports what its resident peak grew by per token:
 # 83 B/token with a columnar stream, 141 with one token record per unit
@@ -206,6 +223,72 @@ def test_a_clean_source_of_half_a_million_tokens_checks_in_bounded_memory():
     got = json.loads(result.stdout)
     assert got["found"] == [] and got["tokens"] >= 5 * 10**5
     assert got["bytes_per_token"] <= 120
+
+
+# A child process with 400 MB of address space times one shape of input at
+# n and at 8n units, best of three, and prints the two times: a cost that
+# grows with the square of n takes 64 times as long at 8n.
+LINEAR_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from ozcheck import lexer
+shape, n = sys.argv[1], int(sys.argv[2])
+
+def words(n, distinct):
+    return "\\n".join(" ".join(f"w{j % distinct}" for j in range(i, i + 10))
+                     for i in range(0, n, 10))
+
+def run(n):
+    if shape == "misses":  # every unit a new piece
+        source = words(n, n)
+        for lenient in (False, True):
+            lexer._VOCABULARY.clear()
+            stream = lexer.tokenize(source, lenient)
+        return stream.lexemes[n - 1] == f"w{n - 1}"
+    source = words(n, 100) + (" 9x" if shape == "last-unit-fails" else "")
+    # the last unit's line, and the column just past it
+    at = (source.count("\\n") + 1, len(source) - source.rfind("\\n"))
+    if shape == "last-unit-fails":
+        for lenient in (False, True):
+            try:
+                lexer.tokenize(source, lenient)
+                return False
+            except lexer.LexError as e:
+                d = e.diagnostic
+                if (d.symbol, d.line, d.column + 2) != ("9x", *at):
+                    return False
+        return True
+    stream = lexer.tokenize(source)
+    order = range(n + 1) if shape == "forward" else range(n, -1, -1)
+    read = {i: stream[i] for i in order}
+    return (tuple(read[0]), tuple(read[n])) == (
+        ("w0", "Word", 0, 1, 1), ("", "$", n, *at))
+
+times = [float("inf")] * 2
+for k, size in enumerate((n, 8 * n)):
+    for _ in range(3):
+        start = time.perf_counter()
+        ok = run(size)
+        times[k] = min(times[k], time.perf_counter() - start)
+        if not ok:
+            sys.exit(f"wrong outcome at {size}")
+print(json.dumps(times))
+"""
+
+
+@pytest.mark.parametrize("shape, n", [
+    ("misses", 20_000),  # past the vocabulary's cap at n already
+    ("last-unit-fails", 20_000),
+    ("reverse", 12_500), ("forward", 12_500),  # 10**5 positions at 8n
+])
+def test_lexing_and_reading_positions_take_linear_time(shape, n):
+    result = subprocess.run(
+        [sys.executable, "-c", LINEAR_CHILD, shape, str(n)],
+        capture_output=True, text=True, env=child_env(), timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    small, large = json.loads(result.stdout)
+    assert large < 24 * small + 0.05, (small, large)
 
 
 def test_repeated_lexemes_share_one_string():
@@ -296,6 +379,43 @@ def test_tokenize_agrees_with_naive_oracle(lenient, data):
         return
     assert error is None
     assert [(t.lexeme, t.kind, t.index, t.line, t.column) for t in ts] == expected
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@given(st.data())
+def test_positions_agree_with_naive_oracle_in_any_read_order(lenient, data):
+    # a unit is located when its position is first read, so reads out of
+    # stream order must find what a read in order finds; pieces glued by
+    # punctuation split into pieces that all lex
+    glued = st.tuples(_piece, st.sampled_from("{}[](),:"), _piece).map("".join)
+    unit = st.one_of(_piece, glued) if lenient else _piece
+    units = data.draw(st.lists(st.tuples(unit, _blank), max_size=40))
+    source = data.draw(_blank) + "".join(u + blank for u, blank in units)
+    expected, error = naive_tokenize(source, lenient)
+    assert error is None
+    n = len(expected)
+    for order in (data.draw(st.permutations(range(n))), range(n)[::-1],
+                  [n - 1, *range(n - 1)]):
+        ts = tokenize(source, lenient=lenient)
+        assert [tuple(ts[i]) for i in order] == [expected[i] for i in order]
+
+
+def test_one_vocabulary_serves_both_modes(monkeypatch):
+    # each text that classifies is one lenient piece, so a unit stored by a
+    # strict call is what a lenient call would split it into
+    monkeypatch.setattr(lexer, "_VOCABULARY", {})
+    strict = "\\begin{a,b} \\\\ {"
+    assert lexer_outcome(strict, False) == naive_tokenize(strict, False)
+    for source in (strict, "\\begin{a,b}{\\\\", "{\\begin{a,b}"):
+        assert lexer_outcome(source, True) == naive_tokenize(source, True)
+    # a glued unit is split before it is stored, so strict mode still
+    # rejects it where the oracle does
+    glued = "a\n  x, b"
+    assert lexer_outcome(glued, True) == naive_tokenize(glued, True)
+    assert lexer_outcome(glued, False) == naive_tokenize(glued, False)
+    assert naive_tokenize(glued, False)[1][1:] == ("x,", 2, 3)
+    assert {"x", ","} <= lexer._VOCABULARY.keys()
+    assert "x," not in lexer._VOCABULARY
 
 
 def lexer_outcome(source: str, lenient: bool):
@@ -455,6 +575,45 @@ def test_concurrent_checks_share_the_vocabulary(monkeypatch, cap):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[e] * 20 for e in expected]
+
+
+def test_threads_reading_one_stream_find_the_oracles_positions():
+    # each round, four threads start reading the positions of one fresh
+    # stream together, each in its own order; a walk that wrote into a list
+    # another thread reads, or published one half filled, would misplace a
+    # unit
+    source = corpus_text("queue.tex") * 200  # a walk long enough to switch in
+    expected, _ = naive_tokenize(source, True)
+    n = len(expected)
+    orders = [range(n), range(n - 1, -1, -1), range(0, n, 7),
+              [*range(n - 1, -1, -3), *range(n)]]
+    rounds = 5
+    streams = [tokenize(source, lenient=True) for _ in range(rounds)]
+    start = threading.Barrier(4)
+    results: list = [None] * 4
+
+    def worker(k):
+        try:
+            read = results[k] = []
+            for stream in streams:
+                start.wait(timeout=60)  # all four on the same stream
+                read.append([tuple(stream[i]) for i in orders[k]])
+        except Exception as e:  # reported by the assertion below
+            results[k] = e
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[[expected[i] for i in order]] * rounds
+                       for order in orders]
 
 
 @pytest.mark.parametrize("lenient", [False, True])
